@@ -1,0 +1,14 @@
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (str(ROOT), str(ROOT / "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    return str(tmp_path)
