@@ -34,10 +34,11 @@ from .oracle import (
     naive_mul,
     nullspace_bruteforce,
 )
-from .poly import MINUS_INFINITY, Polynomial
+from .poly import Polynomial
 from .polymat import (
     PolyMatrix,
     SeriesMatrix,
+    int_degree,
     is_row_reduced,
     pm_eval,
     pm_mul,
@@ -87,11 +88,6 @@ def _emit(mat: PolyMatrix, path=None):
 def _check(cond: bool, message: str):
     if not cond:
         raise VerificationFailed(message)
-
-
-def _int_deg(a) -> int:
-    d = a.degree
-    return 0 if d == MINUS_INFINITY else int(d)
 
 
 # -- verbs -------------------------------------------------------------------
@@ -145,7 +141,7 @@ def _cmd_nullspace(args, rng):
     v = _maybe_corrupt(basis.matrix)
     _check(pm_mul(v, a).is_zero(), "nullspace rows do not annihilate the input")
     if args.oracle:
-        cap = args.delta if args.delta is not None else a.rows * _int_deg(a)
+        cap = args.delta if args.delta is not None else a.rows * int_degree(a)
         ref = nullspace_bruteforce(a, max(cap, 1))
         _check(
             sorted(basis.kronecker_degrees) == sorted(ref.kronecker_degrees),
@@ -245,9 +241,9 @@ def _cmd_expand(args, rng):
     else:
         b = PolyMatrix.identity(a.field, a.rows)
     h, delta = args.h, args.delta
-    d = _int_deg(a)
+    d = int_degree(a)
     h0 = max(0, h - d)
-    ext = expansion_slice(a, b, h0, (h - h0) + delta, fast=args.fast)
+    ext = expansion_slice(a, b, h0, (h - h0) + delta)
     coeffs = ext.coeffs.copy()
     if os.environ.get(CORRUPT_ENV) and coeffs.size:
         coeffs[-1, 0, 0] = (coeffs[-1, 0, 0] + 1) % a.field.p
@@ -386,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("b", nargs="?", default=None)
     sp.add_argument("--h", type=int, required=True, dest="h")
     sp.add_argument("--delta", type=int, required=True)
-    sp.add_argument("--fast", action="store_true")
+    sp.add_argument("--fast", action="store_true", help="accepted, no effect")
     out_opt(sp)
     sp.set_defaults(func=_cmd_expand)
 

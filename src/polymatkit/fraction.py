@@ -1,10 +1,12 @@
 """Matrix fraction expansion: truncated inverses, high-order slices, proper tails.
 
-``truncated_inverse`` is Newton iteration. ``expansion_slice`` returns a
-window F_h .. F_{h+delta-1} of the expansion of A^{-1}B; the baseline path
-expands everything up to h+delta, while the optional fast path keeps only
-short residues and windows of the expansion of A^{-1} and doubles their
-order, so only O(log h) products of degree-O(d) matrices are needed.
+``truncated_inverse`` is Newton iteration. ``expansion_slice`` (a window
+F_h .. F_{h+delta-1} of the expansion of A^{-1}B) and ``proper_tail`` (the
+residue R_h and a window of A^{-1}) share one engine. Below the crossover
+h < LIFT_CROSSOVER * deg(A) it is one Newton run to order h + delta; above
+it, high-order lifting keeps only the residue R_t = (I - A S_t) / x^t of
+degree < deg(A) and doubles t, so it takes O(log h) products of
+degree-O(deg A) matrices (Storjohann 2003; Jeannerod & Villard 2005).
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPolynomialQuotient, SingularAtZero, SingularInput
-from .linalg import inv as const_inv, mod_matmul
-from .poly import MINUS_INFINITY
-from .polymat import PolyMatrix, SeriesMatrix, pm_eval, pm_mul, pm_truncate
+from .linalg import inv as const_inv
+from .polymat import PolyMatrix, SeriesMatrix, int_degree, pm_eval, pm_mul, pm_truncate
+
+# h / deg(A) below which one Newton run beats lifting
+LIFT_CROSSOVER = 6
 
 
 @dataclass(frozen=True)
@@ -40,11 +44,6 @@ class ProperFractionData:
     order_used: int
 
 
-def _int_degree(a: PolyMatrix) -> int:
-    d = a.degree
-    return 0 if d == MINUS_INFINITY else int(d)
-
-
 def _inv_at_zero(a: PolyMatrix) -> np.ndarray:
     try:
         return const_inv(pm_eval(a, 0), a.field.p)
@@ -66,60 +65,54 @@ def truncated_inverse(a: PolyMatrix, k: int) -> SeriesMatrix:
     return x.to_series(k)
 
 
-def exact_x_power_divide(a: PolyMatrix, k: int) -> PolyMatrix:
-    """Divide by x**k, raising NonPolynomialQuotient on a nonzero low part."""
-    if a.is_zero():
-        return a
-    if a.coeffs[: min(k, a.coeffs.shape[0])].any():
-        raise NonPolynomialQuotient(f"matrix is not divisible by x^{k}")
+def _quo_x_power(a: PolyMatrix, k: int) -> PolyMatrix:
+    """Quotient of the division by x**k, dropping the low part."""
     if a.coeffs.shape[0] <= k:
         return PolyMatrix.zero(a.field, a.rows, a.cols)
     return PolyMatrix(a.field, a.coeffs[k:])
 
 
-def _window(series_coeffs: np.ndarray, h: int, delta: int, n: int, m: int) -> np.ndarray:
-    out = np.zeros((delta, n, m), dtype=np.int64)
-    hi = min(h + delta, series_coeffs.shape[0])
-    if hi > h:
-        out[: hi - h] = series_coeffs[h:hi]
-    return out
+def exact_x_power_divide(a: PolyMatrix, k: int) -> PolyMatrix:
+    """Divide by x**k, raising NonPolynomialQuotient on a nonzero low part."""
+    if a.coeffs[:k].any():
+        raise NonPolynomialQuotient(f"matrix is not divisible by x^{k}")
+    return _quo_x_power(a, k)
 
 
 def expansion_slice(
     a: PolyMatrix, b: PolyMatrix, h: int, delta: int, fast: bool = False
 ) -> ExpansionSlice:
-    """Coefficients F_h..F_{h+delta-1} of the expansion of A^{-1} B at x=0."""
-    if fast:
-        coeffs = _slice_fast(a, b, h, delta)
-        if coeffs is not None:
-            return ExpansionSlice(h, coeffs)
-    order = h + delta
-    s = truncated_inverse(a, order)
-    g = pm_truncate(pm_mul(s.to_polymat(), b), order)
-    return ExpansionSlice(h, _window(g.coeffs, h, delta, a.rows, b.cols))
+    """Coefficients F_h..F_{h+delta-1} of the expansion of A^{-1} B at x=0.
+
+    ``fast`` is accepted and has no effect: every call runs the one engine.
+    """
+    db = int_degree(b)
+    lo = max(h - db, 0)
+    _, window = _expand(a, lo, h + delta - lo)
+    # G = sum_i F_{h-db+i} x^i (F_j = 0 for j < 0); the slice is (G B)[db : db+delta]
+    g = np.zeros((db + delta, a.rows, a.cols), dtype=np.int64)
+    g[db + lo - h:] = window
+    prod = pm_mul(PolyMatrix(a.field, g), b).to_series(db + delta)
+    return ExpansionSlice(h, prod.coeffs[db:])
 
 
 def proper_tail(a: PolyMatrix, h: int, sigma: int) -> ProperFractionData:
     """Tail fraction H = sum_i F_{h+i} x^i of A^{-1}, with B = A H polynomial.
 
     Requires h > (n-1) deg(A) so that H is strictly proper and B has degree
-    below deg(A); B is recovered exactly as (I - A (A^{-1} mod x^h)) / x^h.
+    below deg(A); B is the residue (I - A (A^{-1} mod x^h)) / x^h.
     """
     n = a.rows
-    d = _int_degree(a)
+    d = int_degree(a)
     if h <= (n - 1) * d:
         raise ValueError(f"need h > (n-1)*deg(A) = {(n - 1) * d}, got {h}")
-    s = truncated_inverse(a, h)
-    residue = PolyMatrix.identity(a.field, n) - pm_mul(a, s.to_polymat())
-    numerator = exact_x_power_divide(residue, h)
+    numerator, window = _expand(a, h, sigma)
     # strict properness forces deg B < deg A; anything else is a bug
     if not numerator.is_zero() and numerator.degree >= d:
         raise NonPolynomialQuotient(
             f"numerator degree {numerator.degree} not below deg A = {d}"
         )
-    ident = PolyMatrix.identity(a.field, n)
-    tail = expansion_slice(a, ident, h, sigma)
-    return ProperFractionData(SeriesMatrix(a.field, sigma, tail.coeffs), numerator, h)
+    return ProperFractionData(SeriesMatrix(a.field, sigma, window), numerator, h)
 
 
 def find_regular_shift(a: PolyMatrix, seed=None, attempts: int = 8) -> int:
@@ -137,144 +130,40 @@ def find_regular_shift(a: PolyMatrix, seed=None, attempts: int = 8) -> int:
     raise SingularAtZero("no regular expansion point found after shifts")
 
 
-# -- fast path: high-order lifting on short residues -------------------------
+# -- the expansion engine: high-order lifting on short residues ---------------
 #
-# For t >= d write A^{-1} = S_t + x^t A^{-1} R_t with S_t = A^{-1} mod x^t and
-# R_t = x^{-t}(I - A S_t), a polynomial matrix of degree < d. The state kept
-# per anchor t is (R_{t-d}, window F_{t-d}..F_{t-1}); anchors are doubled via
-#   R_{a'+b} = A T + R_b R_{a'}   with a' = a - d, T = (S_b R_{a'}) div x^b,
-# and windows advance with the linear recurrence sum_j A_j F_{k-j} = 0.
+# For t >= 0 write A^{-1} = S_t + x^t A^{-1} R_t with S_t = A^{-1} mod x^t and
+# the residue R_t = (I - A S_t) / x^t, a polynomial matrix of degree < d.
+# R_t alone determines everything after order t: F_{t+k} = (S_d R_t)_k for
+# k < d, so R_{t+d} = (R_t - A W_t) / x^d with W_t = (S_d R_t) mod x^d, and
+#   R_{2t+d} = R_{t+d} R_t + A ((W_t R_t) div x^d)
+# doubles the order. Each step is a product of degree-O(d) matrices.
 
 
-class _LiftState:
-    __slots__ = ("anchor", "resid", "window")
+def _expand(a: PolyMatrix, h: int, width: int):
+    """(R_h, [F_h, .., F_{h+width-1}]) for the expansion of A^{-1} at x = 0."""
+    d = int_degree(a)
+    ident = PolyMatrix.identity(a.field, a.rows)
+    if d == 0 or h < LIFT_CROSSOVER * d:
+        s = truncated_inverse(a, h + width)
+        resid = exact_x_power_divide(ident - pm_mul(a, pm_truncate(s, h)), h)
+        return resid, s.coeffs[h:]
+    s_w = truncated_inverse(a, 2 * d + width).to_polymat()
+    s_d = pm_truncate(s_w, d)
 
-    def __init__(self, anchor: int, resid: PolyMatrix, window: np.ndarray):
-        self.anchor = anchor      # t: window covers F_{t-d}..F_{t-1}
-        self.resid = resid        # R_{t-d}
-        self.window = window      # shape (d, n, n)
+    def step(r):  # R_t -> (W_t, R_{t+d})
+        w = pm_truncate(pm_mul(s_d, r), d)
+        return w, exact_x_power_divide(r - pm_mul(a, w), d)
 
-
-def _forward_extend(a_coeffs: np.ndarray, a0_inv: np.ndarray, window: np.ndarray,
-                    extra: int, p: int) -> np.ndarray:
-    """Append ``extra`` further expansion coefficients after ``window``.
-
-    Uses F_k = -A_0^{-1} sum_{j>=1} A_j F_{k-j}, valid as long as the window
-    already holds at least deg(A) consecutive coefficients.
-    """
-    d = a_coeffs.shape[0] - 1
-    n = window.shape[1]
-    out = np.concatenate([window, np.zeros((extra, n, n), dtype=np.int64)])
-    base = window.shape[0]
-    for k in range(base, base + extra):
-        acc = np.zeros((n, n), dtype=np.int64)
-        for j in range(1, d + 1):
-            acc = (acc + mod_matmul(a_coeffs[j], out[k - j], p)) % p
-        out[k] = mod_matmul(a0_inv, (-acc) % p, p)
-    return out
-
-
-def _poly_from_slices(fld, slices: np.ndarray) -> PolyMatrix:
-    return PolyMatrix(fld, slices)
-
-
-def _combine(window_ext: np.ndarray, resid: PolyMatrix, offset: int, count: int,
-             p: int) -> np.ndarray:
-    """F_{a+j} for j = offset..offset+count-1 from F-window data and R_{a}.
-
-    ``window_ext[i]`` holds F_{base+i}; the caller guarantees every needed
-    index j - r falls inside it. F_{a+j} = sum_r F_{j-r} R_a[r] where the F
-    on the right are indexed relative to ``base`` via ``offset``.
-    """
-    n = window_ext.shape[1]
-    rc = resid.coeffs
-    out = np.zeros((count, n, n), dtype=np.int64)
-    for k in range(count):
-        acc = np.zeros((n, n), dtype=np.int64)
-        for r in range(rc.shape[0]):
-            idx = offset + k - r
-            if 0 <= idx < window_ext.shape[0]:
-                acc = (acc + mod_matmul(window_ext[idx], rc[r], p)) % p
-        out[k] = acc
-    return out
-
-
-def _slice_fast(a: PolyMatrix, b: PolyMatrix, h: int, delta: int):
-    """High-order lifting; returns None when the baseline is the better fit."""
-    fld = a.field
-    p = fld.p
-    n = a.rows
-    d = _int_degree(a)
-    if d == 0 or _int_degree(b) > d or h < 8 * d:
-        return None
-    a_coeffs = np.zeros((d + 1, n, n), dtype=np.int64)
-    a_coeffs[: a.coeffs.shape[0]] = a.coeffs
-    a0_inv = _inv_at_zero(a)
-
-    # base anchor t0 = 2d: window F_d..F_{2d-1} and residue R_d
-    s = truncated_inverse(a, 2 * d).coeffs
-    base_window = s[d: 2 * d].copy()
-    low = _poly_from_slices(fld, s[:d])
-    resid0 = exact_x_power_divide(
-        PolyMatrix.identity(fld, n) - pm_mul(a, low), d
-    )
-    state = _LiftState(2 * d, resid0, base_window)
-
-    def advance(st: _LiftState, c: int) -> _LiftState:
-        if c == 0:
-            return st
-        ext = _forward_extend(a_coeffs, a0_inv, st.window, c, p)  # F_{t-d}..F_{t+c-d-1}..
-        new_window = ext[c: c + d]
-        gpoly = _poly_from_slices(fld, ext[:c])  # F_{t-d}..F_{t-d+c-1}
-        new_resid = exact_x_power_divide(st.resid - pm_mul(a, gpoly), c)
-        return _LiftState(st.anchor + c, new_resid, new_window)
-
-    def compose(s1: _LiftState, s2: _LiftState) -> _LiftState:
-        # new anchor a + b, from R_{a-d} (s1) and the window/residue at b (s2)
-        aa, bb = s1.anchor, s2.anchor
-        wb_ext = _forward_extend(a_coeffs, a0_inv, s2.window, d, p)  # F_{b-d}..F_{b+d-1}
-        rb = exact_x_power_divide(
-            s2.resid - pm_mul(a, _poly_from_slices(fld, s2.window)), d
-        )  # R_b
-        ra = s1.resid  # R_{a-d}
-        # T = (S_b R_{a-d}) div x^b, degree < d - 1
-        rc = ra.coeffs
-        t_slices = np.zeros((max(rc.shape[0] - 1, 1), n, n), dtype=np.int64)
-        for k in range(t_slices.shape[0]):
-            acc = np.zeros((n, n), dtype=np.int64)
-            for r in range(k + 1, rc.shape[0]):
-                idx = (bb + k - r) - (bb - d)  # index into wb_ext
-                if 0 <= idx < d:
-                    acc = (acc + mod_matmul(wb_ext[idx], rc[r], p)) % p
-            t_slices[k] = acc
-        t_mat = _poly_from_slices(fld, t_slices)
-        new_resid = pm_mul(a, t_mat) + pm_mul(rb, ra)  # R_{a+b-d}
-        # window F_{a+b-d}..F_{a+b-1} = F_{(a-d)+(b+k)}, k = 0..d-1
-        new_window = _combine(wb_ext, ra, d, d, p)
-        return _LiftState(aa + bb, new_resid, new_window)
-
-    # reach the largest anchor 2d*m <= h by binary composition, then advance
-    m_steps = h // (2 * d)
-    if m_steps < 1:
-        return None
-    bits = bin(m_steps)[2:]
-    acc_state = None
-    doubling = state
-    for bit in reversed(bits):
+    # r is R_t with t = (m - 1) d; m runs through the leading bits of h // d
+    r = ident
+    for bit in bin(h // d)[3:]:
+        w, r_next = step(r)
+        r = pm_mul(r_next, r) + pm_mul(a, _quo_x_power(pm_mul(w, r), d))  # m -> 2m
         if bit == "1":
-            acc_state = doubling if acc_state is None else compose(acc_state, doubling)
-        doubling = compose(doubling, doubling)
-    acc_state = advance(acc_state, h - acc_state.anchor)
-
-    # final: (A^{-1}B)_{h+k} needs F_{h-deg(B)}..F_{h+delta-1}
-    ext = _forward_extend(a_coeffs, a0_inv, acc_state.window, delta, p)
-    # ext[i] = F_{h-d+i}
-    bc = b.coeffs
-    out = np.zeros((delta, n, b.cols), dtype=np.int64)
-    for k in range(delta):
-        acc = np.zeros((n, b.cols), dtype=np.int64)
-        for q in range(bc.shape[0]):
-            idx = d + k - q
-            acc = (acc + mod_matmul(ext[idx], bc[q], p)) % p
-        out[k] = acc
-    return out
+            r = step(r)[1]  # m -> m + 1
+    # h - t = d + h mod d < 2d: one product with S_w gives R_h and the window
+    c = d + h % d
+    f = pm_mul(s_w, r).to_series(c + width)
+    resid = exact_x_power_divide(r - pm_mul(a, pm_truncate(f, c)), c)
+    return resid, f.coeffs[c:]

@@ -17,7 +17,7 @@ from .approxbasis import pmbasis
 from .errors import FieldTooSmall, RankDeficient, RetriesExhausted
 from .linalg import rank as const_rank
 from .poly import MINUS_INFINITY
-from .polymat import PolyMatrix, pm_eval, pm_mul, row_degrees
+from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul, row_degrees
 
 MAX_RETRIES = 8
 
@@ -41,15 +41,10 @@ def _empty_basis(a: PolyMatrix, certified: bool = True, input_rank=None) -> Null
     return NullspaceBasis(empty, [], certified, input_rank)
 
 
-def _int_degree(a: PolyMatrix) -> int:
-    d = a.degree
-    return 0 if d == MINUS_INFINITY else int(d)
-
-
 def rank(a: PolyMatrix, seed=None) -> int:
     """Monte Carlo rank of A over K(x): rank of A at one random point."""
     rng = np.random.default_rng(seed)
-    n, d = max(a.rows, a.cols), _int_degree(a)
+    n, d = max(a.rows, a.cols), int_degree(a)
     if a.field.p <= 2 * n * d:
         raise FieldTooSmall(f"p={a.field.p} too small for rank at n={n}, d={d}")
     x0 = int(rng.integers(0, a.field.p))
@@ -62,7 +57,7 @@ def minimal_vectors_up_to(a: PolyMatrix, delta: int) -> NullspaceBasis:
     Computes an order basis of order delta + deg(A) + 1 and keeps the rows
     of degree at most delta; those are certified by an exact product check.
     """
-    d = _int_degree(a)
+    d = int_degree(a)
     sigma = delta + d + 1
     basis = pmbasis(a.to_series(sigma), sigma)
     degs = row_degrees(basis.basis)
@@ -99,7 +94,7 @@ def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:
     for _ in range(MAX_RETRIES):
         compress = PolyMatrix.constant(a.field, rng.integers(0, p, size=(ncols, m)))
         compressed = pm_mul(a, compress)
-        d = _int_degree(compressed)
+        d = int_degree(compressed)
         sigma = delta + d + 1
         basis = pmbasis(compressed.to_series(sigma), sigma)
         degs = row_degrees(basis.basis)
@@ -131,7 +126,7 @@ def general_nullspace(a: PolyMatrix, seed=None) -> NullspaceBasis:
     """
     rng = np.random.default_rng(seed)
     n = a.rows
-    d = _int_degree(a)
+    d = int_degree(a)
     r = max(rank(a, rng) for _ in range(3))
     target = n - r
     if target == 0:

@@ -41,7 +41,7 @@ def naive_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                 acc = acc + a.entry(i, k) * b.entry(k, j)
             row.append(acc)
         grid.append(row)
-    return PolyMatrix.from_entries(a.field, grid)
+    return PolyMatrix.from_lists(a.field, grid)
 
 
 def det_by_interpolation(a: PolyMatrix) -> Polynomial:

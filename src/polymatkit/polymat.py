@@ -78,10 +78,6 @@ class PolyMatrix:
                 arr[: len(cs), i, j] = cs
         return cls(field, arr)
 
-    @classmethod
-    def from_entries(cls, field: PrimeField, grid) -> "PolyMatrix":
-        return cls.from_lists(field, grid)
-
     # -- queries --
 
     @property
@@ -293,6 +289,12 @@ def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if small > 8 and ntt.supports_length(a.field, ntt.next_pow2(out_len)):
         return PolyMatrix(a.field, _mul_ntt(a.coeffs, b.coeffs, a.field, out_len))
     return PolyMatrix(a.field, _mul_blocks(a.coeffs, b.coeffs, a.field.p, out_len))
+
+
+def int_degree(a: PolyMatrix) -> int:
+    """deg(A), with 0 for the zero matrix."""
+    d = a.degree
+    return 0 if d == MINUS_INFINITY else int(d)
 
 
 def pm_eval(a: PolyMatrix, x0) -> np.ndarray:

@@ -27,8 +27,8 @@ from .errors import (
 from .fraction import proper_tail
 from .linalg import det as const_det, rank as const_rank
 from .nullspace import general_nullspace, minimal_vectors_up_to
-from .poly import MINUS_INFINITY, Polynomial
-from .polymat import PolyMatrix, pm_eval, pm_mul, pm_shift_var
+from .poly import Polynomial
+from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul, pm_shift_var
 from .reconstruct import LeftFactorization, matfrac_rec
 
 
@@ -38,11 +38,6 @@ class InverseRepresentation:
 
     transform: PolyMatrix
     diagonal: PolyMatrix
-
-
-def _int_degree(a: PolyMatrix) -> int:
-    d = a.degree
-    return 0 if d == MINUS_INFINITY else int(d)
 
 
 def _require_pow2(n: int):
@@ -82,13 +77,15 @@ def _elimination_pair(block: PolyMatrix, expected_deg: int):
 
 
 def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
-    """Diagonalizing transform for a generic A with power-of-two dimension."""
+    """Diagonalizing transform for a generic A with power-of-two dimension.
+
+    The recursion draws nothing at random; ``seed`` is accepted and unused.
+    """
     n = a.rows
     _require_pow2(n)
     if not a.is_square():
         raise SingularInput("inverse needs a square matrix")
-    d = _int_degree(a)
-    rng = np.random.default_rng(seed)
+    d = int_degree(a)
     transform = PolyMatrix.identity(a.field, n)
     blocks = [a]
     step = 1
@@ -111,13 +108,11 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
     for i in range(n):
         if diagonal.entry(i, i).is_zero():
             raise SingularInput("zero diagonal entry: A is singular")
-    x0 = int(rng.integers(1, a.field.p))
     off = diagonal.coeffs.copy()
     for i in range(n):
         off[:, i, i] = 0
     if off.any():
         raise GenericityFailure("diagonalization left off-diagonal entries")
-    _ = x0
     return InverseRepresentation(transform, diagonal)
 
 
@@ -125,7 +120,7 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     """det(A) via the upper-left branch of the elimination recursion."""
     n = a.rows
     _require_pow2(n)
-    d = _int_degree(a)
+    d = int_degree(a)
     det_a0 = const_det(pm_eval(a, 0), a.field.p)
     if det_a0 == 0:
         raise SingularAtZero("det A(0) = 0; shift before the generic recursion")
@@ -150,10 +145,11 @@ def row_reduce(a: PolyMatrix, seed=None):
     Expands the proper tail of A^{-1} at order h = (n-1)d + 1 to 2d + 1
     coefficients and reconstructs it as R^{-1} S. A singular A(0) is handled
     by the shift-and-retry policy; the shift is undone on the output, which
-    preserves row degrees and the leading row matrix.
+    preserves row degrees and the leading row matrix. A singular A raises
+    SingularInput once det A vanishes at n deg(A) + 1 distinct points.
     """
     n = a.rows
-    d = _int_degree(a)
+    d = int_degree(a)
     p = a.field.p
     rng = np.random.default_rng(seed)
 
@@ -174,9 +170,10 @@ def row_reduce(a: PolyMatrix, seed=None):
             x0 = cand
             break
     if x0 is None:
-        if len(tried) >= p:
-            raise FieldTooSmall("no regular point found in the whole field")
-        raise SingularAtZero("no regular expansion point found after retries")
+        if len(tried) > n * d:
+            # det A has degree <= n d and vanishes at n d + 1 distinct points
+            raise SingularInput("det A vanishes identically: A is singular")
+        raise FieldTooSmall("no regular point found in the whole field")
 
     shifted = pm_shift_var(a, x0) if x0 else a
     h = (n - 1) * d + 1

@@ -4,6 +4,8 @@ import pytest
 import polymatkit as pk
 from polymatkit.errors import SingularAtZero
 from polymatkit.fraction import (
+    LIFT_CROSSOVER,
+    exact_x_power_divide,
     expansion_slice,
     find_regular_shift,
     proper_tail,
@@ -81,28 +83,40 @@ def test_expansion_slice_geometric_far(fd):
     assert list(sl.coeffs[:, 0, 0]) == [1, 1, 1]
 
 
-def test_fast_path_matches_baseline(fd, rng):
-    for trial in range(30):
-        n = int(rng.integers(1, 7))
-        d = int(rng.integers(1, 7))
+def newton_window(a, b, h, delta):
+    """F_h..F_{h+delta-1} of A^{-1} B from one truncated inverse, engine-free."""
+    s = truncated_inverse(a, h + delta).to_polymat()
+    return pm_mul(s, b).to_series(h + delta).coeffs[h:]
+
+
+def test_expansion_slice_around_crossover(fd, rng):
+    for trial in range(12):
+        n = int(rng.integers(1, 6))
+        d = int(rng.integers(1, 6))
         a = nonsingular_at_zero(fd, n, d, int(rng.integers(0, 2**31)))
-        b = pk.rand_instance(
-            n, int(rng.integers(1, 4)), int(rng.integers(0, d + 1)),
-            int(rng.integers(0, 2**31)), field=fd,
-        )
-        h = int(rng.integers(8 * d, 4 * n * d + 8 * d + 1))
-        delta = int(rng.integers(1, 16))
-        base = expansion_slice(a, b, h, delta, fast=False)
-        fast = expansion_slice(a, b, h, delta, fast=True)
-        assert np.array_equal(base.coeffs, fast.coeffs), (trial, n, d, h, delta)
+        cross = LIFT_CROSSOVER * d
+        for db in (0, d):
+            b = pk.rand_instance(
+                n, int(rng.integers(1, 4)), db, int(rng.integers(0, 2**31)), field=fd
+            )
+            hs = (cross + db - 1, cross + db, cross + db + 1,
+                  int(rng.integers(cross + db + 2, 40 * d + 40)))
+            for h in hs:
+                delta = int(rng.integers(1, 12))
+                got = expansion_slice(a, b, h, delta).coeffs
+                assert np.array_equal(got, newton_window(a, b, h, delta)), (trial, n, d, db, h)
 
 
-def test_fast_path_falls_back_below_threshold(fd):
-    a = anchor(fd)
-    b = PolyMatrix.identity(fd, 2)
-    base = expansion_slice(a, b, 3, 2, fast=False)
-    fast = expansion_slice(a, b, 3, 2, fast=True)  # h < 8d: baseline fallback
-    assert np.array_equal(base.coeffs, fast.coeffs)
+def test_expansion_slice_numerator_above_order(fd, rng):
+    for trial in range(8):
+        n = int(rng.integers(1, 5))
+        d = int(rng.integers(1, 4))
+        a = nonsingular_at_zero(fd, n, d, int(rng.integers(0, 2**31)))
+        db = int(rng.integers(d + 1, 4 * d + 3))
+        b = pk.rand_instance(n, 2, db, int(rng.integers(0, 2**31)), field=fd)
+        for h in (0, db - 1, db + LIFT_CROSSOVER * d + 5):
+            got = expansion_slice(a, b, h, 6).coeffs
+            assert np.array_equal(got, newton_window(a, b, h, 6)), (trial, n, d, db, h)
 
 
 def test_proper_tail_scalar(fd):
@@ -140,6 +154,19 @@ def test_proper_tail_invariants_random(fd, rng):
         # A * H === B mod x^sigma
         prod = pm_truncate(pm_mul(a, data.tail.to_polymat()), 2 * d + 1)
         assert prod == pm_truncate(data.numerator.to_series(2 * d + 1), 2 * d + 1)
+
+
+def test_proper_tail_lifting_side(fd, rng):
+    for n, d in ((10, 2), (12, 3)):
+        a = nonsingular_at_zero(fd, n, d, int(rng.integers(0, 2**31)))
+        h = (n - 1) * d + 1
+        assert h >= LIFT_CROSSOVER * d
+        data = proper_tail(a, h, 2 * d + 1)
+        s = truncated_inverse(a, h + 2 * d + 1)
+        ident = PolyMatrix.identity(fd, n)
+        want = exact_x_power_divide(ident - pm_mul(a, pm_truncate(s, h)), h)
+        assert data.numerator == want
+        assert np.array_equal(data.tail.coeffs, s.coeffs[h:])
 
 
 def test_proper_tail_rejects_small_h(fd):

@@ -3,6 +3,7 @@ import pytest
 
 import polymatkit as pk
 from polymatkit.errors import (
+    FieldTooSmall,
     GenericityFailure,
     NotPowerOfTwo,
     SingularAtZero,
@@ -170,6 +171,19 @@ def test_rowreduce_shifts_when_singular_at_zero(fd, rng):
     assert cert["shift"] != 0
     assert pk.is_row_reduced(r)
     assert unimodular_equiv_check(a, r, seed=9)
+
+
+def test_rowreduce_singular_input_raises_singular(fd):
+    a = pk.rand_instance(4, 4, 2, 11, profile="planted-rank", rank=3, field=fd)
+    with pytest.raises(SingularInput):
+        row_reduce(a, 0)
+
+
+def test_rowreduce_field_exhausted_raises_field_too_small():
+    f5 = pk.get_field(5)
+    a = PolyMatrix.from_lists(f5, [[[0, 4, 0, 0, 0, 1]]])  # x^5 - x vanishes on GF(5)
+    with pytest.raises(FieldTooSmall):
+        row_reduce(a, 0)
 
 
 def test_rowreduce_constant_input(fd):
