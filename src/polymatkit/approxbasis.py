@@ -9,12 +9,11 @@ minimal indices of the approximant module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OrderExceedsData
-from .field import PrimeField
 from .linalg import mod_matmul
 from .poly import MINUS_INFINITY
 from .polymat import PolyMatrix, SeriesMatrix, pm_mul, row_degrees

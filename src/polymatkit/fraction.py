@@ -115,21 +115,6 @@ def proper_tail(a: PolyMatrix, h: int, sigma: int) -> ProperFractionData:
     return ProperFractionData(SeriesMatrix(a.field, sigma, window), numerator, h)
 
 
-def find_regular_shift(a: PolyMatrix, seed=None, attempts: int = 8) -> int:
-    """A point x0 with A(x0) nonsingular, for the shift-and-retry policy."""
-    rng = np.random.default_rng(seed)
-    p = a.field.p
-    for k in range(attempts):
-        x0 = 0 if k == 0 else int(rng.integers(0, p))
-        mat = pm_eval(a, x0)
-        try:
-            const_inv(mat, p)
-            return x0
-        except SingularInput:
-            continue
-    raise SingularAtZero("no regular expansion point found after shifts")
-
-
 # -- the expansion engine: high-order lifting on short residues ---------------
 #
 # For t >= 0 write A^{-1} = S_t + x^t A^{-1} R_t with S_t = A^{-1} mod x^t and

@@ -3,8 +3,8 @@
 A minimal approximant basis of order delta + d + 1 for a degree-d matrix
 contains exactly the minimal nullspace vectors of degree at most delta
 (their degrees are the left Kronecker indices). The routines here select
-those rows, optionally after a random column compression for tall inputs,
-and always verify v A = 0 exactly before returning (Las Vegas contract).
+those rows and always verify v A = 0 exactly before returning (Las Vegas
+contract).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .errors import FieldTooSmall, RankDeficient, RetriesExhausted
 from .linalg import rank as const_rank
 from .poly import MINUS_INFINITY
 from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul, row_degrees
-
-MAX_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -74,10 +72,9 @@ def minimal_vectors_up_to(a: PolyMatrix, delta: int) -> NullspaceBasis:
 def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:
     """Minimal nullspace vectors of degree <= delta for a tall full-column-rank A.
 
-    Fast path compresses the (n+m) x n input to (n+m) x m with a random
-    constant matrix, computes the order basis there, and verifies every
-    selected row against the original A; any failure triggers a retry with
-    fresh randomness (Las Vegas).
+    A is (n+m) x n with m <= n; full column rank is prechecked at one random
+    point drawn from ``seed``. The vectors are those of
+    ``minimal_vectors_up_to(a, delta)``, certified by its exact product check.
     """
     rng = np.random.default_rng(seed)
     p = a.field.p
@@ -88,31 +85,6 @@ def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:
     x0 = int(rng.integers(0, p))
     if const_rank(pm_eval(a, x0), p) < ncols:
         raise RankDeficient("input looks column-rank deficient at a random point")
-    if m == 0:
-        return _empty_basis(a)
-
-    for _ in range(MAX_RETRIES):
-        compress = PolyMatrix.constant(a.field, rng.integers(0, p, size=(ncols, m)))
-        compressed = pm_mul(a, compress)
-        d = int_degree(compressed)
-        sigma = delta + d + 1
-        basis = pmbasis(compressed.to_series(sigma), sigma)
-        degs = row_degrees(basis.basis)
-        sel = [i for i, dd in enumerate(degs) if dd != MINUS_INFINITY and dd <= delta]
-        sel.sort(key=lambda i: (degs[i], i))
-        if not sel:
-            return _empty_basis(a)
-        rows = basis.basis.take_rows(sel)
-        # If every low-degree row of the compressed order basis annihilates
-        # the original matrix, the degree-<=delta parts of the two nullspace
-        # modules coincide (null(A) is contained in null(AP), and these rows
-        # generate the latter), so the result is certified complete and
-        # minimal. Any failing row means the compression admitted spurious
-        # vectors; retry with fresh randomness.
-        if pm_mul(rows, a).is_zero():
-            return NullspaceBasis(rows, [degs[i] for i in sel], True)
-    # unlucky (or structurally spurious-prone) compressions: fall back to the
-    # exact order-basis computation on A itself, which is always correct
     return minimal_vectors_up_to(a, delta)
 
 

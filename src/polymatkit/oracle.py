@@ -12,18 +12,19 @@ import numpy as np
 
 from .approxbasis import ApproximantBasis
 from .errors import CapTooSmall, DimensionMismatch, FieldTooSmall, SingularInput
-from .fraction import find_regular_shift, truncated_inverse
-from .field import PrimeField
+from .fraction import truncated_inverse
 from .linalg import left_kernel, det as const_det, rank as const_rank
 from .nullspace import NullspaceBasis
 from .poly import MINUS_INFINITY, Polynomial, poly_interpolate
 from .polymat import (
     PolyMatrix,
     SeriesMatrix,
+    is_unimodular,
     pm_eval,
     pm_mul,
     pm_shift_var,
     pm_truncate,
+    regular_point,
     row_degrees,
 )
 
@@ -216,13 +217,11 @@ def unimodular_equiv_check(a: PolyMatrix, r: PolyMatrix, seed=None) -> bool:
     dr = 0 if r.degree == MINUS_INFINITY else int(r.degree)
     bound = (n - 1) * da + dr  # deg(R * adj(A)) upper bound, before det division
     order = bound + da + 2
-    x0 = find_regular_shift(a, seed)
+    x0 = regular_point(a, seed)
     a_sh = pm_shift_var(a, x0)
     r_sh = pm_shift_var(r, x0)
     series = pm_truncate(pm_mul(r_sh, truncated_inverse(a_sh, order).to_polymat()), order)
     candidate = pm_truncate(series, bound + 1)
     if pm_mul(candidate, a_sh) != r_sh:
         return False
-    from .polymat import is_unimodular
-
     return is_unimodular(candidate)

@@ -8,14 +8,12 @@ cached degree is always the true maximal entry degree.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import ntt
-from .errors import DimensionMismatch, NotSquare, ZeroRow
+from .errors import DimensionMismatch, FieldTooSmall, NotSquare, SingularInput, ZeroRow
 from .field import FieldElement, PrimeField
-from .linalg import mod_matmul, rank as const_rank
+from .linalg import det as const_det, mod_matmul, rank as const_rank
 from .poly import MINUS_INFINITY, Polynomial
 
 
@@ -353,24 +351,48 @@ def leading_row_matrix(a: PolyMatrix) -> np.ndarray:
     return out
 
 
-def is_row_reduced(a: PolyMatrix, rng=None) -> bool:
+def is_row_reduced(a: PolyMatrix) -> bool:
     """True iff the row leading matrix has full row rank.
 
-    Full row rank of ``a`` itself is the caller's responsibility; it is
-    prechecked at one random point, and a failure only warns.
+    Full row rank of ``a`` itself is the caller's responsibility.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    x0 = int(rng.integers(0, a.field.p))
-    if const_rank(pm_eval(a, x0), a.field.p) < a.rows:
-        warnings.warn("matrix looks row-rank-deficient at a random point", stacklevel=2)
     return const_rank(leading_row_matrix(a), a.field.p) == a.rows
 
 
+def regular_point(a: PolyMatrix, rng=None) -> int:
+    """A random x0 with det A(x0) != 0, which certifies that A is non-singular.
+
+    Draws distinct points; det A has degree <= n deg(A), so once that many
+    plus one have all been singular, A is singular (SingularInput). A field
+    with fewer elements than that raises FieldTooSmall when it runs out.
+    """
+    rng = np.random.default_rng(rng)
+    n, d, p = a.rows, int_degree(a), a.field.p
+    tried = set()
+    budget = min(p, n * d + 1)
+    while len(tried) < budget:
+        cand = int(rng.integers(0, p))
+        if cand in tried:
+            continue
+        tried.add(cand)
+        if const_det(pm_eval(a, cand), p) != 0:
+            return cand
+    if len(tried) > n * d:
+        raise SingularInput("det A vanishes identically: A is singular")
+    raise FieldTooSmall("no regular point found in the whole field")
+
+
 def is_unimodular(u: PolyMatrix) -> bool:
-    """True iff det(u) is a nonzero constant (interpolation determinant)."""
+    """True iff det(u) is a nonzero constant.
+
+    det u has degree <= n deg(u), so it is the constant c exactly when it
+    takes the value c at the n deg(u) + 1 points 0, 1, ..., n deg(u).
+    """
     if not u.is_square():
         raise NotSquare("unimodularity is defined for square matrices")
-    from .oracle import det_by_interpolation
-
-    d = det_by_interpolation(u)
-    return d.degree == 0
+    p = u.field.p
+    count = u.rows * int_degree(u) + 1
+    if p < count:
+        raise FieldTooSmall(f"need {count} distinct points, p = {p}")
+    values = {const_det(pm_eval(u, x), p) for x in range(count)}
+    return len(values) == 1 and 0 not in values

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     GenericityFailure,
-    FieldTooSmall,
     NotPowerOfTwo,
     ReconstructionFailure,
     SingularAtZero,
@@ -25,10 +24,10 @@ from .errors import (
     WrongRowCount,
 )
 from .fraction import proper_tail
-from .linalg import det as const_det, rank as const_rank
+from .linalg import det as const_det
 from .nullspace import general_nullspace, minimal_vectors_up_to
 from .poly import Polynomial
-from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul, pm_shift_var
+from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul, pm_shift_var, regular_point
 from .reconstruct import LeftFactorization, matfrac_rec
 
 
@@ -143,37 +142,18 @@ def row_reduce(a: PolyMatrix, seed=None):
     """Row-reduced R unimodularly left equivalent to a non-singular A.
 
     Expands the proper tail of A^{-1} at order h = (n-1)d + 1 to 2d + 1
-    coefficients and reconstructs it as R^{-1} S. A singular A(0) is handled
-    by the shift-and-retry policy; the shift is undone on the output, which
-    preserves row degrees and the leading row matrix. A singular A raises
-    SingularInput once det A vanishes at n deg(A) + 1 distinct points.
+    coefficients and reconstructs it as R^{-1} S. The expansion point is a
+    random x0 = regular_point(A), so A(x0) is non-singular; the shift is
+    undone on the output, which preserves row degrees and the leading row
+    matrix. A singular A raises SingularInput once det A vanishes at
+    n deg(A) + 1 distinct points.
     """
     n = a.rows
     d = int_degree(a)
     p = a.field.p
-    rng = np.random.default_rng(seed)
-
+    x0 = regular_point(a, seed)
     if d == 0:
-        if const_det(pm_eval(a, 0), p) == 0:
-            raise SingularInput("constant matrix is singular")
         return a, {"shift": 0, "numerator": a, "order": 0}
-
-    x0 = None
-    tried = set()
-    budget = min(p, n * d + 1)
-    while len(tried) < budget:
-        cand = int(rng.integers(0, p))
-        if cand in tried:
-            continue
-        tried.add(cand)
-        if const_det(pm_eval(a, cand), p) != 0:
-            x0 = cand
-            break
-    if x0 is None:
-        if len(tried) > n * d:
-            # det A has degree <= n d and vanishes at n d + 1 distinct points
-            raise SingularInput("det A vanishes identically: A is singular")
-        raise FieldTooSmall("no regular point found in the whole field")
 
     shifted = pm_shift_var(a, x0) if x0 else a
     h = (n - 1) * d + 1
@@ -203,11 +183,7 @@ def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactoriza
     rng = np.random.default_rng(seed)
     n = a.rows
     m = b.rows
-    p = a.field.p
-    from .oracle import det_by_interpolation
-
-    if det_by_interpolation(a).is_zero():
-        raise SingularInput("A must be non-singular")
+    regular_point(a, rng)
     stacked = PolyMatrix.vstack([-a, b])
     basis = general_nullspace(stacked, rng)
     if basis.row_count != m:
@@ -218,11 +194,8 @@ def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactoriza
     denom = basis.matrix.take_cols(range(n, n + m))
     if pm_mul(numer, a) != pm_mul(denom, b):
         raise ReconstructionFailure("U A = V B product check failed")
-    x0 = int(rng.integers(0, p))
-    if const_rank(pm_eval(denom, x0), p) < m:
-        # V is provably non-singular; a random-point rank drop is bad luck
-        x1 = int(rng.integers(0, p))
-        if const_rank(pm_eval(denom, x1), p) < m and const_det(pm_eval(denom, 0), p) == 0:
-            if det_by_interpolation(denom).is_zero():
-                raise ReconstructionFailure("V is singular")
+    try:
+        regular_point(denom, rng)
+    except SingularInput as exc:
+        raise ReconstructionFailure("V is singular") from exc
     return LeftFactorization(numer, denom)

@@ -7,7 +7,6 @@ from polymatkit.fraction import (
     LIFT_CROSSOVER,
     exact_x_power_divide,
     expansion_slice,
-    find_regular_shift,
     proper_tail,
     truncated_inverse,
 )
@@ -173,13 +172,3 @@ def test_proper_tail_rejects_small_h(fd):
     a = anchor(fd)
     with pytest.raises(ValueError):
         proper_tail(a, 1, 3)  # need h > (n-1)d = 1
-
-
-def test_find_regular_shift(fd):
-    a = PolyMatrix.from_lists(fd, [[[0, 1]]])  # [[x]]: singular at 0 only
-    x0 = find_regular_shift(a, seed=3)
-    assert x0 != 0
-    assert find_regular_shift(anchor(fd), seed=3) == 0
-    zero = PolyMatrix.zero(fd, 1, 1)
-    with pytest.raises(SingularAtZero):
-        find_regular_shift(zero, seed=3)

@@ -4,7 +4,7 @@ import pytest
 import polymatkit as pk
 from polymatkit import io as pmio
 from polymatkit.cli import main
-from polymatkit.errors import ParseError, PrimeMismatch
+from polymatkit.errors import NotPowerOfTwo, ParseError, PrimeMismatch
 from polymatkit.polymat import PolyMatrix
 
 
@@ -112,6 +112,16 @@ def test_cli_det_reproducible(files, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_det_falls_back_with_reason(tmp_path, fd, capsys):
+    xi2 = PolyMatrix.from_lists(fd, [[[0, 1], [0]], [[0], [0, 1]]])  # x I_2: det A(0) = 0
+    pa = tmp_path / "xi2.pm"
+    pmio.save(pa, xi2)
+    assert main(["--seed", "2", "det", str(pa)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"det p={fd.p} coeffs 0 0 1\n"
+    assert "det A(0) = 0" in captured.err
+
+
 def test_cli_rand_deterministic(tmp_path):
     o1, o2 = tmp_path / "r1.pm", tmp_path / "r2.pm"
     args = ["rand", "--n", "3", "--m", "2", "--d", "2", "--seed", "7"]
@@ -203,3 +213,10 @@ def test_cli_bench_single_point(capsys):
     out = capsys.readouterr().out
     assert "bench mul" in out
     assert "ratio" not in out  # single point: no doubling ratios
+
+
+def test_bench_det_needs_power_of_two(capsys):
+    with pytest.raises(NotPowerOfTwo):
+        pk.bench("det", [(3, 2)], reps=1, seed=1)
+    assert main(["bench", "--op", "det", "--grid", "3x2", "--reps", "1"]) == 3
+    assert "not a power of two" in capsys.readouterr().err

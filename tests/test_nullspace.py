@@ -98,6 +98,12 @@ def test_partial_nullspace_column(fd):
     assert pk.pm_mul(basis.matrix, a).is_zero()
 
 
+@pytest.mark.parametrize("rows, cols, d, delta", [(12, 8, 4, 8), (6, 4, 3, 10), (6, 3, 2, 4)])
+def test_partial_nullspace_matches_minimal_vectors(fd, rows, cols, d, delta):
+    a = pk.rand_instance(rows, cols, d, 17 * rows + d, field=fd)
+    assert partial_nullspace(a, delta, seed=3) == minimal_vectors_up_to(a, delta)
+
+
 def test_partial_nullspace_rank_deficient_rejected(fd):
     a = PolyMatrix.zero(fd, 3, 2)
     with pytest.raises(RankDeficient):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit.errors import DimensionMismatch, NotSquare, ZeroRow
+from polymatkit.errors import DimensionMismatch, FieldTooSmall, NotSquare, SingularInput, ZeroRow
+from polymatkit.linalg import det as const_det
 from polymatkit.oracle import naive_mul
 from polymatkit.poly import MINUS_INFINITY
-from polymatkit.polymat import PolyMatrix
+from polymatkit.polymat import PolyMatrix, regular_point
 
 
 def anchor(fd):
@@ -120,8 +121,32 @@ def test_is_unimodular(fd):
     assert not pk.is_unimodular(diag)
     tri = PolyMatrix.from_lists(fd, [[[1], [0, 1]], [[0], [1]]])
     assert pk.is_unimodular(tri)
+    # [[1, x^2 + 1], [0, 1]] [[1, 0], [x^3, 1]]: degree 5, det 1
+    upper = PolyMatrix.from_lists(fd, [[[1], [1, 0, 1]], [[0], [1]]])
+    lower = PolyMatrix.from_lists(fd, [[[1], [0]], [[0, 0, 0, 1], [1]]])
+    assert pk.is_unimodular(pk.pm_mul(upper, lower))
+    # det x^2 - x + 1 takes the value 1 at both x = 0 and x = 1
+    same_at_0_1 = PolyMatrix.from_lists(fd, [[[1, fd.p - 1, 1], [0]], [[0], [1]]])
+    assert not pk.is_unimodular(same_at_0_1)
     with pytest.raises(NotSquare):
         pk.is_unimodular(PolyMatrix.zero(fd, 2, 3))
+    with pytest.raises(FieldTooSmall):  # needs 2 * 2 + 1 points
+        pk.is_unimodular(PolyMatrix.from_lists(pk.get_field(3), [[[1, 0, 1], [0]], [[0], [1]]]))
+
+
+def test_regular_point(fd):
+    x = PolyMatrix.from_lists(fd, [[[0, 1]]])  # [[x]]: singular at 0 only
+    assert regular_point(x, 3) != 0
+    a = anchor(fd)
+    assert const_det(pk.pm_eval(a, regular_point(a, 3)), fd.p) != 0
+    with pytest.raises(SingularInput):
+        regular_point(PolyMatrix.zero(fd, 1, 1), 3)
+    singular = PolyMatrix.from_lists(fd, [[[0, 1], [0, 0, 1]], [[1], [0, 1]]])
+    with pytest.raises(SingularInput):  # det x^2 - x^2 vanishes identically
+        regular_point(singular, 3)
+    f5 = pk.get_field(5)
+    with pytest.raises(FieldTooSmall):  # det x^5 - x vanishes on all of GF(5)
+        regular_point(PolyMatrix.from_lists(f5, [[[0, 4, 0, 0, 0, 1]]]), 3)
 
 
 def test_truncate(fd, rng):
