@@ -1,9 +1,12 @@
 """Minimal approximant bases (order bases).
 
-``mbasis`` is the iterative one-order-at-a-time algorithm; ``pmbasis`` is
-its divide-and-conquer wrapper that halves the order, computes a residual,
-recurses, and multiplies the two partial bases together. Both return a
-basis N with N * F = 0 mod x**sigma whose sorted row degrees are the
+``mbasis`` goes one order at a time by the M-Basis step of Giorgi, Jeannerod
+& Villard (ISSAC 2003): one elimination gives the row rank profile of the
+shifted-degree-sorted constant residual, dependent rows become kernel rows,
+pivot rows are multiplied by x, and only live slices are touched. ``pmbasis``
+is its divide-and-conquer wrapper that halves the order, computes a residual,
+recurses, and multiplies the two partial bases together. Both return a basis
+N with N * F = 0 mod x**sigma whose sorted shifted row degrees are the
 minimal indices of the approximant module.
 """
 
@@ -14,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderExceedsData
-from .linalg import mod_matmul
+from .linalg import mod_matmul, rref
 from .poly import MINUS_INFINITY
-from .polymat import PolyMatrix, SeriesMatrix, pm_mul, row_degrees
+from .polymat import PolyMatrix, SeriesMatrix, entry_degrees, int_degree, pm_mul, row_degrees
 
 # Below this order the recursion bottoms out into the iterative algorithm.
-PMBASIS_THRESHOLD = 16
+PMBASIS_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,10 @@ class ApproximantBasis:
 
     @property
     def minimal_indices(self) -> list:
-        return sorted(self.row_degrees)
+        """Sorted shifted row degrees (plain row degrees when there is no shift)."""
+        if self.shift is None:
+            return sorted(self.row_degrees)
+        return sorted(shifted_row_degrees(self.basis, self.shift))
 
 
 def series_product(a: PolyMatrix, f: SeriesMatrix, order: int) -> SeriesMatrix:
@@ -52,15 +58,10 @@ def order_residual(n: PolyMatrix, f: SeriesMatrix, sigma: int) -> np.ndarray:
 
 def shifted_row_degrees(a: PolyMatrix, shift) -> list:
     """Row degrees of a after adding shift[j] to the degree of column j."""
-    degs = []
-    for i in range(a.rows):
-        best = MINUS_INFINITY
-        for j in range(a.cols):
-            e = a.entry(i, j).degree
-            if e is not MINUS_INFINITY and e != MINUS_INFINITY:
-                best = max(best, e + shift[j])
-        degs.append(best)
-    return degs
+    degs = entry_degrees(a)
+    low = np.iinfo(np.int64).min
+    shifted = np.where(degs >= 0, degs + np.asarray(shift, dtype=np.int64), low)
+    return [int(d) if d != low else MINUS_INFINITY for d in shifted.max(axis=1, initial=low)]
 
 
 def _normalize_shift(shift, n: int) -> list:
@@ -75,52 +76,46 @@ def _normalize_shift(shift, n: int) -> list:
 def mbasis(f: SeriesMatrix, sigma: int, shift=None) -> ApproximantBasis:
     """Iterative minimal approximant basis of order sigma for f.
 
-    One order at a time: eliminate the constant term of the residual by
-    constant row operations (pivoting on the lowest-index row of minimal
-    shifted degree), then multiply the pivot rows by x.
+    Order k costs one elimination and two small products (GJV 2003). With
+    the rows sorted by (shifted degree, index), the pivot columns of ``rref``
+    of the transposed constant residual are the pivot rows. Each dependent
+    row becomes row - lambda * (pivot rows), lambda read off the non-pivot
+    columns: its constant residual vanishes and its shifted degree does not
+    grow, as the pivot rows sort before it. Each pivot row is multiplied by
+    x. Only basis slices up to the pivot rows' degree bound take part.
     """
     if sigma > f.order:
         raise OrderExceedsData(f"order {sigma} exceeds stored series order {f.order}")
-    fld = f.field
-    p = fld.p
-    n, m = f.rows, f.cols
+    p, n = f.field.p, f.rows
     shift = _normalize_shift(shift, n)
 
     basis = np.zeros((sigma + 1, n, n), dtype=np.int64)
     basis[0] = np.eye(n, dtype=np.int64)
-    resid = f.coeffs[:sigma].copy() if sigma else np.zeros((0, n, m), dtype=np.int64)
-    work = list(shift)
+    resid = f.coeffs[:sigma].copy()
+    work = np.array(shift, dtype=np.int64)
+    degs = np.zeros(n, dtype=np.int64)  # per-row degree bound of basis
 
     for k in range(sigma):
-        delta = resid[k].copy()
-        trans = np.eye(n, dtype=np.int64)
-        order_rows = sorted(range(n), key=lambda i: (work[i], i))
-        pivots: list[tuple[int, int]] = []
-        for i in order_rows:
-            for pr, pc in pivots:
-                factor = int(delta[i, pc])
-                if factor:
-                    delta[i] = (delta[i] - factor * delta[pr]) % p
-                    trans[i] = (trans[i] - factor * trans[pr]) % p
-            nz = np.nonzero(delta[i])[0]
-            if nz.size:
-                pc = int(nz[0])
-                inv_piv = pow(int(delta[i, pc]), -1, p)
-                delta[i] = delta[i] * inv_piv % p
-                trans[i] = trans[i] * inv_piv % p
-                pivots.append((i, pc))
-        if pivots:
-            basis = mod_matmul(trans, basis, p)
-            resid[k:] = mod_matmul(trans, resid[k:], p)
-            piv_rows = [i for i, _ in pivots]
-            basis[:, piv_rows, :] = np.roll(basis[:, piv_rows, :], 1, axis=0)
-            basis[0, piv_rows, :] = 0
-            resid[:, piv_rows, :] = np.roll(resid[:, piv_rows, :], 1, axis=0)
-            resid[0, piv_rows, :] = 0
-            for i in piv_rows:
-                work[i] += 1
+        order_rows = np.argsort(work, kind="stable")
+        echelon, piv = rref(resid[k, order_rows].T, p)
+        if not piv:
+            continue
+        free = np.ones(n, dtype=bool)
+        free[piv] = False
+        piv_rows, dep_rows = order_rows[piv], order_rows[free]
+        top = int(degs[piv_rows].max()) + 1
+        if dep_rows.size:
+            lam = echelon[:len(piv), free].T
+            for live in (basis[:top], resid[k + 1:]):
+                live[:, dep_rows] = (live[:, dep_rows] - mod_matmul(lam, live[:, piv_rows], p)) % p
+            degs[dep_rows] = np.maximum(degs[dep_rows], top - 1)
+        basis[1:top + 1, piv_rows] = basis[:top, piv_rows]
+        basis[0, piv_rows] = 0
+        resid[k + 1:, piv_rows] = resid[k:-1, piv_rows]
+        work[piv_rows] += 1
+        degs[piv_rows] += 1
 
-    mat = PolyMatrix(fld, basis)
+    mat = PolyMatrix(f.field, basis)
     return ApproximantBasis(mat, sigma, row_degrees(mat), list(shift))
 
 
@@ -133,7 +128,10 @@ def pmbasis(f: SeriesMatrix, sigma: int, shift=None) -> ApproximantBasis:
         return mbasis(f, sigma, shift)
     half = (sigma + 1) // 2
     first = pmbasis(f.slice(0, half), half, shift)
-    resid = series_product(first.basis, f, sigma).slice(half, sigma)
+    # slices [half, sigma) of N * F need F only from half - deg N on
+    lo = max(half - int_degree(first.basis), 0)
+    resid = series_product(first.basis, f.slice(lo, sigma), sigma - lo)
+    resid = resid.slice(half - lo, sigma - lo)
     shift2 = shifted_row_degrees(first.basis, shift)
     # zero rows cannot occur in a non-singular basis, but keep the sort total
     shift2 = [int(s) if s != MINUS_INFINITY else 0 for s in shift2]

@@ -27,6 +27,10 @@ class FieldTooSmall(PolymatError):
     """The prime is too small for the requested evaluation-based routine."""
 
 
+class UnsupportedPrime(PolymatError):
+    """The prime is 2**31 or larger; products of residues would overflow int64."""
+
+
 # -- matrix layer ------------------------------------------------------------
 
 class DimensionMismatch(PolymatError):

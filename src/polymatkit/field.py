@@ -12,13 +12,15 @@ from functools import lru_cache
 
 from sympy import factorint, isprime
 
-from .errors import UnsupportedOrder, ZeroInverse
+from .errors import UnsupportedOrder, UnsupportedPrime, ZeroInverse
 
 DEFAULT_PRIME = 2013265921
+# Residues are multiplied in int64, so every kernel needs p < 2**31.
+PRIME_LIMIT = 1 << 31
 
 
 class PrimeField:
-    """The field Z/pZ for a word-sized prime p.
+    """The field Z/pZ for a prime p < 2**31 (UnsupportedPrime otherwise).
 
     Elements are represented by their canonical residues in [0, p). The
     field caches its two-adicity (largest k with 2**k | p-1) and a fixed
@@ -28,6 +30,8 @@ class PrimeField:
     def __init__(self, p: int = DEFAULT_PRIME):
         if not isprime(p):
             raise ValueError(f"modulus {p} is not prime")
+        if p >= PRIME_LIMIT:
+            raise UnsupportedPrime(f"prime {p} is not below 2**31, the limit of the int64 kernels")
         self.p = int(p)
         k, q = 0, self.p - 1
         while q % 2 == 0:

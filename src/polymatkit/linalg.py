@@ -36,17 +36,19 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = np.flatnonzero(m[r:, c])
         if nz.size == 0:
             continue
         pr = nz[0] + r
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
         m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
+        # clear column c outside row r; a full-matrix update beats gathering
+        # the nonzero rows, and p < 2**31 keeps m - outer above -2**63
+        factors = m[:, c].copy()
+        factors[r] = 0
+        m -= np.outer(factors, m[r])
+        m %= p
         pivots.append(c)
         r += 1
     return m, pivots

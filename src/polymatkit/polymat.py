@@ -331,13 +331,16 @@ def pm_shift_var(a: PolyMatrix, x0) -> PolyMatrix:
 
 # -- row-degree predicates ---------------------------------------------------
 
+def entry_degrees(a: PolyMatrix) -> np.ndarray:
+    """Degree of each entry as an int64 array, -1 for zero entries."""
+    nz = a.coeffs != 0
+    last = nz.shape[0] - 1 - np.argmax(nz[::-1], axis=0)
+    return np.where(nz.any(axis=0), last, -1)
+
+
 def row_degrees(a: PolyMatrix) -> list:
     """Per-row maximal entry degree, MINUS_INFINITY for zero rows."""
-    out = []
-    for i in range(a.rows):
-        nz = np.nonzero(a.coeffs[:, i, :].any(axis=1))[0]
-        out.append(int(nz[-1]) if nz.size else MINUS_INFINITY)
-    return out
+    return [int(d) if d >= 0 else MINUS_INFINITY for d in entry_degrees(a).max(axis=1, initial=-1)]
 
 
 def leading_row_matrix(a: PolyMatrix) -> np.ndarray:

@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit.approxbasis import mbasis, order_residual, pmbasis
+from polymatkit import approxbasis
+from polymatkit.approxbasis import (
+    PMBASIS_THRESHOLD,
+    mbasis,
+    order_residual,
+    pmbasis,
+    shifted_row_degrees,
+)
 from polymatkit.errors import OrderExceedsData
+from polymatkit.field import DEFAULT_PRIME
+from polymatkit.linalg import rank as const_rank
 from polymatkit.oracle import det_by_interpolation, minimal_basis_bruteforce
+from polymatkit.poly import MINUS_INFINITY
 from polymatkit.polymat import PolyMatrix, SeriesMatrix
 
 
@@ -75,13 +85,14 @@ def test_minimality_against_bruteforce(f97, rng):
 
 
 def test_pmbasis_deep_recursion(fd, rng):
+    sigma = 3 * PMBASIS_THRESHOLD  # two levels of splitting above the leaves
     for _ in range(5):
-        arr = rng.integers(0, fd.p, size=(32, 4, 2))
+        arr = rng.integers(0, fd.p, size=(sigma, 4, 2))
         f = series(fd, arr)
-        it = mbasis(f, 32)
-        dc = pmbasis(f, 32)
+        it = mbasis(f, sigma)
+        dc = pmbasis(f, sigma)
         assert sorted(it.row_degrees) == sorted(dc.row_degrees)
-        assert not order_residual(dc.basis, f, 32).any()
+        assert not order_residual(dc.basis, f, sigma).any()
         assert pk.is_row_reduced(dc.basis)
 
 
@@ -127,3 +138,84 @@ def test_shift_changes_pivoting(f97, rng):
     shifted = mbasis(f, 3, shift=[5, 0, 0])
     assert not order_residual(shifted.basis, f, 3).any()
     assert plain.order == shifted.order == 3
+    # the minimal indices are the shifted row degrees, the same for pmbasis
+    assert shifted.minimal_indices == sorted(_shifted_degrees_ref(shifted.basis, [5, 0, 0]))
+    assert pmbasis(f, 3, shift=[5, 0, 0]).minimal_indices == shifted.minimal_indices
+
+
+def _shifted_degrees_ref(a, shift):
+    """Entry-by-entry shifted row degrees, the reference for the array version."""
+    out = []
+    for i in range(a.rows):
+        degs = [a.entry(i, j).degree + shift[j] for j in range(a.cols) if not a.entry(i, j).is_zero()]
+        out.append(max(degs) if degs else MINUS_INFINITY)
+    return out
+
+
+def _poly_det(rows):
+    """Determinant of a small square matrix of Polynomials by cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j, a in enumerate(rows[0]):
+        term = a * _poly_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = term if total is None else (total - term if j % 2 else total + term)
+    return total
+
+
+def _check_order_basis(got, f, sigma, shift):
+    """Order, s-reducedness and det = c * x**k, k = sum(rdeg_s) - sum(s)."""
+    n, p = f.rows, f.field.p
+    assert got.order == sigma
+    assert not order_residual(got.basis, f, sigma).any()
+    rdeg = _shifted_degrees_ref(got.basis, shift)
+    lead = np.array([[got.basis.entry(i, j).coeff(rdeg[i] - shift[j]) for j in range(n)]
+                     for i in range(n)], dtype=np.int64)
+    assert const_rank(lead, p) == n
+    det = _poly_det([[got.basis.entry(i, j) for j in range(n)] for i in range(n)])
+    k = sum(rdeg) - sum(shift)
+    assert det.degree == k and not det.coeffs[:k].any()
+    assert got.minimal_indices == sorted(rdeg)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, DEFAULT_PRIME])
+def test_order_basis_invariants(p, monkeypatch):
+    fld = pk.get_field(p)
+    rng = np.random.default_rng(p)
+    # a small leaf makes pmbasis split several times at these orders
+    monkeypatch.setattr(approxbasis, "PMBASIS_THRESHOLD", 3)
+    for _ in range(12):
+        n, m, sigma = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 17))
+        shift = [int(s) for s in rng.integers(0, 3, size=n)]  # small range, so ties are common
+        f = series(fld, rng.integers(0, p, size=(sigma, n, m)))
+        it, dc = mbasis(f, sigma, shift), pmbasis(f, sigma, shift)
+        _check_order_basis(it, f, sigma, shift)
+        _check_order_basis(dc, f, sigma, shift)
+        assert it.minimal_indices == dc.minimal_indices
+
+
+@pytest.mark.parametrize("algo", [mbasis, pmbasis])
+def test_order_basis_edge_cases(f97, rng, algo, monkeypatch):
+    monkeypatch.setattr(approxbasis, "PMBASIS_THRESHOLD", 2)
+    shift = [2, 0, 0]
+    ident = PolyMatrix.identity(f97, 3)
+    arr = rng.integers(0, 97, size=(6, 3, 2))
+    for f, sigma in ((series(f97, arr), 0),                  # sigma = 0
+                     (SeriesMatrix.zero(f97, 6, 3, 0), 6),   # m = 0
+                     (SeriesMatrix.zero(f97, 6, 3, 2), 6)):  # the zero series
+        got = algo(f, sigma, shift)
+        assert got.basis == ident and got.minimal_indices == [0, 0, 2]
+    arr[0, :, 1] = 0        # f(0) has a zero column ...
+    arr[0, 2] = arr[0, 1]   # ... and two equal rows
+    f = series(f97, arr)
+    _check_order_basis(algo(f, 6, shift), f, 6, shift)
+
+
+def test_shifted_row_degrees_match_entry_loop(f97, rng):
+    for rows, cols in ((3, 4), (4, 1), (2, 0)):
+        arr = rng.integers(0, 97, size=(5, rows, cols)) * (rng.random((5, rows, cols)) < 0.3)
+        arr[:, 0] = 0  # a zero row
+        a = PolyMatrix(f97, arr)
+        shift = [int(s) for s in rng.integers(-3, 4, size=cols)]
+        assert shifted_row_degrees(a, shift) == _shifted_degrees_ref(a, shift)
+        assert pk.row_degrees(a) == _shifted_degrees_ref(a, [0] * cols)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit.errors import UnsupportedOrder, ZeroInverse
+from polymatkit.errors import PolymatError, UnsupportedOrder, UnsupportedPrime, ZeroInverse
 from polymatkit.field import FieldElement
 
 
@@ -88,3 +88,11 @@ def test_field_element_operators(f97):
     assert int(-a) == 47
     assert a == 50 + 97
     assert isinstance(a**3, FieldElement)
+
+
+def test_primes_from_2_to_the_31_are_rejected():
+    assert pk.PrimeField(2**31 - 1).p == 2**31 - 1
+    with pytest.raises(UnsupportedPrime):
+        pk.PrimeField(2147483659)  # the least prime above 2**31
+    # typed, and not a ValueError, so the parser does not report it as a parse error
+    assert issubclass(UnsupportedPrime, PolymatError) and not issubclass(UnsupportedPrime, ValueError)

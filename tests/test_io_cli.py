@@ -97,6 +97,12 @@ def test_cli_precondition_exits_3(tmp_path, fd):
     assert main(["--seed", "1", "inverse", str(p)]) == 3
 
 
+def test_cli_prime_too_large_exits_3(tmp_path):
+    path = tmp_path / "big.pm"
+    path.write_text("polymat 1\np 1099511627791\ndims 1 1\ne 0 0 3 1\n")
+    assert main(["--seed", "1", "mul", str(path), str(path), "-o", str(tmp_path / "c.pm")]) == 3
+
+
 def test_cli_det_and_oracle(files, capsys):
     _, pa, *_ = files
     assert main(["--seed", "2", "--oracle", "det", str(pa)]) == 0
