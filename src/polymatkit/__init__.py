@@ -40,8 +40,6 @@ from .poly import (
     Polynomial,
     poly_eval,
     poly_interpolate,
-    poly_mul,
-    poly_shift_var,
 )
 from .polymat import (
     PolyMatrix,
@@ -107,8 +105,6 @@ __all__ = [
     "pmbasis",
     "poly_eval",
     "poly_interpolate",
-    "poly_mul",
-    "poly_shift_var",
     "proper_tail",
     "rand_instance",
     "rank",

@@ -26,15 +26,16 @@ from .errors import GenericityFailure, ParseError, PolymatError, SingularAtZero
 from .field import get_field
 from .fraction import expansion_slice
 from .instances import PROFILES, rand_instance
-from .linalg import mod_matmul, rank as const_rank
+from .linalg import det as const_det, mod_matmul, rank as const_rank
 from .nullspace import general_nullspace, minimal_vectors_up_to
 from .oracle import (
     det_by_interpolation,
     minimal_basis_bruteforce,
     naive_mul,
     nullspace_bruteforce,
+    unimodular_equiv_check,
 )
-from .poly import Polynomial
+from .poly import Polynomial, poly_eval
 from .polymat import (
     PolyMatrix,
     int_degree,
@@ -170,9 +171,6 @@ def _cmd_det(args, rng):
         result = det_by_interpolation(a)
     result = _corrupt_poly(result)
     p = a.field.p
-    from .linalg import det as const_det
-    from .poly import poly_eval
-
     x0 = int(rng.integers(0, p))
     _check(
         int(poly_eval(result, x0)) == const_det(pm_eval(a, x0), p),
@@ -207,8 +205,6 @@ def _cmd_rowreduce(args, rng):
     da = det_by_interpolation(a)
     dr = det_by_interpolation(r)
     _check(da.degree == dr.degree, "determinant degree changed")
-    from .oracle import unimodular_equiv_check
-
     _check(
         unimodular_equiv_check(a, r, seed=int(rng.integers(0, 2**31))),
         "result is not unimodularly equivalent to the input",

@@ -23,6 +23,10 @@ from .polymat import PolyMatrix
 FORMAT_TAG = "polymat"
 FORMAT_VERSION = 1
 
+# Largest rows * cols * (degree + 1) the parser allocates: 2^24 int64
+# coefficients, 128 MiB. Larger inputs raise ParseError before allocating.
+MAX_COEFFS = 1 << 24
+
 
 def serialize(a: PolyMatrix) -> str:
     lines = [
@@ -89,6 +93,8 @@ def parse(text: str) -> PolyMatrix:
         raise ParseError(f"non-integer dimensions in {dline!r}", line=ln) from exc
     if rows < 0 or cols < 0:
         raise ParseError("negative dimensions", line=ln)
+    if max(rows, cols, rows * cols) > MAX_COEFFS:
+        raise ParseError(f"{rows}x{cols} exceeds {MAX_COEFFS} coefficients", line=ln)
 
     entries: dict[tuple[int, int], list[int]] = {}
     length = 1
@@ -117,6 +123,10 @@ def parse(text: str) -> PolyMatrix:
             raise ParseError(f"duplicate entry ({i},{j})", line=ln)
         entries[(i, j)] = coeffs
         length = max(length, len(coeffs))
+        if rows * cols * length > MAX_COEFFS:
+            raise ParseError(
+                f"{rows}x{cols} of length {length} exceeds {MAX_COEFFS} coefficients", line=ln
+            )
 
     arr = np.zeros((length, rows, cols), dtype=np.int64)
     for (i, j), coeffs in entries.items():

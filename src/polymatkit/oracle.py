@@ -11,14 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from .approxbasis import ApproximantBasis
-from .errors import CapTooSmall, DimensionMismatch, FieldTooSmall, SingularInput
+from .errors import CapTooSmall, DimensionMismatch, FieldTooSmall
 from .fraction import truncated_inverse
 from .linalg import left_kernel, det as const_det, rank as const_rank
 from .nullspace import NullspaceBasis
-from .poly import MINUS_INFINITY, Polynomial, poly_interpolate
+from .poly import Polynomial, poly_interpolate
 from .polymat import (
     PolyMatrix,
     SeriesMatrix,
+    int_degree,
     is_unimodular,
     pm_eval,
     pm_mul,
@@ -52,7 +53,7 @@ def det_by_interpolation(a: PolyMatrix) -> Polynomial:
     n = a.rows
     if n == 0:
         return Polynomial.one(a.field)
-    d = 0 if a.degree == MINUS_INFINITY else int(a.degree)
+    d = int_degree(a)
     count = n * d + 1
     if a.field.p < count:
         raise FieldTooSmall(f"need {count} distinct points, p = {a.field.p}")
@@ -166,7 +167,7 @@ def minimal_basis_bruteforce(f: SeriesMatrix, sigma: int) -> ApproximantBasis:
 
 def true_rank(a: PolyMatrix) -> int:
     """Deterministic rank over K(x): max over enough evaluation points."""
-    d = 0 if a.degree == MINUS_INFINITY else int(a.degree)
+    d = int_degree(a)
     count = min(a.field.p, min(a.rows, a.cols) * d + 1)
     return max(const_rank(pm_eval(a, x), a.field.p) for x in range(count))
 
@@ -177,7 +178,7 @@ def nullspace_bruteforce(a: PolyMatrix, degree_cap: int) -> NullspaceBasis:
     p = a.field.p
     if n * (degree_cap + 1) > 512:
         raise ValueError("brute-force nullspace limited to n*(cap+1) <= 512")
-    d = 0 if a.degree == MINUS_INFINITY else int(a.degree)
+    d = int_degree(a)
     r = true_rank(a)
     need = n - r
     ac = a.coeffs
@@ -207,14 +208,15 @@ def nullspace_bruteforce(a: PolyMatrix, degree_cap: int) -> NullspaceBasis:
 
 
 def unimodular_equiv_check(a: PolyMatrix, r: PolyMatrix, seed=None) -> bool:
-    """True iff r = u a for a unimodular u (series division + Cramer bound)."""
-    if det_by_interpolation(a).is_zero():
-        raise SingularInput("equivalence check needs a non-singular reference")
+    """True iff r = u a for a unimodular u (series division + Cramer bound).
+
+    A singular reference raises SingularInput from ``regular_point``.
+    """
     if (a.rows, a.cols) != (r.rows, r.cols) or not a.is_square():
         raise DimensionMismatch("equivalence check needs same-size square matrices")
     n = a.rows
-    da = 0 if a.degree == MINUS_INFINITY else int(a.degree)
-    dr = 0 if r.degree == MINUS_INFINITY else int(r.degree)
+    da = int_degree(a)
+    dr = int_degree(r)
     bound = (n - 1) * da + dr  # deg(R * adj(A)) upper bound, before det division
     order = bound + da + 2
     x0 = regular_point(a, seed)

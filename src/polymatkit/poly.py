@@ -4,6 +4,10 @@ Coefficients are stored low-to-high in an int64 numpy array of canonical
 residues, with trailing zeros stripped. The zero polynomial has an empty
 coefficient array and degree ``MINUS_INFINITY`` (a true sentinel, so degree
 arithmetic via ``max`` stays total).
+
+Products are exact quadratic convolutions over Python ints. They are the
+reference that ``oracle.naive_mul`` checks ``pm_mul`` against, so this
+module uses none of ``pm_mul``'s kernels (``ntt``, ``linalg``).
 """
 
 from __future__ import annotations
@@ -12,64 +16,10 @@ import math
 
 import numpy as np
 
-from . import ntt
 from .errors import DuplicateAbscissa
 from .field import FieldElement, PrimeField
 
 MINUS_INFINITY = -math.inf
-
-# Degree below which schoolbook convolution wins over everything else.
-SCHOOLBOOK_THRESHOLD = 32
-
-_SPLIT = 1 << 16
-
-
-def _conv(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact convolution modulo p using a 16-bit split of b."""
-    b_hi, b_lo = np.divmod(b, _SPLIT)
-    return (np.convolve(a, b_hi) % p * _SPLIT + np.convolve(a, b_lo)) % p
-
-
-def _mul_coeffs(a: np.ndarray, b: np.ndarray, field: PrimeField) -> np.ndarray:
-    """Product of two nonempty coefficient arrays, strategy by size."""
-    p = field.p
-    small = min(len(a), len(b))
-    if small <= SCHOOLBOOK_THRESHOLD:
-        return _conv(a, b, p)
-    out_len = len(a) + len(b) - 1
-    length = ntt.next_pow2(out_len)
-    if ntt.supports_length(field, length):
-        fa = np.zeros(length, dtype=np.int64)
-        fb = np.zeros(length, dtype=np.int64)
-        fa[: len(a)] = a
-        fb[: len(b)] = b
-        prod = ntt.ntt(ntt.ntt(fa, field) * ntt.ntt(fb, field) % p, field, inverse=True)
-        return prod[:out_len]
-    return _karatsuba(a, b, p)
-
-
-def _karatsuba(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if min(len(a), len(b)) <= SCHOOLBOOK_THRESHOLD:
-        return _conv(a, b, p)
-    h = max(len(a), len(b)) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _karatsuba(a0, b0, p) if len(a0) and len(b0) else np.zeros(0, dtype=np.int64)
-    z2 = _karatsuba(a1, b1, p) if len(a1) and len(b1) else np.zeros(0, dtype=np.int64)
-    sa = np.zeros(max(len(a0), len(a1)), dtype=np.int64)
-    sb = np.zeros(max(len(b0), len(b1)), dtype=np.int64)
-    sa[: len(a0)] += a0
-    sa[: len(a1)] += a1
-    sb[: len(b0)] += b0
-    sb[: len(b1)] += b1
-    z1 = _karatsuba(sa % p, sb % p, p)
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    out[: len(z0)] += z0
-    out[h: h + len(z1)] += z1 % p
-    out[h: h + len(z0)] -= z0
-    out[2 * h: 2 * h + len(z2)] += z2
-    out[h: h + len(z2)] -= z2
-    return out % p
 
 
 class Polynomial:
@@ -165,7 +115,8 @@ class Polynomial:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.field)
-        return Polynomial(self.field, _mul_coeffs(self.coeffs, other.coeffs, self.field))
+        prod = np.convolve(self.coeffs.astype(object), other.coeffs.astype(object))
+        return Polynomial(self.field, prod % self.field.p)
 
     __rmul__ = __mul__
 
@@ -180,11 +131,6 @@ class Polynomial:
 
     def __call__(self, x0) -> FieldElement:
         return poly_eval(self, x0)
-
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact product over K[x]."""
-    return a * b
 
 
 def poly_eval(a: Polynomial, x0) -> FieldElement:
@@ -218,20 +164,5 @@ def poly_interpolate(field: PrimeField, points) -> Polynomial:
     # Horner assembly of the Newton form
     result = Polynomial.zero(field)
     for i in range(len(xs) - 1, -1, -1):
-        factor = Polynomial(field, (-xs[i] % p, 1))
-        result = result * factor + Polynomial.constant(field, dd[i])
+        result = result.shift(1) - result * xs[i] + Polynomial.constant(field, dd[i])
     return result
-
-
-def poly_shift_var(a: Polynomial, x0) -> Polynomial:
-    """Taylor shift: returns a(x + x0)."""
-    p = a.field.p
-    v = int(x0) % p
-    if v == 0 or a.is_zero():
-        return a
-    c = a.coeffs.astype(np.int64).tolist()
-    n = len(c)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            c[j] = (c[j] + v * c[j + 1]) % p
-    return Polynomial(a.field, c)

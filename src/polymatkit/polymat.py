@@ -132,26 +132,9 @@ class PolyMatrix:
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
             return PolyMatrix(self.field, self.coeffs * (int(other) % self.field.p))
-        if isinstance(other, Polynomial):
-            return self.scale_poly(other)
         return pm_mul(self, other)
 
     __matmul__ = __mul__
-
-    def scale_poly(self, f: Polynomial) -> "PolyMatrix":
-        """Entry-wise multiplication by a scalar polynomial."""
-        if f.is_zero() or self.is_zero():
-            return PolyMatrix.zero(self.field, self.rows, self.cols)
-        out = np.zeros(
-            (self.coeffs.shape[0] + f.coeffs.shape[0] - 1, self.rows, self.cols),
-            dtype=np.int64,
-        )
-        for k, c in enumerate(f.coeffs):
-            if c:
-                out[k: k + self.coeffs.shape[0]] = (
-                    out[k: k + self.coeffs.shape[0]] + int(c) * self.coeffs
-                ) % self.field.p
-        return PolyMatrix(self.field, out)
 
     def shift(self, k: int) -> "PolyMatrix":
         """Multiply by x**k."""

@@ -45,6 +45,10 @@ def test_random_round_trip(fd, rng):
     ("polymat 1\np 97\ndims 1 1\ne 0 0 1 0\n", 4),
     ("polymat 1\np 97\ndims 1 1\ne 0 0 98\n", 4),
     ("polymat 1\np 97\ndims 1 1\ne 0 0 1\ne 0 0 2\n", 5),
+    # above io.MAX_COEFFS = 2^24 coefficients, refused before allocating
+    ("polymat 1\np 97\ndims 100000 100000\n", 3),
+    ("polymat 1\np 97\ndims 0 100000000\n", 3),
+    ("polymat 1\np 97\ndims 4096 4096\ne 0 0 1 1\n", 4),
 ])
 def test_parse_errors_carry_line(bad, line):
     with pytest.raises(ParseError) as info:
@@ -88,6 +92,13 @@ def test_cli_parse_error_exits_4(tmp_path):
     bad = tmp_path / "bad.pm"
     bad.write_text("garbage\n")
     assert main(["det", str(bad)]) == 4
+
+
+def test_cli_oversized_input_exits_4(tmp_path, capsys):
+    big = tmp_path / "big.pm"
+    big.write_text("polymat 1\np 97\ndims 100000 100000\n")
+    assert main(["--seed", "1", "mul", str(big), str(big), "-o", str(tmp_path / "c.pm")]) == 4
+    assert "exceeds" in capsys.readouterr().err
 
 
 def test_cli_precondition_exits_3(tmp_path, fd):

@@ -1,4 +1,5 @@
-"""Library modules never import the brute-force oracle."""
+"""Library modules never import the brute-force oracle, and the oracle's
+polynomial arithmetic never imports the kernels it checks."""
 
 import ast
 from pathlib import Path
@@ -6,25 +7,31 @@ from pathlib import Path
 import polymatkit
 
 ORACLE_USERS = {"cli.py", "oracle.py"}
+SRC = Path(polymatkit.__file__).parent
 
 
-def _imports_oracle(tree: ast.AST) -> bool:
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """Last components of every module a file imports, ``from . import x`` included."""
+    found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            names = {al.name for al in node.names}
-            if module.split(".")[-1] == "oracle" or "oracle" in names:
-                return True
+            if node.module:
+                found.add(node.module.split(".")[-1])
+            found.update(al.name for al in node.names)
         elif isinstance(node, ast.Import):
-            if any(al.name.split(".")[-1] == "oracle" for al in node.names):
-                return True
-    return False
+            found.update(al.name.split(".")[-1] for al in node.names)
+    return found
 
 
 def test_only_cli_imports_oracle():
-    src = Path(polymatkit.__file__).parent
     offenders = [
-        f.name for f in sorted(src.glob("*.py"))
-        if f.name not in ORACLE_USERS and _imports_oracle(ast.parse(f.read_text()))
+        f.name for f in sorted(SRC.glob("*.py"))
+        if f.name not in ORACLE_USERS and "oracle" in _imported_modules(ast.parse(f.read_text()))
     ]
     assert offenders == []
+
+
+def test_poly_imports_no_product_kernel():
+    # Polynomial products are the reference for pm_mul (oracle.naive_mul)
+    imported = _imported_modules(ast.parse((SRC / "poly.py").read_text()))
+    assert imported.isdisjoint({"ntt", "linalg"})

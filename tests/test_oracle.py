@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit.errors import CapTooSmall, SingularInput
+from polymatkit.errors import CapTooSmall, DimensionMismatch, SingularInput
 from polymatkit.oracle import (
     det_by_interpolation,
     minimal_basis_bruteforce,
@@ -108,3 +108,10 @@ def test_unimodular_equiv_singular_reference(fd):
     sing = PolyMatrix.from_lists(fd, [[[0, 1], [0, 0, 1]], [[1], [0, 1]]])
     with pytest.raises(SingularInput):
         unimodular_equiv_check(sing, sing, seed=1)
+
+
+def test_unimodular_equiv_non_square_reference(fd):
+    # shape is checked before the non-singularity certificate, which needs det
+    a = pk.rand_instance(2, 3, 1, 303, field=fd)
+    with pytest.raises(DimensionMismatch):
+        unimodular_equiv_check(a, a, seed=1)

@@ -4,6 +4,7 @@ import pytest
 import polymatkit as pk
 from polymatkit.errors import DuplicateAbscissa
 from polymatkit.poly import MINUS_INFINITY, Polynomial
+from polymatkit.polymat import PolyMatrix
 
 
 def P(field, *coeffs):
@@ -47,8 +48,8 @@ def test_mul_degree_additivity(fd, rng):
 
 @pytest.mark.parametrize("dmax", [31, 200])
 def test_mul_matches_schoolbook(fd, rng, dmax):
-    # exercises schoolbook, NTT, and (via p=97) Karatsuba strategies
-    for field in (fd, pk.get_field(97)):
+    # 2^31 - 1 gives the largest residues the exact product must carry
+    for field in (fd, pk.get_field(97), pk.get_field(2**31 - 1)):
         for _ in range(25):
             a = rng.integers(0, field.p, int(rng.integers(1, dmax + 1)))
             b = rng.integers(0, field.p, int(rng.integers(1, dmax + 1)))
@@ -93,6 +94,11 @@ def test_interpolate_round_trip(fd, rng):
     a = Polynomial(fd, rng.integers(1, fd.p, 6))
     pts = [(x, int(pk.poly_eval(a, x))) for x in range(6)]
     assert pk.poly_interpolate(fd, pts) == a
+    # 37 points: det of the CLI's rowreduce size, n = d = 6
+    a = Polynomial(fd, rng.integers(1, fd.p, 37))
+    xs = rng.choice(fd.p, size=37, replace=False)
+    pts = [(int(x), int(pk.poly_eval(a, x))) for x in xs]
+    assert pk.poly_interpolate(fd, pts) == a
 
 
 def test_interpolate_duplicate_raises(fd):
@@ -100,20 +106,25 @@ def test_interpolate_duplicate_raises(fd):
         pk.poly_interpolate(fd, [(1, 2), (1, 3)])
 
 
+def shift(a, x0):
+    """a(x + x0), through the matrix Taylor shift on a 1x1 matrix."""
+    return pk.pm_shift_var(PolyMatrix.from_lists(a.field, [[a]]), x0).entry(0, 0)
+
+
 def test_shift_var_simple(fd):
     x = Polynomial.x(fd)
-    assert pk.poly_shift_var(x, 1) == P(fd, 1, 1)
+    assert shift(x, 1) == P(fd, 1, 1)
 
 
 def test_shift_var_identity(fd, rng):
     a = Polynomial(fd, rng.integers(0, fd.p, 8))
-    assert pk.poly_shift_var(a, 0) == a
+    assert shift(a, 0) == a
 
 
 def test_shift_var_binomial(fd):
     a = P(fd, 1, 0, fd.p - 1)  # 1 - x^2
     # a(x+1) = 1 - (x+1)^2 = -x^2 - 2x
-    got = pk.poly_shift_var(a, 1)
+    got = shift(a, 1)
     assert got == P(fd, 0, fd.p - 2, fd.p - 1)
 
 
@@ -121,5 +132,5 @@ def test_shift_round_trip(fd, rng):
     for _ in range(100):
         a = Polynomial(fd, rng.integers(0, fd.p, int(rng.integers(1, 15))))
         x0 = int(rng.integers(0, fd.p))
-        back = pk.poly_shift_var(pk.poly_shift_var(a, x0), (-x0) % fd.p)
+        back = shift(shift(a, x0), (-x0) % fd.p)
         assert back == a

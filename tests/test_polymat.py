@@ -43,8 +43,8 @@ def test_mul_matches_naive_8x8_deg16(fd):
     assert pk.pm_mul(a, b) == naive_mul(a, b)
 
 
-def test_mul_small_prime_karatsuba_path(f97, rng):
-    # p=97 has two-adicity 5; large degrees exercise the non-NTT fallback
+def test_mul_small_prime_block_path(f97, rng):
+    # p=97 has two-adicity 5; large degrees exercise the quadratic block products
     a = pk.rand_instance(2, 2, 40, 21, field=f97)
     b = pk.rand_instance(2, 2, 40, 22, field=f97)
     assert pk.pm_mul(a, b) == naive_mul(a, b)
