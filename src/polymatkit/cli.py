@@ -2,8 +2,11 @@
 
 Every solver verb verifies its result (product / residual checks) before
 printing anything, so the Las Vegas contract is visible at the process
-boundary. Exit codes: 0 success and verified, 2 verification failure,
-3 precondition error, 4 parse error.
+boundary; ``rowreduce`` checks the certificate T A = R, W R = A that
+``row_reduce`` returns. The brute-force oracles run only under --oracle,
+apart from ``det``'s interpolation fallback (n not a power of two, or the
+generic recursion failing). Exit codes: 0 success and verified,
+2 verification failure, 3 precondition error, 4 parse error.
 
 Setting the environment variable POLYMATKIT_CORRUPT to a non-empty value
 corrupts each computed result before its verification step; this exists so
@@ -77,12 +80,10 @@ def _corrupt_poly(f: Polynomial) -> Polynomial:
 
 
 def _emit(mat: PolyMatrix, path=None):
-    text = pmio.serialize(mat)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        pmio.save(path, mat)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(pmio.serialize(mat))
 
 
 def _check(cond: bool, message: str):
@@ -199,16 +200,17 @@ def _cmd_inverse(args, rng):
 
 def _cmd_rowreduce(args, rng):
     a = pmio.load(args.a)
-    reduced, _cert = row_reduce(a, int(rng.integers(0, 2**31)))
+    reduced, cert = row_reduce(a, int(rng.integers(0, 2**31)))
     r = _maybe_corrupt(reduced)
     _check(is_row_reduced(r), "result is not row-reduced")
-    da = det_by_interpolation(a)
-    dr = det_by_interpolation(r)
-    _check(da.degree == dr.degree, "determinant degree changed")
-    _check(
-        unimodular_equiv_check(a, r, seed=int(rng.integers(0, 2**31))),
-        "result is not unimodularly equivalent to the input",
-    )
+    _check(pm_mul(cert["transform"], a) == r, "T A = R check failed")
+    _check(pm_mul(cert["inverse"], r) == a, "W R = A check failed")
+    if args.oracle:
+        _check(
+            unimodular_equiv_check(a, r, seed=int(rng.integers(0, 2**31))),
+            "result is not unimodularly equivalent to the input",
+        )
+        print("oracle: agreement (unimodular_equiv_check)", file=sys.stderr)
     _emit(r, args.output)
 
 
@@ -243,17 +245,12 @@ def _cmd_expand(args, rng):
     coeffs = ext.coeffs.copy()
     if os.environ.get(CORRUPT_ENV) and coeffs.size:
         coeffs[-1, 0, 0] = (coeffs[-1, 0, 0] + 1) % a.field.p
-    # recurrence check: sum_j A_j F_{t-j} equals the coefficient of B at t
-    p = a.field.p
-    ac = a.coeffs
-    bc = b.coeffs
-    for t_rel in range(d, coeffs.shape[0]):
-        t_abs = h0 + t_rel
-        acc = np.zeros((a.rows, b.cols), dtype=np.int64)
-        for j in range(ac.shape[0]):
-            acc = (acc + mod_matmul(ac[j], coeffs[t_rel - j], p)) % p
-        want = bc[t_abs] % p if t_abs < bc.shape[0] else np.zeros_like(acc)
-        _check(np.array_equal(acc, want), f"expansion recurrence fails at order {t_abs}")
+    # recurrence check: (A G)_k = B_{h0+k} for G = sum_k F_{h0+k} x^k; below
+    # order d the product lacks the terms A_j F_t with t < h0, all zero iff h0 = 0
+    start, length = (0 if h0 == 0 else d), coeffs.shape[0]
+    got = pm_mul(a, PolyMatrix(a.field, coeffs)).to_series(length).coeffs[start:]
+    want = b.to_series(h0 + length).coeffs[h0 + start:]
+    _check(np.array_equal(got, want), f"expansion recurrence fails at orders >= {h0 + start}")
     window = coeffs[h - h0:]
     out = PolyMatrix(a.field, window) if window.shape[0] else PolyMatrix.zero(
         a.field, a.rows, b.cols

@@ -67,6 +67,10 @@ class RetriesExhausted(PolymatError):
     """A Las Vegas routine gave up after its retry budget."""
 
 
+class NullspaceCheckFailure(PolymatError):
+    """Order-basis rows selected as nullspace vectors do not annihilate the input."""
+
+
 class CapTooSmall(PolymatError):
     """Brute-force nullspace degree cap below the largest Kronecker index."""
 
@@ -82,7 +86,7 @@ class WrongRowCount(PolymatError):
 
 
 class ReconstructionFailure(PolymatError):
-    """Row reduction could not reconstruct the fraction."""
+    """Row reduction could not reconstruct the fraction or certify its result."""
 
 
 class NotPowerOfTwo(PolymatError):

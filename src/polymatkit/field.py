@@ -58,28 +58,11 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    # -- arithmetic on canonical residues --
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
         return pow(a, -1, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
 
     def element(self, value: int) -> "FieldElement":
         return FieldElement(value % self.p, self)

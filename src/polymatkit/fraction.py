@@ -30,10 +30,6 @@ class ExpansionSlice:
     start_order: int
     coeffs: np.ndarray  # shape (delta, n, m)
 
-    @property
-    def length(self) -> int:
-        return self.coeffs.shape[0]
-
 
 @dataclass(frozen=True)
 class ProperFractionData:
@@ -41,7 +37,6 @@ class ProperFractionData:
 
     tail: SeriesMatrix
     numerator: PolyMatrix
-    order_used: int
 
 
 def _inv_at_zero(a: PolyMatrix) -> np.ndarray:
@@ -112,7 +107,7 @@ def proper_tail(a: PolyMatrix, h: int, sigma: int) -> ProperFractionData:
         raise NonPolynomialQuotient(
             f"numerator degree {numerator.degree} not below deg A = {d}"
         )
-    return ProperFractionData(SeriesMatrix(a.field, sigma, window), numerator, h)
+    return ProperFractionData(SeriesMatrix(a.field, sigma, window), numerator)
 
 
 # -- the expansion engine: high-order lifting on short residues ---------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approxbasis import pmbasis
-from .errors import FieldTooSmall, RankDeficient, RetriesExhausted
+from .errors import FieldTooSmall, NullspaceCheckFailure, RankDeficient, RetriesExhausted
 from .linalg import rank as const_rank
 from .poly import MINUS_INFINITY
 from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul, row_degrees
@@ -26,7 +26,6 @@ class NullspaceBasis:
 
     matrix: PolyMatrix
     kronecker_degrees: list
-    certified_minimal: bool
     input_rank: int | None = None
 
     @property
@@ -34,9 +33,9 @@ class NullspaceBasis:
         return self.matrix.rows
 
 
-def _empty_basis(a: PolyMatrix, certified: bool = True, input_rank=None) -> NullspaceBasis:
+def _empty_basis(a: PolyMatrix, input_rank=None) -> NullspaceBasis:
     empty = PolyMatrix(a.field, np.zeros((1, 0, a.rows), dtype=np.int64))
-    return NullspaceBasis(empty, [], certified, input_rank)
+    return NullspaceBasis(empty, [], input_rank)
 
 
 def rank(a: PolyMatrix, seed=None) -> int:
@@ -65,8 +64,8 @@ def minimal_vectors_up_to(a: PolyMatrix, delta: int) -> NullspaceBasis:
         return _empty_basis(a)
     rows = basis.basis.take_rows(sel)
     if not pm_mul(rows, a).is_zero():
-        raise AssertionError("order-basis selection failed its nullspace check")
-    return NullspaceBasis(rows, [degs[i] for i in sel], True)
+        raise NullspaceCheckFailure("order-basis rows of degree <= delta do not annihilate A")
+    return NullspaceBasis(rows, [degs[i] for i in sel])
 
 
 def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:
@@ -94,7 +93,7 @@ def general_nullspace(a: PolyMatrix, seed=None) -> NullspaceBasis:
     Sweeps degree thresholds d, 2d, 4d, ... up to n*d (the range of the
     Kronecker indices) and stops as soon as n - rank(A) independent vectors
     are found. Each sweep result is exact, so the output is a genuine
-    minimal basis and is certified as such.
+    minimal basis.
     """
     rng = np.random.default_rng(seed)
     n = a.rows
@@ -115,6 +114,4 @@ def general_nullspace(a: PolyMatrix, seed=None) -> NullspaceBasis:
     got = found.row_count
     if got and const_rank(pm_eval(found.matrix, x0), a.field.p) < got:
         raise RetriesExhausted("nullspace rows dependent at a random point")
-    return NullspaceBasis(
-        found.matrix, found.kronecker_degrees, True, input_rank=n - got
-    )
+    return NullspaceBasis(found.matrix, found.kronecker_degrees, input_rank=n - got)

@@ -204,7 +204,7 @@ def nullspace_bruteforce(a: PolyMatrix, degree_cap: int) -> NullspaceBasis:
     for i, (deg, coeffs) in enumerate(chosen):
         arr[: deg + 1, i, :] = coeffs
     mat = PolyMatrix(a.field, arr)
-    return NullspaceBasis(mat, sorted(deg for deg, _ in chosen), True, input_rank=r)
+    return NullspaceBasis(mat, sorted(deg for deg, _ in chosen), input_rank=r)
 
 
 def unimodular_equiv_check(a: PolyMatrix, r: PolyMatrix, seed=None) -> bool:

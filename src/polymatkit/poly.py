@@ -126,9 +126,6 @@ class Polynomial:
             return self
         return Polynomial(self.field, np.concatenate([np.zeros(k, dtype=np.int64), self.coeffs]))
 
-    def truncate(self, k: int) -> "Polynomial":
-        return Polynomial(self.field, self.coeffs[:k])
-
     def __call__(self, x0) -> FieldElement:
         return poly_eval(self, x0)
 

@@ -6,7 +6,8 @@ dimensions: at each round the two halves of every diagonal block are
 annihilated by minimal nullspace bases whose indices must all equal the
 expected degree (the generic pattern is the correctness certificate; any
 deviation raises GenericityFailure). Row reduction goes through
-expansion/reconstruction of the proper tail of A^{-1}.
+expansion/reconstruction of the proper tail of A^{-1} and certifies its
+answer with the two transforms between A and R.
 """
 
 from __future__ import annotations
@@ -16,18 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    GenericityFailure,
-    NotPowerOfTwo,
-    ReconstructionFailure,
-    SingularAtZero,
-    SingularInput,
-    WrongRowCount,
+    DimensionMismatch, GenericityFailure, NotPowerOfTwo, NotSquare, ReconstructionFailure,
+    SingularAtZero, SingularInput, WrongRowCount, ZeroRow,
 )
-from .fraction import proper_tail
+from .fraction import proper_tail, truncated_inverse
 from .linalg import det as const_det
 from .nullspace import general_nullspace, minimal_vectors_up_to
 from .poly import Polynomial
-from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul, pm_shift_var, regular_point
+from .polymat import (
+    PolyMatrix, int_degree, is_row_reduced, pm_eval, pm_mul, pm_shift_var, pm_truncate,
+    regular_point, row_degrees,
+)
 from .reconstruct import LeftFactorization, matfrac_rec
 
 
@@ -37,6 +37,11 @@ class InverseRepresentation:
 
     transform: PolyMatrix
     diagonal: PolyMatrix
+
+
+def _require_square(a: PolyMatrix):
+    if not a.is_square():
+        raise NotSquare(f"need a square matrix, got {a.rows} x {a.cols}")
 
 
 def _require_pow2(n: int):
@@ -66,8 +71,6 @@ def _elimination_pair(block: PolyMatrix, expected_deg: int):
     bottom = minimal_vectors_up_to(left, expected_deg)    # annihilates the left half
     for basis in (top, bottom):
         if basis.row_count != half or any(d != expected_deg for d in basis.kronecker_degrees):
-            if expected_deg == 0 and basis.row_count == half:
-                continue  # constant case: degrees are all zero by construction
             raise GenericityFailure(
                 f"expected {half} nullspace rows of degree {expected_deg}, "
                 f"got {basis.row_count} with degrees {basis.kronecker_degrees}"
@@ -80,10 +83,9 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
 
     The recursion draws nothing at random; ``seed`` is accepted and unused.
     """
+    _require_square(a)
     n = a.rows
     _require_pow2(n)
-    if not a.is_square():
-        raise SingularInput("inverse needs a square matrix")
     d = int_degree(a)
     transform = PolyMatrix.identity(a.field, n)
     blocks = [a]
@@ -107,16 +109,12 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
     for i in range(n):
         if diagonal.entry(i, i).is_zero():
             raise SingularInput("zero diagonal entry: A is singular")
-    off = diagonal.coeffs.copy()
-    for i in range(n):
-        off[:, i, i] = 0
-    if off.any():
-        raise GenericityFailure("diagonalization left off-diagonal entries")
     return InverseRepresentation(transform, diagonal)
 
 
 def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     """det(A) via the upper-left branch of the elimination recursion."""
+    _require_square(a)
     n = a.rows
     _require_pow2(n)
     d = int_degree(a)
@@ -138,6 +136,33 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     return b11 * scale
 
 
+def _certify(a: PolyMatrix, r: PolyMatrix, x0: int):
+    """T = R A^{-1} and W = A R^{-1} as series at x0, checked: T A = R, W R = A.
+
+    The orders are Cramer bounds on deg T and deg W, valid whenever R is a
+    row-reduced form of A, so truncating there can only make a wrong R fail.
+    T W R = R with R non-singular gives T W = I: A and R are unimodularly
+    equivalent, whatever the field size.
+    """
+    try:
+        if not is_row_reduced(r):
+            raise ReconstructionFailure("R is not row-reduced")
+        da, dr = row_degrees(a), row_degrees(r)
+        k_t = max(max(dr) + sum(da) - min(da) - sum(dr) + 1, 1)
+        k_w = max(max(da) - min(dr) + 1, 1)
+        a_s, r_s = pm_shift_var(a, x0), pm_shift_var(r, x0)
+        t = pm_truncate(pm_mul(r_s, truncated_inverse(a_s, k_t).to_polymat()), k_t)
+        w = pm_truncate(pm_mul(a_s, truncated_inverse(r_s, k_w).to_polymat()), k_w)
+    except (ZeroRow, SingularAtZero) as exc:  # A(x0) is non-singular, so only a wrong R
+        raise ReconstructionFailure("R has a zero row or is singular at x0") from exc
+    t, w = pm_shift_var(t, -x0), pm_shift_var(w, -x0)
+    if pm_mul(t, a) != r:
+        raise ReconstructionFailure("T A = R check failed")
+    if pm_mul(w, r) != a:
+        raise ReconstructionFailure("W R = A check failed")
+    return {"shift": x0, "transform": t, "inverse": w}
+
+
 def row_reduce(a: PolyMatrix, seed=None):
     """Row-reduced R unimodularly left equivalent to a non-singular A.
 
@@ -147,29 +172,25 @@ def row_reduce(a: PolyMatrix, seed=None):
     undone on the output, which preserves row degrees and the leading row
     matrix. A singular A raises SingularInput once det A vanishes at
     n deg(A) + 1 distinct points.
+
+    Returns (R, certificate) with certificate {"shift": x0, "transform": T,
+    "inverse": W}: T A = R and W R = A hold exactly, so T is unimodular
+    with inverse W. An R that fails this check raises ReconstructionFailure.
     """
+    _require_square(a)
     n = a.rows
     d = int_degree(a)
-    p = a.field.p
     x0 = regular_point(a, seed)
     if d == 0:
-        return a, {"shift": 0, "numerator": a, "order": 0}
+        return a, _certify(a, a, x0)
 
-    shifted = pm_shift_var(a, x0) if x0 else a
-    h = (n - 1) * d + 1
-    data = proper_tail(shifted, h, 2 * d + 1)
+    data = proper_tail(pm_shift_var(a, x0), (n - 1) * d + 1, 2 * d + 1)
     try:
         fact = matfrac_rec(data.tail, d, d)
     except WrongRowCount as exc:
         raise ReconstructionFailure(str(exc)) from exc
-    reduced = pm_shift_var(fact.denominator, (-x0) % p) if x0 else fact.denominator
-    certificate = {
-        "shift": x0,
-        "numerator": fact.numerator,
-        "order": h,
-        "tail": data,
-    }
-    return reduced, certificate
+    reduced = pm_shift_var(fact.denominator, -x0)
+    return reduced, _certify(a, reduced, x0)
 
 
 def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactorization:
@@ -178,8 +199,9 @@ def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactoriza
     Runs the general nullspace on the stacked [-A; B]; coprimeness of the
     result is not guaranteed.
     """
-    if not a.is_square() or b.cols != a.cols:
-        raise SingularInput("need square A and compatible B")
+    _require_square(a)
+    if b.cols != a.cols:
+        raise DimensionMismatch(f"B has {b.cols} columns, A has {a.cols}")
     rng = np.random.default_rng(seed)
     n = a.rows
     m = b.rows

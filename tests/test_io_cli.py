@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit import io as pmio
+from polymatkit import cli, io as pmio
 from polymatkit.cli import main
 from polymatkit.errors import NotPowerOfTwo, ParseError, PrimeMismatch
 from polymatkit.polymat import PolyMatrix
@@ -108,6 +108,14 @@ def test_cli_precondition_exits_3(tmp_path, fd):
     assert main(["--seed", "1", "inverse", str(p)]) == 3
 
 
+@pytest.mark.parametrize("verb", ["det", "rowreduce", "inverse"])
+def test_cli_non_square_exits_3(tmp_path, fd, verb, capsys):
+    p = tmp_path / "a.pm"
+    pmio.save(p, pk.rand_instance(2, 3, 1, 9, field=fd))
+    assert main(["--seed", "1", verb, str(p)]) == 3
+    assert "square" in capsys.readouterr().err
+
+
 def test_cli_prime_too_large_exits_3(tmp_path):
     path = tmp_path / "big.pm"
     path.write_text("polymat 1\np 1099511627791\ndims 1 1\ne 0 0 3 1\n")
@@ -185,6 +193,25 @@ def test_cli_inverse_and_rowreduce(tmp_path, fd):
     assert pk.is_row_reduced(pmio.load(r))
 
 
+def test_cli_rowreduce_oracle_agreement(tmp_path, fd, capsys):
+    p = tmp_path / "a.pm"
+    pmio.save(p, pk.rand_instance(3, 3, 2, 19, field=fd))
+    argv = ["--seed", "4", "--oracle", "rowreduce", str(p), "-o", str(tmp_path / "r.pm")]
+    assert main(argv) == 0
+    assert "oracle: agreement (unimodular_equiv_check)" in capsys.readouterr().err
+
+
+def test_cli_expand_checks_short_windows(tmp_path, fd, monkeypatch):
+    # h <= deg A: the slice starts at order 0, where the recurrence also holds
+    p = tmp_path / "a.pm"
+    pmio.save(p, pk.rand_instance(3, 3, 3, 4, field=fd))
+    argv = ["--seed", "1", "expand", str(p), "--h", "1", "--delta", "2",
+            "-o", str(tmp_path / "s.pm")]
+    assert main(argv) == 0
+    monkeypatch.setenv("POLYMATKIT_CORRUPT", "1")
+    assert main(argv) == 2
+
+
 def test_cli_expand_fast(tmp_path, fd):
     a = pk.rand_instance(2, 2, 1, 29, field=fd)
     from polymatkit.linalg import det as cdet
@@ -237,3 +264,52 @@ def test_bench_det_needs_power_of_two(capsys):
         pk.bench("det", [(3, 2)], reps=1, seed=1)
     assert main(["bench", "--op", "det", "--grid", "3x2", "--reps", "1"]) == 3
     assert "not a power of two" in capsys.readouterr().err
+
+
+class OracleCalled(Exception):
+    pass
+
+
+def test_cli_default_paths_call_no_oracle(tmp_path, fd, monkeypatch):
+    names = [k for k, v in vars(cli).items()
+             if getattr(v, "__module__", "") == "polymatkit.oracle"]
+    assert {"det_by_interpolation", "unimodular_equiv_check"} <= set(names)
+
+    def refuse(*args, **kwargs):
+        raise OracleCalled
+
+    for name in names:
+        monkeypatch.setattr(cli, name, refuse)
+
+    def write(name, mat):
+        path = tmp_path / name
+        pmio.save(path, mat)
+        return str(path)
+
+    a = write("a.pm", pk.rand_instance(4, 4, 2, 51, field=fd))
+    b = write("b.pm", pk.rand_instance(2, 4, 2, 52, field=fd))
+    planted = write("pl.pm", pk.rand_instance(4, 4, 2, 53, profile="planted-rank", rank=3,
+                                              field=fd))
+    f = write("f.pm", pk.rand_instance(4, 2, 7, 54, field=fd))
+    anchor = PolyMatrix.from_lists(fd, [[[1], [0, 1]], [[0, 1], [1]]])
+    tail = write("t.pm", pk.proper_tail(anchor, 2, 3).tail.to_polymat())
+    out = str(tmp_path / "o.pm")
+    runs = [
+        ["mul", a, a, "-o", out],
+        ["mbasis", f, "--order", "8", "-o", out],
+        ["nullspace", planted, "-o", out],
+        ["nullspace", planted, "--delta", "4", "-o", out],
+        ["det", a],
+        ["inverse", a, "-o", out],
+        ["rowreduce", a, "-o", out],
+        ["reconstruct", tail, "--dl", "1", "--dr", "1", "-o", out],
+        ["expand", a, "--h", "30", "--delta", "3", "-o", out],
+        ["factor", b, a, "-o", out],
+        ["rand", "--n", "2", "--m", "2", "--d", "1", "-o", out],
+        ["bench", "--op", "rowreduce", "--grid", "2x1", "--reps", "1"],
+    ]
+    for argv in runs:
+        assert main(["--seed", "5", *argv]) == 0, argv
+    # the documented fallback: det interpolates when n is not a power of two
+    with pytest.raises(OracleCalled):
+        main(["--seed", "5", "det", write("a3.pm", pk.rand_instance(3, 3, 2, 55, field=fd))])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit.errors import RankDeficient
+from polymatkit import nullspace
+from polymatkit.approxbasis import ApproximantBasis
+from polymatkit.errors import NullspaceCheckFailure, RankDeficient
 from polymatkit.nullspace import (
     general_nullspace,
     minimal_vectors_up_to,
@@ -31,6 +33,16 @@ def test_minimal_vectors_identity_empty(fd):
     basis = minimal_vectors_up_to(PolyMatrix.identity(fd, 3), 5)
     assert basis.row_count == 0
     assert basis.kronecker_degrees == []
+
+
+def test_minimal_vectors_failed_product_check_raises(fd, monkeypatch):
+    # an identity "basis": its degree-0 rows get selected but do not annihilate A
+    def identity_basis(f, sigma):
+        return ApproximantBasis(PolyMatrix.identity(f.field, f.rows), sigma, [0] * f.rows)
+
+    monkeypatch.setattr(nullspace, "pmbasis", identity_basis)
+    with pytest.raises(NullspaceCheckFailure, match="do not annihilate"):
+        minimal_vectors_up_to(singular_2x2(fd), 1)
 
 
 def test_minimal_vectors_singular_2x2(fd):

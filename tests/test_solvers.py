@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
+from polymatkit import solvers
 from polymatkit.errors import (
+    DimensionMismatch,
     FieldTooSmall,
     GenericityFailure,
     NotPowerOfTwo,
+    NotSquare,
+    ReconstructionFailure,
     SingularAtZero,
     SingularInput,
 )
 from polymatkit.linalg import det as const_det, rank as crank
 from polymatkit.oracle import det_by_interpolation, unimodular_equiv_check
-from polymatkit.polymat import PolyMatrix, pm_eval, pm_mul
+from polymatkit.polymat import PolyMatrix, pm_eval, pm_mul, row_degrees
+from polymatkit.reconstruct import LeftFactorization, matfrac_rec
 from polymatkit.solvers import (
     generic_det,
     generic_inverse,
@@ -126,11 +131,37 @@ def test_det_singular_at_zero(fd):
 
 # -- row reduction -----------------------------------------------------------
 
+def assert_certified(a, r, cert):
+    """The certificate row_reduce returns: T A = R and W R = A, exactly."""
+    assert pm_mul(cert["transform"], a) == r
+    assert pm_mul(cert["inverse"], r) == a
+
+
+def nonreduced_p97(f97):
+    """A = U0 B at p = 97: U0 unimodular of degree 3, so A is far from reduced."""
+    rng = np.random.default_rng(97)
+    n = 4
+    low = np.zeros((4, n, n), dtype=np.int64)
+    low[0] = np.eye(n, dtype=np.int64)
+    i, j = np.tril_indices(n, -1)
+    low[:, i, j] = rng.integers(1, 97, size=(4, i.size))  # unit lower triangular
+    u0 = PolyMatrix(f97, low[:, rng.permutation(n)])
+    return pm_mul(u0, pk.rand_instance(n, n, 2, 5, field=f97))
+
+
+def one_high_row(fd):
+    """Rows of degree 2 except one of degree 12."""
+    arr = np.zeros((13, 4, 4), dtype=np.int64)
+    arr[:3] = pk.rand_instance(4, 4, 2, 41, field=fd).coeffs
+    arr[:, 2, :] = pk.rand_instance(1, 4, 12, 43, field=fd).coeffs[:, 0, :]
+    return PolyMatrix(fd, arr)
+
+
 def test_rowreduce_already_reduced_degrees(fd):
     a = PolyMatrix.from_lists(fd, [[[1], [0]], [[0], [1, 1]]])
     r, cert = row_reduce(a, 0)
     assert pk.is_row_reduced(r)
-    from polymatkit.polymat import row_degrees
+    assert_certified(a, r, cert)
     assert sorted(row_degrees(r)) == [0, 1]
 
 
@@ -138,12 +169,14 @@ def test_rowreduce_unimodular_input_gives_constant(fd):
     a = PolyMatrix.from_lists(fd, [[[1], [0, 1]], [[0, 1], [1, 0, 1]]])  # det = 1
     r, cert = row_reduce(a, 0)
     assert r.degree == 0
+    assert_certified(a, r, cert)
     assert const_det(pm_eval(r, 0), fd.p) != 0
 
 
 def test_rowreduce_anchor(fd):
     r, cert = row_reduce(anchor(fd), 0)
     assert pk.is_row_reduced(r)
+    assert_certified(anchor(fd), r, cert)
     assert det_by_interpolation(r).degree == 2
 
 
@@ -154,8 +187,29 @@ def test_rowreduce_random(fd, rng):
         a = pk.rand_instance(n, n, d, int(rng.integers(0, 2**31)), field=fd)
         r, cert = row_reduce(a, int(rng.integers(0, 2**31)))
         assert pk.is_row_reduced(r)
+        assert_certified(a, r, cert)
         assert det_by_interpolation(r).degree == det_by_interpolation(a).degree
         assert unimodular_equiv_check(a, r, seed=trial)
+
+
+def test_rowreduce_nonreduced_input_p97(f97):
+    a = nonreduced_p97(f97)
+    assert not pk.is_row_reduced(a)
+    r, cert = row_reduce(a, 3)
+    assert pk.is_row_reduced(r)
+    assert_certified(a, r, cert)
+    # the transform is a genuine series truncation, not a constant
+    assert cert["transform"].degree > 1
+    assert det_by_interpolation(r).degree == det_by_interpolation(a).degree
+
+
+def test_rowreduce_one_high_row(fd):
+    a = one_high_row(fd)
+    r, cert = row_reduce(a, 7)
+    assert pk.is_row_reduced(r)
+    assert_certified(a, r, cert)
+    assert sum(row_degrees(r)) == det_by_interpolation(a).degree
+    assert unimodular_equiv_check(a, r, seed=1)
 
 
 def test_rowreduce_shifts_when_singular_at_zero(fd, rng):
@@ -170,6 +224,7 @@ def test_rowreduce_shifts_when_singular_at_zero(fd, rng):
     r, cert = row_reduce(a, 5)
     assert cert["shift"] != 0
     assert pk.is_row_reduced(r)
+    assert_certified(a, r, cert)
     assert unimodular_equiv_check(a, r, seed=9)
 
 
@@ -190,6 +245,34 @@ def test_rowreduce_constant_input(fd):
     a = PolyMatrix.constant(fd, np.array([[1, 2], [3, 5]]))
     r, cert = row_reduce(a, 0)
     assert r == a
+    assert_certified(a, r, cert)
+
+
+@pytest.mark.parametrize("c, cause", [(1, "W R = A"), (0, "singular at x0")])
+def test_rowreduce_rejects_wrong_denominator(fd, monkeypatch, c, cause):
+    # rows of degree 0 and 3; R with its degree-0 row times (x + c), in the
+    # shifted variable, lies in A's row module but is not equivalent to A
+    a = PolyMatrix.from_lists(fd, [[[1], [2]], [[0, 1, 0, 1], [1, 0, 1]]])
+
+    def perturbed(f, dl, dr):
+        fact = matfrac_rec(f, dl, dr)
+        m = PolyMatrix.from_lists(f.field, [[[c, 1], [0]], [[0], [1]]])
+        return LeftFactorization(fact.numerator, pm_mul(m, fact.denominator))
+
+    monkeypatch.setattr(solvers, "matfrac_rec", perturbed)
+    with pytest.raises(ReconstructionFailure, match=cause):
+        row_reduce(a, 3)
+
+
+def test_solvers_reject_non_square(fd):
+    a = pk.rand_instance(2, 3, 1, 3, field=fd)
+    for call in (generic_det, generic_inverse, row_reduce):
+        with pytest.raises(NotSquare):
+            call(a, 0)
+    with pytest.raises(NotSquare):
+        left_factorization(pk.rand_instance(2, 3, 1, 4, field=fd), a, 0)
+    with pytest.raises(DimensionMismatch):
+        left_factorization(a, anchor(fd), 0)  # B has 3 columns, A has 2
 
 
 # -- left factorization ------------------------------------------------------
