@@ -6,7 +6,8 @@ boundary; ``rowreduce`` checks the certificate T A = R, W R = A that
 ``row_reduce`` returns. The brute-force oracles run only under --oracle,
 apart from ``det``'s interpolation fallback (n not a power of two, or the
 generic recursion failing). Exit codes: 0 success and verified,
-2 verification failure, 3 precondition error, 4 parse error.
+2 verification failure (the CLI's checks or the library's own,
+SelfCheckFailure), 3 precondition error, 4 parse error.
 
 Setting the environment variable POLYMATKIT_CORRUPT to a non-empty value
 corrupts each computed result before its verification step; this exists so
@@ -25,7 +26,7 @@ import numpy as np
 from . import io as pmio
 from .approxbasis import order_residual, pmbasis
 from .bench import BENCH_OPS, bench
-from .errors import GenericityFailure, ParseError, PolymatError, SingularAtZero
+from .errors import GenericityFailure, ParseError, PolymatError, SelfCheckFailure, SingularAtZero
 from .field import get_field
 from .fraction import expansion_slice
 from .instances import PROFILES, rand_instance
@@ -416,7 +417,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except VerificationFailed as exc:
+    except (VerificationFailed, SelfCheckFailure) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except PolymatError as exc:

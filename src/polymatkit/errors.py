@@ -1,12 +1,18 @@
 """Exception hierarchy for polymatkit.
 
 All library errors derive from PolymatError so callers can catch one base
-class. The CLI maps these onto process exit codes.
+class. The CLI maps these onto process exit codes: SelfCheckFailure (a
+computed result failed the library's own exact check) to 2, the other
+errors to 3 or, for ParseError, 4.
 """
 
 
 class PolymatError(Exception):
     """Base class for all polymatkit errors."""
+
+
+class SelfCheckFailure(PolymatError):
+    """A computed result failed the library's own exact check: a fault, not bad input."""
 
 
 # -- field / polynomial layer ------------------------------------------------
@@ -28,7 +34,7 @@ class FieldTooSmall(PolymatError):
 
 
 class UnsupportedPrime(PolymatError):
-    """The prime is 2**31 or larger; products of residues would overflow int64."""
+    """The prime is 2**31 or larger; the int64 and float64 product kernels would lose exactness."""
 
 
 # -- matrix layer ------------------------------------------------------------
@@ -67,7 +73,7 @@ class RetriesExhausted(PolymatError):
     """A Las Vegas routine gave up after its retry budget."""
 
 
-class NullspaceCheckFailure(PolymatError):
+class NullspaceCheckFailure(SelfCheckFailure):
     """Order-basis rows selected as nullspace vectors do not annihilate the input."""
 
 
@@ -86,7 +92,11 @@ class WrongRowCount(PolymatError):
 
 
 class ReconstructionFailure(PolymatError):
-    """Row reduction could not reconstruct the fraction or certify its result."""
+    """Row reduction or factorization could not reconstruct its result."""
+
+
+class CertificateFailure(ReconstructionFailure, SelfCheckFailure):
+    """A reconstructed result failed its exact certificate check."""
 
 
 class NotPowerOfTwo(PolymatError):

@@ -1,9 +1,10 @@
 """Constant-matrix linear algebra over GF(p), numpy int64 backed.
 
 All matrices are numpy arrays of canonical residues in [0, p). The prime is
-assumed to fit in 31 bits so that a*b fits in an int64; matrix products use
-a 16-bit split of the right operand so accumulated sums stay below 2**63
-for inner dimensions up to 2**15.
+assumed to fit in 31 bits so that a*b fits in an int64. Matrix products run
+on float64 BLAS over 16-bit limbs, in chunks of the inner dimension short
+enough for every partial sum to be exact (see ``_CHUNK``); elimination
+stays in int64.
 """
 
 from __future__ import annotations
@@ -13,18 +14,40 @@ import numpy as np
 from .errors import SingularInput
 
 _SPLIT = 1 << 16
+# Inner-dimension chunk of the float64 products. Inner index i adds
+# (a_i 2**16 mod p) hi_i + a_i lo_i < 3 * 2**46 to a dot product (p < 2**31,
+# so hi < 2**15 and lo < 2**16); 42 such terms sum to less than 2**53, so
+# every partial sum is exact in float64.
+_CHUNK = 42
 
 
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (batched) matrix product modulo p.
+    """Exact (batched) matrix product modulo p, for residues below p < 2**31.
 
     Accepts stacked operands with broadcastable leading axes, like
-    ``np.matmul``.
+    ``np.matmul``. With b = hi 2**16 + lo split into 16-bit limbs, each
+    chunk forms [a 2**16 mod p | a] @ [hi; lo] in float64 and reduces it in
+    int64. A 2-D ``a`` times a 3-D ``b`` folds b's stack into columns, so it
+    is one product rather than one per slice.
     """
-    b_hi, b_lo = np.divmod(b, _SPLIT)
-    hi = (a @ b_hi) % p
-    lo = (a @ b_lo) % p
-    return (hi * _SPLIT + lo) % p
+    fold = a.ndim == 2 and b.ndim == 3
+    if fold:
+        lb, k, m = b.shape
+        b = b.transpose(1, 0, 2).reshape(k, lb * m)
+    k = a.shape[-1]
+    a_hi = a * _SPLIT % p
+    b_hi, b_lo = b >> 16, b & (_SPLIT - 1)
+    acc = None
+    for s in range(0, max(k, 1), _CHUNK):
+        cut = slice(s, s + _CHUNK)
+        a2 = np.concatenate((a_hi[..., cut], a[..., cut]), axis=-1, dtype=np.float64)
+        b2 = np.concatenate((b_hi[..., cut, :], b_lo[..., cut, :]), axis=-2, dtype=np.float64)
+        part = (a2 @ b2).astype(np.int64)
+        part %= p
+        acc = part if acc is None else acc + part
+    if k > _CHUNK:
+        acc %= p
+    return acc.reshape(a.shape[0], lb, m).transpose(1, 0, 2) if fold else acc
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -92,11 +115,6 @@ def inv(mat: np.ndarray, p: int) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise SingularInput("matrix is singular over GF(p)")
     return r[:, n:]
-
-
-def solve_right(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Solve A X = B for X with A square non-singular over GF(p)."""
-    return mod_matmul(inv(a, p), b % p, p)
 
 
 def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:

@@ -250,11 +250,26 @@ def _mul_ntt(a: np.ndarray, b: np.ndarray, field: PrimeField, out_len: int) -> n
     return prod.transpose(2, 0, 1)[:out_len]
 
 
+# Cells of one _mul_blocks product; larger chunks of A's slices add memory, not speed.
+_BLOCK_CELLS = 1 << 15
+
+
 def _mul_blocks(a: np.ndarray, b: np.ndarray, p: int, out_len: int) -> np.ndarray:
-    out = np.zeros((out_len, a.shape[1], b.shape[2]), dtype=np.int64)
-    for i in range(a.shape[0]):
-        out[i: i + b.shape[0]] = (out[i: i + b.shape[0]] + mod_matmul(a[i], b, p)) % p
-    return out
+    """Schoolbook product: every A_i B_j from one mod_matmul per chunk of A's slices.
+
+    A chunk of c slices stacked as rows (c n x k) times B's slices stacked as
+    columns (k x lb m) gives all of its A_i B_j, each added at x**(i+j).
+    """
+    la, n, k = a.shape
+    lb, _, m = b.shape
+    out = np.zeros((out_len, n, m), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // (n * lb * m))
+    for s in range(0, la, step):
+        chunk = a[s: s + step]
+        prod = mod_matmul(chunk.reshape(-1, k), b, p)  # (lb, c n, m)
+        for i in range(chunk.shape[0]):
+            out[s + i: s + i + lb] += prod[:, i * n: (i + 1) * n]
+    return out % p
 
 
 def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch, GenericityFailure, NotPowerOfTwo, NotSquare, ReconstructionFailure,
-    SingularAtZero, SingularInput, WrongRowCount, ZeroRow,
+    CertificateFailure, DimensionMismatch, GenericityFailure, NotPowerOfTwo, NotSquare,
+    ReconstructionFailure, SelfCheckFailure, SingularAtZero, SingularInput, WrongRowCount,
+    ZeroRow,
 )
 from .fraction import proper_tail, truncated_inverse
 from .linalg import det as const_det
@@ -105,7 +106,7 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
 
     diagonal = _block_diag(blocks)
     if pm_mul(transform, a) != diagonal:
-        raise GenericityFailure("diagonalization product check failed")
+        raise SelfCheckFailure("diagonalization product check failed")
     for i in range(n):
         if diagonal.entry(i, i).is_zero():
             raise SingularInput("zero diagonal entry: A is singular")
@@ -146,7 +147,7 @@ def _certify(a: PolyMatrix, r: PolyMatrix, x0: int):
     """
     try:
         if not is_row_reduced(r):
-            raise ReconstructionFailure("R is not row-reduced")
+            raise CertificateFailure("R is not row-reduced")
         da, dr = row_degrees(a), row_degrees(r)
         k_t = max(max(dr) + sum(da) - min(da) - sum(dr) + 1, 1)
         k_w = max(max(da) - min(dr) + 1, 1)
@@ -154,12 +155,12 @@ def _certify(a: PolyMatrix, r: PolyMatrix, x0: int):
         t = pm_truncate(pm_mul(r_s, truncated_inverse(a_s, k_t).to_polymat()), k_t)
         w = pm_truncate(pm_mul(a_s, truncated_inverse(r_s, k_w).to_polymat()), k_w)
     except (ZeroRow, SingularAtZero) as exc:  # A(x0) is non-singular, so only a wrong R
-        raise ReconstructionFailure("R has a zero row or is singular at x0") from exc
+        raise CertificateFailure("R has a zero row or is singular at x0") from exc
     t, w = pm_shift_var(t, -x0), pm_shift_var(w, -x0)
     if pm_mul(t, a) != r:
-        raise ReconstructionFailure("T A = R check failed")
+        raise CertificateFailure("T A = R check failed")
     if pm_mul(w, r) != a:
-        raise ReconstructionFailure("W R = A check failed")
+        raise CertificateFailure("W R = A check failed")
     return {"shift": x0, "transform": t, "inverse": w}
 
 
@@ -175,7 +176,7 @@ def row_reduce(a: PolyMatrix, seed=None):
 
     Returns (R, certificate) with certificate {"shift": x0, "transform": T,
     "inverse": W}: T A = R and W R = A hold exactly, so T is unimodular
-    with inverse W. An R that fails this check raises ReconstructionFailure.
+    with inverse W. An R that fails this check raises CertificateFailure.
     """
     _require_square(a)
     n = a.rows
@@ -215,7 +216,7 @@ def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactoriza
     numer = basis.matrix.take_cols(range(n))
     denom = basis.matrix.take_cols(range(n, n + m))
     if pm_mul(numer, a) != pm_mul(denom, b):
-        raise ReconstructionFailure("U A = V B product check failed")
+        raise CertificateFailure("U A = V B product check failed")
     try:
         regular_point(denom, rng)
     except SingularInput as exc:

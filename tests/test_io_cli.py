@@ -116,6 +116,38 @@ def test_cli_non_square_exits_3(tmp_path, fd, verb, capsys):
     assert "square" in capsys.readouterr().err
 
 
+def test_cli_library_self_check_exits_2(tmp_path, fd, monkeypatch, capsys):
+    # row_reduce's certificate rejects R times diag(x + 1, 1): a fault in the
+    # computation reads as a verification failure, not as bad input
+    from polymatkit import solvers
+    from polymatkit.reconstruct import LeftFactorization, matfrac_rec
+
+    def perturbed(f, dl, dr):
+        fact = matfrac_rec(f, dl, dr)
+        m = PolyMatrix.from_lists(f.field, [[[1, 1], [0]], [[0], [1]]])
+        return LeftFactorization(fact.numerator, pk.pm_mul(m, fact.denominator))
+
+    monkeypatch.setattr(solvers, "matfrac_rec", perturbed)
+    p = tmp_path / "a.pm"
+    pmio.save(p, PolyMatrix.from_lists(fd, [[[1], [2]], [[0, 1, 0, 1], [1, 0, 1]]]))
+    assert main(["--seed", "1", "rowreduce", str(p), "-o", str(tmp_path / "r.pm")]) == 2
+    assert "verification failed" in capsys.readouterr().err
+
+
+def test_cli_nullspace_self_check_exits_2(tmp_path, fd, monkeypatch, capsys):
+    from polymatkit import nullspace
+    from polymatkit.approxbasis import ApproximantBasis
+
+    def identity_basis(f, sigma):
+        return ApproximantBasis(PolyMatrix.identity(f.field, f.rows), sigma, [0] * f.rows)
+
+    monkeypatch.setattr(nullspace, "pmbasis", identity_basis)
+    p = tmp_path / "a.pm"
+    pmio.save(p, PolyMatrix.from_lists(fd, [[[0, 1], [0, 0, 1]], [[1], [0, 1]]]))
+    assert main(["--seed", "1", "nullspace", str(p), "--delta", "1"]) == 2
+    assert "do not annihilate" in capsys.readouterr().err
+
+
 def test_cli_prime_too_large_exits_3(tmp_path):
     path = tmp_path / "big.pm"
     path.write_text("polymat 1\np 1099511627791\ndims 1 1\ne 0 0 3 1\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polymatkit.field import DEFAULT_PRIME
-from polymatkit.linalg import rref
+from polymatkit.linalg import mod_matmul, rref
 
 
 def _rref_ref(rows, p):
@@ -39,3 +39,32 @@ def test_rref_matches_exact_reference(p, rng):
         want, want_piv = _rref_ref(a.tolist(), p)
         assert piv == want_piv
         assert got.tolist() == want
+
+
+def _matmul_ref(a, b, p):
+    """np.matmul over Python ints, reduced mod p."""
+    return np.matmul(a.astype(object), b.astype(object)) % p
+
+
+@pytest.mark.parametrize("p", [2, 97, 2**31 - 1, DEFAULT_PRIME])
+@pytest.mark.parametrize("k", [0, 1, 42, 43, 63, 64, 65, 200])
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((5,), (7,)),          # 2-D x 2-D
+    ((5,), (3, 7)),        # 2-D x stacked: b's stack folds into columns
+    ((2, 1, 5), (3, 7)),   # stacked x stacked, broadcast
+    ((4, 5), (4, 7)),      # stacked x stacked
+])
+def test_mod_matmul_exact(p, k, a_shape, b_shape, rng):
+    # random residues just below p: all-(p - 1) operands stay exact even
+    # without chunking the inner dimension, these do not
+    low = max(0, p - 2**20)
+    a = rng.integers(low, p, size=(*a_shape, k))
+    b = rng.integers(low, p, size=(*b_shape[:-1], k, b_shape[-1]))
+    got = mod_matmul(a, b, p)
+    want_shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    assert got.shape == want_shape
+    assert got.dtype == np.int64
+    if k == 0:
+        assert not got.any()
+    else:
+        assert got.tolist() == _matmul_ref(a, b, p).tolist()

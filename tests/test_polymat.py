@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,38 @@ def test_mul_small_prime_block_path(f97, rng):
     a = pk.rand_instance(2, 2, 40, 21, field=f97)
     b = pk.rand_instance(2, 2, 40, 22, field=f97)
     assert pk.pm_mul(a, b) == naive_mul(a, b)
+
+
+@pytest.mark.parametrize("shape, d", [
+    ((16, 16, 16), 64),   # one slice of A per block product, 65 of them
+    ((4, 4, 4), 64),      # 31 slices of A per block product, the last has 3
+    ((16, 16, 2), 64),
+    ((3, 70, 2), 5),      # inner dimension above the float64 chunk of 42
+    ((3, 70, 2), 30),
+])
+def test_mul_block_path_matches_naive(shape, d):
+    # 2^31 - 1 has no root of unity of order 2, so every product takes the blocks
+    fld = pk.get_field(2**31 - 1)
+    n, k, m = shape
+    a = pk.rand_instance(n, k, d, 41, field=fld)
+    b = pk.rand_instance(k, m, d, 42, field=fld)
+    assert pk.pm_mul(a, b) == naive_mul(a, b)
+
+
+def test_mul_block_path_memory():
+    # operands and output take 0.5 MiB; capping the cells of each block
+    # product keeps the peak near that (2**18-cell blocks reach 7 MiB)
+    fld = pk.get_field(2**31 - 1)
+    a = pk.rand_instance(16, 16, 64, 43, field=fld)
+    b = pk.rand_instance(16, 16, 64, 44, field=fld)
+    pk.pm_mul(a, b)
+    tracemalloc.start()
+    try:
+        pk.pm_mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_mul_dimension_mismatch(fd):
