@@ -1,6 +1,10 @@
 """Matrix fraction expansion: truncated inverses, high-order slices, proper tails.
 
-``truncated_inverse`` is Newton iteration. ``expansion_slice`` (a window
+``truncated_inverse`` is Newton iteration on the residual: from X = A^{-1}
+mod x^t it computes only the new coefficients [t, t') from the residual's
+new half, on the orders k, ceil(k/2), ..., 1 taken upward, so the last
+step multiplies operands of about k/2 + deg(A) slices rather than 2k
+(Hanrot, Quercia & Zimmermann 2004). ``expansion_slice`` (a window
 F_h .. F_{h+delta-1} of the expansion of A^{-1}B) and ``proper_tail`` (the
 residue R_h and a window of A^{-1}) share one engine. Below the crossover
 h < LIFT_CROSSOVER * deg(A) it is one Newton run to order h + delta; above
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPolynomialQuotient, SingularAtZero, SingularInput
+from .errors import NonPolynomialQuotient, NotSquare, SingularAtZero, SingularInput
 from .linalg import inv as const_inv
 from .polymat import PolyMatrix, SeriesMatrix, int_degree, pm_eval, pm_mul, pm_truncate
 
@@ -39,6 +43,14 @@ class ProperFractionData:
     numerator: PolyMatrix
 
 
+def _check_args(a: PolyMatrix, **orders: int) -> None:
+    if not a.is_square():
+        raise NotSquare(f"need a square A, got {a.rows} x {a.cols}")
+    for name, value in orders.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def _inv_at_zero(a: PolyMatrix) -> np.ndarray:
     try:
         return const_inv(pm_eval(a, 0), a.field.p)
@@ -47,16 +59,29 @@ def _inv_at_zero(a: PolyMatrix) -> np.ndarray:
 
 
 def truncated_inverse(a: PolyMatrix, k: int) -> SeriesMatrix:
-    """S with A * S = I mod x**k, by Newton iteration X <- X(2I - AX)."""
-    a0_inv = _inv_at_zero(a)
-    fld = a.field
-    x = PolyMatrix.constant(fld, a0_inv)
+    """S with A * S = I mod x**k, by Newton iteration on the residual.
+
+    For t < t' <= 2t and X = A^{-1} mod x**t, A X = I + x**t E mod x**t'
+    with E the coefficients [t, t') of (A mod x**t') X, and
+    A^{-1} mod x**t' = X - x**t ((X E) mod x**(t'-t)). The orders are
+    k, ceil(k/2), ..., 1, run upward.
+    """
+    _check_args(a, k=k)
+    fld, n = a.field, a.rows
+    x = PolyMatrix.constant(fld, _inv_at_zero(a))
+    orders = [k]
+    while orders[-1] > 1:
+        orders.append((orders[-1] + 1) // 2)
     t = 1
-    while t < k:
-        t = min(2 * t, k)
-        ax = pm_truncate(pm_mul(pm_truncate(a, t), x), t)
-        two_minus = PolyMatrix.identity(fld, a.rows) * 2 - ax
-        x = pm_truncate(pm_mul(x, two_minus), t)
+    for t_next in reversed(orders[:-1]):
+        e = pm_mul(pm_truncate(a, t_next), x).coeffs[t:t_next]
+        if e.any():
+            new = pm_mul(pm_truncate(x, t_next - t), PolyMatrix(fld, e)).coeffs[:t_next - t]
+            s = np.zeros((t + new.shape[0], n, n), dtype=np.int64)
+            s[:x.coeffs.shape[0]] = x.coeffs
+            s[t:] = -new
+            x = PolyMatrix(fld, s)
+        t = t_next
     return x.to_series(k)
 
 
@@ -81,6 +106,7 @@ def expansion_slice(
 
     ``fast`` is accepted and has no effect: every call runs the one engine.
     """
+    _check_args(a, h=h, delta=delta)
     db = int_degree(b)
     lo = max(h - db, 0)
     _, window = _expand(a, lo, h + delta - lo)
@@ -97,6 +123,7 @@ def proper_tail(a: PolyMatrix, h: int, sigma: int) -> ProperFractionData:
     Requires h > (n-1) deg(A) so that H is strictly proper and B has degree
     below deg(A); B is the residue (I - A (A^{-1} mod x^h)) / x^h.
     """
+    _check_args(a, h=h, sigma=sigma)
     n = a.rows
     d = int_degree(a)
     if h <= (n - 1) * d:

@@ -21,33 +21,47 @@ _SPLIT = 1 << 16
 _CHUNK = 42
 
 
+def split_right(b: np.ndarray) -> list[np.ndarray]:
+    """The right operand of ``mul_split``: per inner chunk, float64 [hi; lo] of b.
+
+    Splitting does not depend on p, so one split serves every left operand.
+    """
+    b_hi, b_lo = b >> 16, b & (_SPLIT - 1)
+    return [
+        np.concatenate((b_hi[..., s: s + _CHUNK, :], b_lo[..., s: s + _CHUNK, :]),
+                       axis=-2, dtype=np.float64)
+        for s in range(0, max(b.shape[-2], 1), _CHUNK)
+    ]
+
+
+def mul_split(a: np.ndarray, b_split: list[np.ndarray], p: int) -> np.ndarray:
+    """Exact a @ b mod p from b's ``split_right`` chunks.
+
+    Each chunk forms [a 2**16 mod p | a] @ [hi; lo] in float64 and reduces
+    it in int64.
+    """
+    a_hi = a * _SPLIT % p
+    acc = None
+    for i, b2 in enumerate(b_split):
+        cut = slice(i * _CHUNK, (i + 1) * _CHUNK)
+        a2 = np.concatenate((a_hi[..., cut], a[..., cut]), axis=-1, dtype=np.float64)
+        part = (a2 @ b2).astype(np.int64)
+        part %= p
+        acc = part if acc is None else acc + part
+    if len(b_split) > 1:
+        acc %= p
+    return acc
+
+
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (batched) matrix product modulo p, for residues below p < 2**31.
 
     Accepts stacked operands with broadcastable leading axes, like
-    ``np.matmul``. With b = hi 2**16 + lo split into 16-bit limbs, each
-    chunk forms [a 2**16 mod p | a] @ [hi; lo] in float64 and reduces it in
-    int64. A 2-D ``a`` times a 3-D ``b`` folds b's stack into columns, so it
-    is one product rather than one per slice.
+    ``np.matmul``. It is ``mul_split(a, split_right(b), p)``: b is split
+    into 16-bit limbs b = hi 2**16 + lo once, and every inner chunk of a
+    multiplies its rows of [hi; lo].
     """
-    fold = a.ndim == 2 and b.ndim == 3
-    if fold:
-        lb, k, m = b.shape
-        b = b.transpose(1, 0, 2).reshape(k, lb * m)
-    k = a.shape[-1]
-    a_hi = a * _SPLIT % p
-    b_hi, b_lo = b >> 16, b & (_SPLIT - 1)
-    acc = None
-    for s in range(0, max(k, 1), _CHUNK):
-        cut = slice(s, s + _CHUNK)
-        a2 = np.concatenate((a_hi[..., cut], a[..., cut]), axis=-1, dtype=np.float64)
-        b2 = np.concatenate((b_hi[..., cut, :], b_lo[..., cut, :]), axis=-2, dtype=np.float64)
-        part = (a2 @ b2).astype(np.int64)
-        part %= p
-        acc = part if acc is None else acc + part
-    if k > _CHUNK:
-        acc %= p
-    return acc.reshape(a.shape[0], lb, m).transpose(1, 0, 2) if fold else acc
+    return mul_split(a, split_right(b), p)
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit.errors import SingularAtZero
+from polymatkit import ntt
+from polymatkit.errors import NotSquare, SingularAtZero
+from polymatkit.field import DEFAULT_PRIME
 from polymatkit.fraction import (
     LIFT_CROSSOVER,
     exact_x_power_divide,
@@ -11,6 +13,7 @@ from polymatkit.fraction import (
     truncated_inverse,
 )
 from polymatkit.linalg import det as const_det
+from polymatkit.oracle import naive_mul
 from polymatkit.polymat import PolyMatrix, pm_eval, pm_mul, pm_truncate
 
 
@@ -55,6 +58,64 @@ def test_truncated_inverse_product_check(fd, rng):
         s = truncated_inverse(a, k)
         prod = pm_truncate(pm_mul(a, s.to_polymat()), k)
         assert prod == pm_truncate(PolyMatrix.identity(fd, n).to_series(k), k)
+
+
+@pytest.mark.parametrize("p", [97, 65537, 2**31 - 1, DEFAULT_PRIME])
+def test_truncated_inverse_orders(p):
+    # each order of the ceil-halving schedule, with deg A both below and above k
+    fld = pk.get_field(p)
+    rng = np.random.default_rng(p)
+    for k in (1, 2, 3, 16, 17, 64, 65, int(rng.integers(4, 80))):
+        for d in (int(rng.integers(0, k)), k + int(rng.integers(0, 5))):
+            a = nonsingular_at_zero(fld, 3, d, int(rng.integers(0, 2**31)))
+            s = truncated_inverse(a, k)
+            assert s.order == k
+            prod = pm_truncate(naive_mul(a, s.to_polymat()), k)
+            assert prod == PolyMatrix.identity(fld, 3), (p, k, d)
+
+
+def test_truncated_inverse_no_padding_cliff(fd, monkeypatch):
+    # counts transform points, not time: one order past a power of two must
+    # not push the Newton products to the next transform length
+    a = nonsingular_at_zero(fd, 4, 40, 5)
+    points = []
+    ntt_fn = ntt.ntt
+
+    def counting_ntt(arr, *args, **kwargs):
+        points[-1] += arr.size
+        return ntt_fn(arr, *args, **kwargs)
+
+    monkeypatch.setattr(ntt, "ntt", counting_ntt)
+    for k in (128, 129):
+        points.append(0)
+        truncated_inverse(a, k)
+    assert 0 < points[1] <= 1.25 * points[0], points
+
+
+def test_truncated_inverse_zero_order(fd):
+    s = truncated_inverse(anchor(fd), 0)
+    assert s.order == 0 and s.coeffs.shape == (0, 2, 2)
+
+
+def test_fraction_entry_points_reject_bad_arguments(fd):
+    a = anchor(fd)
+    rect = pk.rand_instance(3, 2, 2, 1, field=fd)
+    b = PolyMatrix.identity(fd, 2)
+    with pytest.raises(NotSquare):
+        truncated_inverse(rect, 4)
+    with pytest.raises(NotSquare):
+        expansion_slice(rect, rect, 5, 2)
+    with pytest.raises(NotSquare):
+        proper_tail(rect, 10, 2)
+    for bad in (
+        lambda: truncated_inverse(a, -1),
+        lambda: expansion_slice(a, b, -3, 2),
+        lambda: expansion_slice(a, b, 3, -1),
+        lambda: proper_tail(a, -2, 3),
+        lambda: proper_tail(a, 10, -1),
+    ):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bad()
 
 
 def test_truncated_inverse_singular_at_zero(fd):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polymatkit.field import DEFAULT_PRIME
-from polymatkit.linalg import mod_matmul, rref
+from polymatkit.linalg import mod_matmul, mul_split, rref, split_right
 
 
 def _rref_ref(rows, p):
@@ -50,7 +50,7 @@ def _matmul_ref(a, b, p):
 @pytest.mark.parametrize("k", [0, 1, 42, 43, 63, 64, 65, 200])
 @pytest.mark.parametrize("a_shape, b_shape", [
     ((5,), (7,)),          # 2-D x 2-D
-    ((5,), (3, 7)),        # 2-D x stacked: b's stack folds into columns
+    ((5,), (3, 7)),        # 2-D x stacked, broadcast
     ((2, 1, 5), (3, 7)),   # stacked x stacked, broadcast
     ((4, 5), (4, 7)),      # stacked x stacked
 ])
@@ -68,3 +68,12 @@ def test_mod_matmul_exact(p, k, a_shape, b_shape, rng):
         assert not got.any()
     else:
         assert got.tolist() == _matmul_ref(a, b, p).tolist()
+
+
+@pytest.mark.parametrize("p", [97, 2**31 - 1, DEFAULT_PRIME])
+def test_one_split_serves_many_left_operands(p, rng):
+    b = rng.integers(0, p, size=(90, 6))
+    b_split = split_right(b)
+    for rows in (1, 7, 33):
+        a = rng.integers(max(0, p - 2**20), p, size=(rows, 90))
+        assert mul_split(a, b_split, p).tolist() == _matmul_ref(a, b, p).tolist()

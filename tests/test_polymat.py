@@ -45,6 +45,14 @@ def test_mul_matches_naive_8x8_deg16(fd):
     assert pk.pm_mul(a, b) == naive_mul(a, b)
 
 
+@pytest.mark.parametrize("la, lb", [(16, 16), (16, 40), (17, 17), (17, 40), (9, 128), (128, 9)])
+def test_mul_either_side_of_block_cut(fd, la, lb):
+    # operands of at most 16 slices multiply by blocks, longer pairs by NTT
+    a = pk.rand_instance(3, 4, la - 1, la, field=fd)
+    b = pk.rand_instance(4, 2, lb - 1, lb, field=fd)
+    assert pk.pm_mul(a, b) == naive_mul(a, b)
+
+
 def test_mul_small_prime_block_path(f97, rng):
     # p=97 has two-adicity 5; large degrees exercise the quadratic block products
     a = pk.rand_instance(2, 2, 40, 21, field=f97)
