@@ -2,12 +2,12 @@
 
 ``mbasis`` goes one order at a time by the M-Basis step of Giorgi, Jeannerod
 & Villard (ISSAC 2003): one elimination gives the row rank profile of the
-shifted-degree-sorted constant residual, dependent rows become kernel rows,
-pivot rows are multiplied by x, and only live slices are touched. ``pmbasis``
-is its divide-and-conquer wrapper that halves the order, computes a residual,
-recurses, and multiplies the two partial bases together. Both return a basis
-N with N * F = 0 mod x**sigma whose sorted shifted row degrees are the
-minimal indices of the approximant module.
+shifted-degree-sorted constant residual, one product over the pivot rows'
+live slices makes the dependent rows kernel rows, and pivot rows are
+multiplied by x. ``pmbasis`` is its divide-and-conquer wrapper that halves
+the order, computes a residual, recurses, and multiplies the two partial
+bases together. Both return a basis N with N * F = 0 mod x**sigma whose
+sorted shifted row degrees are the minimal indices of the approximant module.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .polymat import PolyMatrix, SeriesMatrix, entry_degrees, int_degree, pm_mul
 
 # Below this order the recursion bottoms out into the iterative algorithm.
 PMBASIS_THRESHOLD = 64
+# Multiplications per mbasis product; OpenBLAS runs a GEMM this small on one thread.
+_PRODUCT_MULTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -44,11 +46,7 @@ class ApproximantBasis:
 
 def series_product(a: PolyMatrix, f: SeriesMatrix, order: int) -> SeriesMatrix:
     """(a * f) mod x**order as a SeriesMatrix."""
-    prod = pm_mul(a, f.to_polymat())
-    out = np.zeros((order, a.rows, f.cols), dtype=np.int64)
-    take = min(order, prod.coeffs.shape[0])
-    out[:take] = prod.coeffs[:take]
-    return SeriesMatrix(a.field, order, out)
+    return pm_mul(a, f.to_polymat()).to_series(order)
 
 
 def order_residual(n: PolyMatrix, f: SeriesMatrix, sigma: int) -> np.ndarray:
@@ -76,28 +74,32 @@ def _normalize_shift(shift, n: int) -> list:
 def mbasis(f: SeriesMatrix, sigma: int, shift=None) -> ApproximantBasis:
     """Iterative minimal approximant basis of order sigma for f.
 
-    Order k costs one elimination and two small products (GJV 2003). With
-    the rows sorted by (shifted degree, index), the pivot columns of ``rref``
-    of the transposed constant residual are the pivot rows. Each dependent
-    row becomes row - lambda * (pivot rows), lambda read off the non-pivot
+    Order k costs one elimination and one product (GJV 2003). With the rows
+    sorted by (shifted degree, index), the pivot columns of ``rref`` of the
+    transposed constant residual are the pivot rows. Each dependent row
+    becomes row - lambda * (pivot rows), lambda read off the non-pivot
     columns: its constant residual vanishes and its shifted degree does not
     grow, as the pivot rows sort before it. Each pivot row is multiplied by
-    x. Only basis slices up to the pivot rows' degree bound take part.
+    x. Row i of ``state`` is residual row i, then basis row i: the live
+    slices (residual k + 1 on, basis to the pivot rows' degree bound) are
+    one column range.
     """
     if sigma > f.order:
         raise OrderExceedsData(f"order {sigma} exceeds stored series order {f.order}")
-    p, n = f.field.p, f.rows
+    p, n, m = f.field.p, f.rows, f.cols
     shift = _normalize_shift(shift, n)
 
-    basis = np.zeros((sigma + 1, n, n), dtype=np.int64)
-    basis[0] = np.eye(n, dtype=np.int64)
-    resid = f.coeffs[:sigma].copy()
+    split = sigma * m
+    state = np.zeros((n, split + (sigma + 1) * n), dtype=np.int64)
+    resid, basis = state[:, :split].reshape(n, sigma, m), state[:, split:].reshape(n, sigma + 1, n)
+    resid[:] = f.coeffs[:sigma].transpose(1, 0, 2)
+    basis[:, 0] = np.eye(n, dtype=np.int64)
     work = np.array(shift, dtype=np.int64)
     degs = np.zeros(n, dtype=np.int64)  # per-row degree bound of basis
 
     for k in range(sigma):
         order_rows = np.argsort(work, kind="stable")
-        echelon, piv = rref(resid[k, order_rows].T, p)
+        echelon, piv = rref(resid[order_rows, k].T, p)
         if not piv:
             continue
         free = np.ones(n, dtype=bool)
@@ -106,16 +108,20 @@ def mbasis(f: SeriesMatrix, sigma: int, shift=None) -> ApproximantBasis:
         top = int(degs[piv_rows].max()) + 1
         if dep_rows.size:
             lam = echelon[:len(piv), free].T
-            for live in (basis[:top], resid[k + 1:]):
-                live[:, dep_rows] = (live[:, dep_rows] - mod_matmul(lam, live[:, piv_rows], p)) % p
+            end, step = split + top * n, max(1, _PRODUCT_MULTS // lam.size)
+            for lo in range((k + 1) * m, end, step):
+                live = slice(lo, min(lo + step, end))
+                upd = state[dep_rows, live] - mod_matmul(lam, state[piv_rows, live], p)
+                upd += (upd >> 63) & p  # from (-p, p) to [0, p) without a division
+                state[dep_rows, live] = upd
             degs[dep_rows] = np.maximum(degs[dep_rows], top - 1)
-        basis[1:top + 1, piv_rows] = basis[:top, piv_rows]
-        basis[0, piv_rows] = 0
-        resid[k + 1:, piv_rows] = resid[k:-1, piv_rows]
+        basis[piv_rows, 1:top + 1] = basis[piv_rows, :top]
+        basis[piv_rows, 0] = 0
+        resid[piv_rows, k + 1:] = resid[piv_rows, k:-1]
         work[piv_rows] += 1
         degs[piv_rows] += 1
 
-    mat = PolyMatrix(f.field, basis)
+    mat = PolyMatrix(f.field, np.ascontiguousarray(basis.transpose(1, 0, 2)))
     return ApproximantBasis(mat, sigma, row_degrees(mat), list(shift))
 
 

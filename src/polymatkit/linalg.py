@@ -3,8 +3,9 @@
 All matrices are numpy arrays of canonical residues in [0, p). The prime is
 assumed to fit in 31 bits so that a*b fits in an int64. Matrix products run
 on float64 BLAS over 16-bit limbs, in chunks of the inner dimension short
-enough for every partial sum to be exact (see ``_CHUNK``); elimination
-stays in int64.
+enough for every partial sum to be exact (see ``_CHUNK``). Elimination
+stays in int64: a pivot step of ``rref`` or ``det`` is one ``nonzero`` and
+one broadcast update of the other rows (the rows below, for ``det``).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.flatnonzero(m[r:, c])
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = nz[0] + r
@@ -81,10 +82,10 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             m[[r, pr]] = m[[pr, r]]
         m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
         # clear column c outside row r; a full-matrix update beats gathering
-        # the nonzero rows, and p < 2**31 keeps m - outer above -2**63
+        # the nonzero rows, and p < 2**31 keeps m - factors * m[r] above -2**63
         factors = m[:, c].copy()
         factors[r] = 0
-        m -= np.outer(factors, m[r])
+        m -= factors[:, None] * m[r]
         m %= p
         pivots.append(c)
         r += 1
@@ -92,8 +93,6 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(mat: np.ndarray, p: int) -> int:
-    if mat.size == 0:
-        return 0
     return len(rref(mat, p)[1])
 
 
@@ -105,7 +104,7 @@ def det(mat: np.ndarray, p: int) -> int:
         raise ValueError("det needs a square matrix")
     result = 1
     for c in range(n):
-        nz = np.nonzero(m[c:, c])[0]
+        nz = m[c:, c].nonzero()[0]
         if nz.size == 0:
             return 0
         pr = nz[0] + c
@@ -114,10 +113,8 @@ def det(mat: np.ndarray, p: int) -> int:
             result = -result % p
         piv = int(m[c, c])
         result = result * piv % p
-        below = np.nonzero(m[c + 1:, c])[0] + c + 1
-        if below.size:
-            factors = m[below, c] * pow(piv, -1, p) % p
-            m[below] = (m[below] - np.outer(factors, m[c])) % p
+        factors = m[c + 1:, c] * pow(piv, -1, p) % p
+        m[c + 1:] = (m[c + 1:] - factors[:, None] * m[c]) % p
     return result
 
 
@@ -136,9 +133,6 @@ def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
     rows = mat.shape[0]
     r, pivots = rref(mat.T % p, p)
     free = [j for j in range(rows) if j not in pivots]
-    basis = np.zeros((len(free), rows), dtype=np.int64)
-    for k, j in enumerate(free):
-        basis[k, j] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-int(r[i, j])) % p
+    basis = np.eye(rows, dtype=np.int64)[free]
+    basis[:, pivots] = -r[:len(pivots), free].T % p
     return basis

@@ -178,20 +178,46 @@ def _check_order_basis(got, f, sigma, shift):
     assert got.minimal_indices == sorted(rdeg)
 
 
-@pytest.mark.parametrize("p", [2, 3, 97, DEFAULT_PRIME])
+@pytest.mark.parametrize("p", [2, 3, 97, 65537, 2**31 - 1, DEFAULT_PRIME])
 def test_order_basis_invariants(p, monkeypatch):
     fld = pk.get_field(p)
     rng = np.random.default_rng(p)
     # a small leaf makes pmbasis split several times at these orders
     monkeypatch.setattr(approxbasis, "PMBASIS_THRESHOLD", 3)
-    for _ in range(12):
+    for i in range(18):
         n, m, sigma = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 17))
-        shift = [int(s) for s in rng.integers(0, 3, size=n)]  # small range, so ties are common
-        f = series(fld, rng.integers(0, p, size=(sigma, n, m)))
+        low = 0
+        if i >= 12:  # more columns than rows, and shifts below zero
+            m, low = n + int(rng.integers(1, 3)), -3
+        # a small range, so ties are common
+        shift = [int(s) for s in rng.integers(low, low + 3, size=n)]
+        arr = rng.integers(0, p, size=(sigma, n, m))
+        arr[rng.random(arr.shape) < 0.2] = p - 1  # largest residues stress int64
+        f = series(fld, arr)
         it, dc = mbasis(f, sigma, shift), pmbasis(f, sigma, shift)
         _check_order_basis(it, f, sigma, shift)
         _check_order_basis(dc, f, sigma, shift)
         assert it.minimal_indices == dc.minimal_indices
+
+
+@pytest.mark.parametrize("n, m, sigma", [(2, 1, 33), (16, 8, 64)])
+def test_mbasis_one_product_per_order(n, m, sigma, monkeypatch):
+    # a count, not a timing: the basis and residual updates of an order
+    # share one product, so no order pays a second call's overhead
+    products = []
+    product = approxbasis.mod_matmul
+
+    def counted(a, b, p):
+        products.append(1)
+        return product(a, b, p)
+
+    monkeypatch.setattr(approxbasis, "mod_matmul", counted)
+    rng = np.random.default_rng(n * 1000 + sigma)
+    fld = pk.default_field()
+    f = series(fld, rng.integers(0, fld.p, size=(sigma, n, m)))
+    got = mbasis(f, sigma)
+    assert not order_residual(got.basis, f, sigma).any()
+    assert 0 < len(products) <= sigma
 
 
 @pytest.mark.parametrize("algo", [mbasis, pmbasis])

@@ -1,8 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from polymatkit.field import DEFAULT_PRIME
-from polymatkit.linalg import mod_matmul, mul_split, rref, split_right
+from polymatkit.linalg import det, left_kernel, mod_matmul, mul_split, rank, rref, split_right
 
 
 def _rref_ref(rows, p):
@@ -39,6 +41,60 @@ def test_rref_matches_exact_reference(p, rng):
         want, want_piv = _rref_ref(a.tolist(), p)
         assert piv == want_piv
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p", [2, 97, 2**31 - 1])
+def test_left_kernel_and_rank(p, rng):
+    for rows, cols in ((1, 1), (4, 2), (2, 5), (6, 6), (7, 3)):
+        a = rng.integers(0, p, size=(rows, cols))
+        a[rng.random((rows, cols)) < 0.3] = 0
+        if rows > 2:
+            a[2] = a[0]                            # a repeated row
+        _, piv = _rref_ref(a.T.tolist(), p)
+        free = [j for j in range(rows) if j not in piv]
+        kern = left_kernel(a, p)
+        # the one kernel basis that is the identity on the non-pivot rows
+        assert kern[:, free].tolist() == np.eye(len(free), dtype=int).tolist()
+        assert not _matmul_ref(kern, a, p).any()
+        assert rank(a, p) == len(piv)
+    for shape in ((0, 3), (3, 0)):
+        assert rank(np.zeros(shape, dtype=np.int64), p) == 0
+
+
+def _det_ref(rows, p):
+    """Leibniz formula on Python ints, the reference for ``det``."""
+    n, total = len(rows), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= int(rows[i][j])
+        total += term
+    return total % p
+
+
+@pytest.mark.parametrize("p", [2, 97, 2**31 - 1, DEFAULT_PRIME])
+def test_det_matches_exact_reference(p, rng):
+    cases = [np.zeros((0, 0), dtype=np.int64), np.array([[p - 1]]), np.full((5, 5), p - 1)]
+    for n in (1, 2, 3, 5, 6):
+        a = rng.integers(0, p, size=(n, n))
+        a[rng.random((n, n)) < 0.3] = p - 1  # largest residues stress int64
+        cases.append(a.copy())
+        if n > 1:
+            swap = a.copy()
+            swap[0, 0] = 0                    # the first pivot needs a row swap
+            swap[1, 0] = max(swap[1, 0], 1)
+            cases.append(swap)
+            zero_col = a.copy()
+            zero_col[:, n - 1] = 0            # a zero column
+            cases.append(zero_col)
+            repeated = a.copy()
+            repeated[n - 1] = repeated[0]     # a repeated row
+            cases.append(repeated)
+    for a in cases:
+        assert det(a, p) == _det_ref(a.tolist(), p)
+    assert det(np.zeros((0, 0), dtype=np.int64), p) == 1
+    assert det(np.array([[p - 1]]), p) == p - 1
 
 
 def _matmul_ref(a, b, p):
