@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderExceedsData
-from .linalg import mod_matmul, rref
+from .linalg import PRODUCT_MULTS, mod_matmul, rref
 from .poly import MINUS_INFINITY
 from .polymat import PolyMatrix, SeriesMatrix, entry_degrees, int_degree, pm_mul, row_degrees
 
 # Below this order the recursion bottoms out into the iterative algorithm.
 PMBASIS_THRESHOLD = 64
-# Multiplications per mbasis product; OpenBLAS runs a GEMM this small on one thread.
-_PRODUCT_MULTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ def mbasis(f: SeriesMatrix, sigma: int, shift=None) -> ApproximantBasis:
         top = int(degs[piv_rows].max()) + 1
         if dep_rows.size:
             lam = echelon[:len(piv), free].T
-            end, step = split + top * n, max(1, _PRODUCT_MULTS // lam.size)
+            end, step = split + top * n, max(1, PRODUCT_MULTS // lam.size)
             for lo in range((k + 1) * m, end, step):
                 live = slice(lo, min(lo + step, end))
                 upd = state[dep_rows, live] - mod_matmul(lam, state[piv_rows, live], p)

@@ -122,4 +122,4 @@ class ParseError(PolymatError):
 
 
 class PrimeMismatch(PolymatError):
-    """Operands were read from files over different primes."""
+    """Operands over different primes: two input files, or the matrices of a sum or product."""

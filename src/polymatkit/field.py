@@ -24,7 +24,8 @@ class PrimeField:
 
     Elements are represented by their canonical residues in [0, p). The
     field caches its two-adicity (largest k with 2**k | p-1) and a fixed
-    primitive root, which together provide roots of unity for NTT grids.
+    primitive root, from which ``root_of_unity`` takes a root of every
+    order dividing p - 1 for NTT grids.
     """
 
     def __init__(self, p: int = DEFAULT_PRIME):
@@ -68,16 +69,12 @@ class PrimeField:
         return FieldElement(value % self.p, self)
 
     def root_of_unity(self, order: int) -> "FieldElement":
-        """A primitive root of unity of the given power-of-two order."""
-        if order < 1 or order & (order - 1) != 0:
-            raise UnsupportedOrder(f"order {order} is not a power of two")
-        log = order.bit_length() - 1
-        if log > self.two_adicity:
-            raise UnsupportedOrder(
-                f"order {order} exceeds 2**{self.two_adicity} supported by p={self.p}"
-            )
-        w = pow(self.generator, (self.p - 1) >> log, self.p)
-        return FieldElement(w, self)
+        """A primitive root of unity of the given order, e.g. an NTT length c * 2**k.
+
+        Orders that do not divide p - 1 raise UnsupportedOrder."""
+        if order < 1 or (self.p - 1) % order:
+            raise UnsupportedOrder(f"order {order} does not divide p - 1 = {self.p - 1}")
+        return FieldElement(pow(self.generator, (self.p - 1) // order, self.p), self)
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ def ff_inv(a: FieldElement) -> FieldElement:
 
 
 def root_of_unity(field: PrimeField, order: int) -> FieldElement:
-    """Primitive root of unity of power-of-two ``order`` in ``field``."""
+    """Primitive root of unity of ``order`` in ``field``; ``order`` must divide p - 1."""
     return field.root_of_unity(order)
 
 

@@ -20,6 +20,10 @@ _SPLIT = 1 << 16
 # so hi < 2**15 and lo < 2**16); 42 such terms sum to less than 2**53, so
 # every partial sum is exact in float64.
 _CHUNK = 42
+# Multiplications per piece where callers cut wide products into column
+# ranges: OpenBLAS runs a GEMM this small on one thread (two threads have
+# taken 8 ms instead of 0.3 ms per call on a busy 2-core machine).
+PRODUCT_MULTS = 1 << 18
 
 
 def split_right(b: np.ndarray) -> list[np.ndarray]:

@@ -1,8 +1,13 @@
-"""Radix-2 number-theoretic transform, vectorized along the last axis.
+"""Number-theoretic transform over GF(p), vectorized along the last axis.
 
-Inputs are int64 arrays of canonical residues. The transform length must be
-a power of two supported by the field's two-adicity; callers are expected
-to check this via PrimeField.root_of_unity.
+Any length L = c 2**k (c odd) dividing p - 1 is supported; ``transform_length``
+picks the smallest L >= n with c in {1, 3, 5, 15}, at most 25 % above n where
+15 | p - 1. For c > 1, the c interleaved subsequences go through one batched
+radix-2 transform, a twiddle by w**(s u) and the c-point DFT as ``mod_matmul``
+(column pieces of at most ``PRODUCT_MULTS`` multiplications). Butterflies
+divide only to reduce the twiddle product: sums and differences come back to
+[0, p) by an unsigned minimum with the value -/+ p (two array passes; the
+sign-mask correction takes four). Inputs must be canonical residues in [0, p).
 """
 
 from __future__ import annotations
@@ -12,63 +17,105 @@ from functools import lru_cache
 import numpy as np
 
 from .field import PrimeField
+from .linalg import PRODUCT_MULTS, mod_matmul
+
+
+def _powers(p: int, w: int, count: int) -> np.ndarray:
+    """w**0, ..., w**(count - 1) mod p."""
+    out = np.empty(count, dtype=np.int64)
+    acc = 1
+    for j in range(count):
+        out[j] = acc
+        acc = acc * w % p
+    return out
 
 
 @lru_cache(maxsize=64)
-def _bit_reverse(length: int) -> np.ndarray:
-    bits = length.bit_length() - 1
-    idx = np.arange(length)
-    rev = np.zeros(length, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+def _gather(c: int, m: int) -> np.ndarray:
+    """(c, m) input positions: subsequence s = x[s::c], in bit-reversed order."""
+    rev = np.zeros(1, dtype=np.int64)
+    while rev.size < m:
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+    return c * rev + np.arange(c)[:, None]
 
 
 @lru_cache(maxsize=256)
-def _twiddles(p: int, length: int, root: int) -> tuple[np.ndarray, ...]:
-    """Per-stage twiddle factors for a length-``length`` transform."""
-    stages = []
-    span = 2
-    while span <= length:
-        w = pow(root, length // span, p)
-        tw = np.empty(span // 2, dtype=np.int64)
-        acc = 1
-        for j in range(span // 2):
-            tw[j] = acc
-            acc = acc * w % p
-        stages.append(tw)
-        span *= 2
-    return tuple(stages)
+def _twiddles(p: int, m: int, root: int) -> tuple[np.ndarray, ...]:
+    """Per-stage twiddle columns of a length-m radix-2 transform with this root."""
+    half = _powers(p, root, m // 2)
+    spans = (2 << s for s in range(m.bit_length() - 1))
+    return tuple(half[:: m // span, None].copy() for span in spans)
+
+
+@lru_cache(maxsize=256)
+def _cpoint(p: int, c: int, m: int, root: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (c, m, 1) twiddles root**(s u) and the c-point DFT matrix, times ``scale``."""
+    powers = _powers(p, root, c * m)
+    s = np.arange(c)[:, None]
+    return powers[s * np.arange(m)][:, :, None], powers[s * s.T * m % (c * m)] * scale % p
+
+
+def _radix2(y: np.ndarray, p: int, stages: tuple[np.ndarray, ...]) -> None:
+    """In-place radix-2 transforms along axis 1 of y (c, m, batch), input in bit-reversed order.
+
+    Sums s in [0, 2p) become min(s, s - p), differences d in (-p, p) min(d, d + p),
+    compared as unsigned, where a negative value reads as 2**63 or more."""
+    t, d = np.empty((2, y.size // 2), dtype=np.int64)
+    u = np.uint64
+    for tw in stages:
+        view = y.reshape(-1, 2, tw.shape[0], y.shape[-1])
+        even, odd = view[:, 0], view[:, 1]
+        t, d = t.reshape(even.shape), d.reshape(even.shape)
+        tw_odd = odd
+        if tw.shape[0] > 1:
+            tw_odd = np.multiply(odd, tw, out=t)
+            np.remainder(t, p, out=t)
+        np.subtract(even, tw_odd, out=d)
+        even += tw_odd
+        np.subtract(even, p, out=t)
+        np.minimum(even.view(u), t.view(u), out=even.view(u))
+        np.add(d, p, out=odd)
+        np.minimum(odd.view(u), d.view(u), out=odd.view(u))
 
 
 def ntt(a: np.ndarray, field: PrimeField, inverse: bool = False) -> np.ndarray:
-    """Forward or inverse NTT along the last axis of ``a``."""
+    """Forward or inverse NTT along the last axis of ``a`` (canonical residues).
+
+    The batch is the contiguous axis of the work array: an ``a`` whose last
+    axis has the largest stride, like pm_mul's (n, m, L) views of (L, n, m)
+    arrays, is gathered in whole rows, and the result comes back in that
+    layout, as a view of a new array.
+    """
     length = a.shape[-1]
-    if length == 1:
-        return a % field.p
     p = field.p
     root = int(field.root_of_unity(length))
     if inverse:
         root = pow(root, -1, p)
-    out = (a % p)[..., _bit_reverse(length)].astype(np.int64)
-    stages = _twiddles(p, length, root)
-    span = 2
-    for tw in stages:
-        view = out.reshape(*out.shape[:-1], length // span, span)
-        even = view[..., : span // 2].copy()
-        odd = view[..., span // 2:] * tw % p
-        view[..., : span // 2] = (even + odd) % p
-        view[..., span // 2:] = (even - odd) % p
-        span *= 2
-    if inverse:
-        out = out * pow(length, -1, p) % p
-    return out
+    m = length & -length
+    c = length // m
+    y = a.reshape(-1, length).T[_gather(c, m)]  # (c, m, batch)
+    _radix2(y, p, _twiddles(p, m, pow(root, c, p)))
+    scale = pow(length, -1, p) if inverse else 1
+    if c > 1:
+        twiddle, dft = _cpoint(p, c, m, root, scale)
+        y *= twiddle
+        y %= p
+        cols = y.reshape(c, -1)
+        step = max(1, PRODUCT_MULTS // dft.size)
+        for lo in range(0, cols.shape[1], step):
+            cols[:, lo: lo + step] = mod_matmul(dft, cols[:, lo: lo + step], p)
+    elif inverse:
+        y *= scale
+        y %= p
+    return y.reshape(length, -1).T.reshape(a.shape)
 
 
-def next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
-
-
-def supports_length(field: PrimeField, length: int) -> bool:
-    return length.bit_length() - 1 <= field.two_adicity and length & (length - 1) == 0
+def transform_length(field: PrimeField, n: int) -> int | None:
+    """The smallest length c 2**k >= n with c in {1, 3, 5, 15} that ``ntt`` supports
+    over ``field``, or None."""
+    best = None
+    for c in (1, 3, 5, 15):
+        m = 1 << max(0, (-(-n // c) - 1).bit_length())
+        if (field.p - 1) % (c * m) == 0 and (best is None or c * m < best):
+            best = c * m
+    return best

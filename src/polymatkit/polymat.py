@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import ntt
-from .errors import DimensionMismatch, FieldTooSmall, NotSquare, SingularInput, ZeroRow
+from .errors import (DimensionMismatch, FieldTooSmall, NotSquare, PrimeMismatch, SingularInput,
+                     ZeroRow)
 from .field import FieldElement, PrimeField
 from .linalg import det as const_det, mod_matmul, mul_split, rank as const_rank, split_right
 from .poly import MINUS_INFINITY, Polynomial
@@ -111,7 +112,7 @@ class PolyMatrix:
 
     def _check_field(self, other: "PolyMatrix"):
         if self.field != other.field:
-            raise ValueError("field mismatch")
+            raise PrimeMismatch(f"operands over p={self.field.p} and p={other.field.p}")
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_field(other)
@@ -237,14 +238,15 @@ class SeriesMatrix:
 
 # -- multiplication ----------------------------------------------------------
 
-def _mul_ntt(a: np.ndarray, b: np.ndarray, field: PrimeField, out_len: int) -> np.ndarray:
-    length = ntt.next_pow2(out_len)
-    pa = np.zeros((a.shape[1], a.shape[2], length), dtype=np.int64)
-    pb = np.zeros((b.shape[1], b.shape[2], length), dtype=np.int64)
-    pa[:, :, : a.shape[0]] = a.transpose(1, 2, 0)
-    pb[:, :, : b.shape[0]] = b.transpose(1, 2, 0)
-    ea = ntt.ntt(pa, field).transpose(2, 0, 1)
-    eb = ntt.ntt(pb, field).transpose(2, 0, 1)
+def _mul_ntt(a: np.ndarray, b: np.ndarray, field: PrimeField, length: int,
+             out_len: int) -> np.ndarray:
+    # slices stay the leading axis: ntt gathers and returns this layout without transposing
+    pa = np.zeros((length, a.shape[1], a.shape[2]), dtype=np.int64)
+    pb = np.zeros((length, b.shape[1], b.shape[2]), dtype=np.int64)
+    pa[: a.shape[0]] = a
+    pb[: b.shape[0]] = b
+    ea = ntt.ntt(pa.transpose(1, 2, 0), field).transpose(2, 0, 1)
+    eb = ntt.ntt(pb.transpose(1, 2, 0), field).transpose(2, 0, 1)
     ec = mod_matmul(ea, eb, field.p)
     prod = ntt.ntt(ec.transpose(1, 2, 0), field, inverse=True)
     return prod.transpose(2, 0, 1)[:out_len]
@@ -276,26 +278,26 @@ def _mul_blocks(a: np.ndarray, b: np.ndarray, p: int, out_len: int) -> np.ndarra
 
 
 # pm_mul multiplies by _mul_blocks when an operand has at most this many
-# slices. On float64 BLAS, blocks take 0.11-0.22 of the NTT's time for two
-# operands of 9-17 slices (n = 2-32), 0.12-0.30 for 9 x 128 slices, and
-# still 0.55-0.59 at 32 x 32 slices (n = 16). The cut stays at 16 so the
-# d = 16, 32, 64 products timed by test_acceptance_scaling (17 slices and
-# up) remain on the quasi-linear NTT path.
+# slices. Against the mixed-radix NTT, blocks take 0.12-0.69 of its time for
+# two operands of 9-17 slices (n = 2-32) and 0.13-0.53 for 9 x 128 slices
+# (n = 2-16); at 32 x 32 slices they take 0.20-0.89 for n <= 8 and 1.2-1.3
+# for n = 16, 32. The cut stays at 16 so the d = 16, 32, 64 products timed
+# by test_acceptance_scaling (17 slices and up) remain on the NTT path.
 _BLOCK_SLICES = 16
 
 
 def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Exact product over K[x], by evaluation/interpolation when possible."""
-    if a.field != b.field:
-        raise ValueError("field mismatch")
+    a._check_field(b)
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if a.is_zero() or b.is_zero():
         return PolyMatrix.zero(a.field, a.rows, b.cols)
     out_len = a.coeffs.shape[0] + b.coeffs.shape[0] - 1
-    small = min(a.coeffs.shape[0], b.coeffs.shape[0])
-    if small > _BLOCK_SLICES and ntt.supports_length(a.field, ntt.next_pow2(out_len)):
-        return PolyMatrix(a.field, _mul_ntt(a.coeffs, b.coeffs, a.field, out_len))
+    if min(a.coeffs.shape[0], b.coeffs.shape[0]) > _BLOCK_SLICES:
+        length = ntt.transform_length(a.field, out_len)
+        if length is not None:
+            return PolyMatrix(a.field, _mul_ntt(a.coeffs, b.coeffs, a.field, length, out_len))
     return PolyMatrix(a.field, _mul_blocks(a.coeffs, b.coeffs, a.field.p, out_len))
 
 

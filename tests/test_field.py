@@ -40,10 +40,30 @@ def test_root_of_unity_max_order(fd):
 
 
 def test_root_of_unity_rejects(fd):
+    # p - 1 = 15 * 2**27: neither 7 nor 2**28 divides it
     with pytest.raises(UnsupportedOrder):
-        pk.root_of_unity(fd, 3)
+        pk.root_of_unity(fd, 7)
     with pytest.raises(UnsupportedOrder):
         pk.root_of_unity(fd, 2**28)
+    with pytest.raises(UnsupportedOrder):
+        pk.root_of_unity(pk.get_field(97), 64)  # 96 = 3 * 2**5
+
+
+def _is_primitive(w: int, order: int, p: int) -> bool:
+    primes = [q for q in (2, 3, 5) if order % q == 0]
+    return pow(w, order, p) == 1 and all(pow(w, order // q, p) != 1 for q in primes)
+
+
+@pytest.mark.parametrize("c", [3, 5, 15])
+def test_root_of_unity_mixed_orders(fd, c):
+    for k in (0, 1, 4, 27):
+        order = c * 2**k
+        assert _is_primitive(int(pk.root_of_unity(fd, order)), order, fd.p), order
+
+
+def test_root_of_unity_small_prime(f97):
+    for order in (3, 6, 32, 48, 96):
+        assert _is_primitive(int(pk.root_of_unity(f97, order)), order, 97), order
 
 
 def test_root_square_relation(fd):

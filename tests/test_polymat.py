@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit.errors import DimensionMismatch, FieldTooSmall, NotSquare, SingularInput, ZeroRow
+from polymatkit import ntt
+from polymatkit.errors import (DimensionMismatch, FieldTooSmall, NotSquare, PrimeMismatch,
+                               SingularInput, ZeroRow)
+from polymatkit.field import DEFAULT_PRIME
 from polymatkit.linalg import det as const_det
 from polymatkit.oracle import naive_mul
 from polymatkit.poly import MINUS_INFINITY
@@ -54,10 +57,68 @@ def test_mul_either_side_of_block_cut(fd, la, lb):
 
 
 def test_mul_small_prime_block_path(f97, rng):
-    # p=97 has two-adicity 5; large degrees exercise the quadratic block products
-    a = pk.rand_instance(2, 2, 40, 21, field=f97)
-    b = pk.rand_instance(2, 2, 40, 22, field=f97)
+    # p=97 supports NTT lengths up to 96 = 3 * 2**5; the product length 121
+    # exceeds them, so this product takes the quadratic block products
+    a = pk.rand_instance(2, 2, 60, 21, field=f97)
+    b = pk.rand_instance(2, 2, 60, 22, field=f97)
     assert pk.pm_mul(a, b) == naive_mul(a, b)
+
+
+def _counting_ntt(monkeypatch):
+    """Wrap ntt.ntt; returns the list of the arrays it transforms (shapes only)."""
+    seen = []
+    ntt_fn = ntt.ntt
+
+    def counting(arr, *args, **kwargs):
+        seen.append(arr.shape)
+        return ntt_fn(arr, *args, **kwargs)
+
+    monkeypatch.setattr(ntt, "ntt", counting)
+    return seen
+
+
+@pytest.mark.parametrize("p, lengths", [
+    (DEFAULT_PRIME, range(33, 49)),    # transform lengths 40 = 5 * 8 and 48 = 3 * 16
+    (DEFAULT_PRIME, range(65, 81)),    # 80 = 5 * 16
+    (DEFAULT_PRIME, range(97, 121)),   # 120 = 15 * 8
+    (97, range(33, 97)),               # 48 and 96: 97 has no root of unity of order 64
+])
+def test_mul_mixed_radix_lengths(p, lengths, monkeypatch):
+    fld = pk.get_field(p)
+    seen = _counting_ntt(monkeypatch)
+    for out_len in lengths:
+        la = (out_len + 1) // 2  # both operands have more than 16 slices
+        lb = out_len + 1 - la
+        a = pk.rand_instance(2, 3, la - 1, out_len, field=fld)
+        b = pk.rand_instance(3, 2, lb - 1, out_len + 1, field=fld)
+        assert a.coeffs.shape[0] == la and b.coeffs.shape[0] == lb
+        seen.clear()
+        assert pk.pm_mul(a, b) == naive_mul(a, b), out_len
+        assert [s[-1] for s in seen] == [ntt.transform_length(fld, out_len)] * 3, out_len
+
+
+def test_mul_no_padding_cliff(fd, monkeypatch):
+    # counts transform points, not time: one degree past a power of two must
+    # not double the transform length
+    seen = _counting_ntt(monkeypatch)
+    points = []
+    for d in (31, 32, 63, 64):
+        a = pk.rand_instance(4, 4, d, d, field=fd)
+        b = pk.rand_instance(4, 4, d, d + 1, field=fd)
+        seen.clear()
+        pk.pm_mul(a, b)
+        points.append(sum(np.prod(s) for s in seen))
+    assert 0 < points[1] <= 1.3 * points[0] and 0 < points[3] <= 1.3 * points[2], points
+
+
+def test_operands_over_different_primes(fd, f97):
+    a, b = PolyMatrix.identity(fd, 2), PolyMatrix.identity(f97, 2)
+    with pytest.raises(PrimeMismatch):
+        pk.pm_mul(a, b)
+    with pytest.raises(PrimeMismatch):
+        a + b
+    with pytest.raises(PrimeMismatch):
+        a - b
 
 
 @pytest.mark.parametrize("shape, d", [
