@@ -8,21 +8,33 @@ multiplied by x. ``pmbasis`` is its divide-and-conquer wrapper that halves
 the order, computes a residual, recurses, and multiplies the two partial
 bases together. Both return a basis N with N * F = 0 mod x**sigma whose
 sorted shifted row degrees are the minimal indices of the approximant module.
+
+Both also take a batch of B same-shape series (one level of the generic
+inverse or determinant), whose orders share one sort, one elimination on
+the block diagonal of the B residuals and one product: the Python work of
+an order is paid once, not B times, and each basis is what its own call
+returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .errors import OrderExceedsData
+from .errors import DimensionMismatch, OrderExceedsData
 from .linalg import PRODUCT_MULTS, mod_matmul, rref
 from .poly import MINUS_INFINITY
 from .polymat import PolyMatrix, SeriesMatrix, entry_degrees, int_degree, pm_mul, row_degrees
 
 # Below this order the recursion bottoms out into the iterative algorithm.
 PMBASIS_THRESHOLD = 64
+# Cells of the block-diagonal rref operand of one mbasis batch, B**2 n m: a
+# pivot step updates all of it, so pmbasis cuts larger batches. For
+# generic_inverse at n = 16-64, 128 to 1024 read alike; 2048 and no cut were slower.
+BATCH_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -60,17 +72,25 @@ def shifted_row_degrees(a: PolyMatrix, shift) -> list:
     return [int(d) if d != low else MINUS_INFINITY for d in shifted.max(axis=1, initial=low)]
 
 
-def _normalize_shift(shift, n: int) -> list:
-    if shift is None:
-        return [0] * n
-    shift = list(shift)
-    if len(shift) != n:
-        raise ValueError("shift length must equal the row count")
-    return shift
+def _as_batch(f, sigma: int, shift) -> tuple[list, list]:
+    """(series, normalized shifts) of one SeriesMatrix or of a batch of them."""
+    fs, shifts = ([f], [shift]) if isinstance(f, SeriesMatrix) else (list(f), shift)
+    shifts = [None] * len(fs) if shifts is None else list(shifts)
+    if not fs or len(shifts) != len(fs) or len({(g.rows, g.cols) for g in fs}) > 1:
+        raise DimensionMismatch("a batch needs one or more series of one shape, one shift each")
+    for g, s in zip(fs, shifts):
+        if sigma > g.order:
+            raise OrderExceedsData(f"order {sigma} exceeds stored series order {g.order}")
+        if s is not None and len(s) != g.rows:
+            raise ValueError("shift length must equal the row count")
+    return fs, [[0] * g.rows if s is None else list(s) for g, s in zip(fs, shifts)]
 
 
-def mbasis(f: SeriesMatrix, sigma: int, shift=None) -> ApproximantBasis:
+def mbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis | list:
     """Iterative minimal approximant basis of order sigma for f.
+
+    For a list f of B series, ``shift`` is None or a list of B shifts, and
+    the result is the list of their B bases.
 
     Order k costs one elimination and one product (GJV 2003). With the rows
     sorted by (shifted degree, index), the pivot columns of ``rref`` of the
@@ -78,29 +98,41 @@ def mbasis(f: SeriesMatrix, sigma: int, shift=None) -> ApproximantBasis:
     becomes row - lambda * (pivot rows), lambda read off the non-pivot
     columns: its constant residual vanishes and its shifted degree does not
     grow, as the pivot rows sort before it. Each pivot row is multiplied by
-    x. Row i of ``state`` is residual row i, then basis row i: the live
-    slices (residual k + 1 on, basis to the pivot rows' degree bound) are
-    one column range.
+    x. Row b n + i of ``state`` is residual row i of problem b, then basis
+    row i: the live slices (residual k + 1 on, basis to the pivot rows'
+    degree bound) are one column range. The B sorted residuals sit on the
+    block diagonal of the ``rref`` operand, so no pivot and no multiplier
+    mixes two problems.
     """
-    if sigma > f.order:
-        raise OrderExceedsData(f"order {sigma} exceeds stored series order {f.order}")
-    p, n, m = f.field.p, f.rows, f.cols
-    shift = _normalize_shift(shift, n)
+    fs, shifts = _as_batch(f, sigma, shift)
+    f0, batch = fs[0], len(fs)
+    p, n, m = f0.field.p, f0.rows, f0.cols
 
     split = sigma * m
-    state = np.zeros((n, split + (sigma + 1) * n), dtype=np.int64)
-    resid, basis = state[:, :split].reshape(n, sigma, m), state[:, split:].reshape(n, sigma + 1, n)
-    resid[:] = f.coeffs[:sigma].transpose(1, 0, 2)
-    basis[:, 0] = np.eye(n, dtype=np.int64)
-    work = np.array(shift, dtype=np.int64)
-    degs = np.zeros(n, dtype=np.int64)  # per-row degree bound of basis
+    state = np.zeros((batch * n, split + (sigma + 1) * n), dtype=np.int64)
+    resid = state[:, :split].reshape(batch * n, sigma, m)
+    basis = state[:, split:].reshape(batch * n, sigma + 1, n)
+    for b, g in enumerate(fs):
+        resid[b * n:(b + 1) * n] = g.coeffs[:sigma].transpose(1, 0, 2)
+    basis[:, 0] = np.tile(np.eye(n, dtype=np.int64), (batch, 1))
+    # sort keys: problem b's shifted degrees plus b * span (more than a key grows in
+    # sigma orders), so one stable sort orders the rows by (problem, degree, index)
+    low = min(min(s, default=0) for s in shifts)
+    span = max(max(s, default=0) for s in shifts) - low + sigma + 1
+    work = np.array([x - low + b * span for b, s in enumerate(shifts) for x in s], dtype=np.int64)
+    degs = np.zeros(batch * n, dtype=np.int64)  # per-row degree bound of basis
+    # rref operand; every order overwrites exactly its diagonal blocks
+    diag = np.zeros((batch * m, batch * n), dtype=np.int64)
+    blocks = as_strided(diag, (batch, m, n), (diag.strides[0] * m + diag.strides[1] * n,
+                                              *diag.strides))
 
     for k in range(sigma):
         order_rows = np.argsort(work, kind="stable")
-        echelon, piv = rref(resid[order_rows, k].T, p)
+        blocks[:] = resid[order_rows, k].reshape(batch, n, m).transpose(0, 2, 1)
+        echelon, piv = rref(diag, p)
         if not piv:
             continue
-        free = np.ones(n, dtype=bool)
+        free = np.ones(batch * n, dtype=bool)
         free[piv] = False
         piv_rows, dep_rows = order_rows[piv], order_rows[free]
         top = int(degs[piv_rows].max()) + 1
@@ -119,26 +151,41 @@ def mbasis(f: SeriesMatrix, sigma: int, shift=None) -> ApproximantBasis:
         work[piv_rows] += 1
         degs[piv_rows] += 1
 
-    mat = PolyMatrix(f.field, np.ascontiguousarray(basis.transpose(1, 0, 2)))
-    return ApproximantBasis(mat, sigma, row_degrees(mat), list(shift))
+    out = []
+    for b, s in enumerate(shifts):
+        rows = basis[b * n:(b + 1) * n]
+        mat = PolyMatrix(f0.field, np.ascontiguousarray(rows.transpose(1, 0, 2)))
+        out.append(ApproximantBasis(mat, sigma, row_degrees(mat), s))
+    return out[0] if isinstance(f, SeriesMatrix) else out
 
 
-def pmbasis(f: SeriesMatrix, sigma: int, shift=None) -> ApproximantBasis:
-    """Divide-and-conquer order basis; same contract as mbasis."""
-    if sigma > f.order:
-        raise OrderExceedsData(f"order {sigma} exceeds stored series order {f.order}")
-    shift = _normalize_shift(shift, f.rows)
+def pmbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis | list:
+    """Divide-and-conquer order basis; same contract as mbasis.
+
+    A batch runs in groups of at most sqrt(BATCH_CELLS / (n m)) problems;
+    the residuals and final products are formed problem by problem.
+    """
+    fs, shifts = _as_batch(f, sigma, shift)
+    group = max(1, math.isqrt(BATCH_CELLS // max(fs[0].rows * fs[0].cols, 1)))
+    if len(fs) > group:
+        return [basis for i in range(0, len(fs), group)
+                for basis in pmbasis(fs[i:i + group], sigma, shifts[i:i + group])]
     if sigma <= PMBASIS_THRESHOLD:
         return mbasis(f, sigma, shift)
     half = (sigma + 1) // 2
-    first = pmbasis(f.slice(0, half), half, shift)
-    # slices [half, sigma) of N * F need F only from half - deg N on
-    lo = max(half - int_degree(first.basis), 0)
-    resid = series_product(first.basis, f.slice(lo, sigma), sigma - lo)
-    resid = resid.slice(half - lo, sigma - lo)
-    shift2 = shifted_row_degrees(first.basis, shift)
-    # zero rows cannot occur in a non-singular basis, but keep the sort total
-    shift2 = [int(s) if s != MINUS_INFINITY else 0 for s in shift2]
-    second = pmbasis(resid, sigma - half, shift2)
-    mat = pm_mul(second.basis, first.basis)
-    return ApproximantBasis(mat, sigma, row_degrees(mat), list(shift))
+    firsts = pmbasis([g.slice(0, half) for g in fs], half, shifts)
+    resids, shifts2 = [], []
+    for g, first, s in zip(fs, firsts, shifts):
+        # slices [half, sigma) of N * F need F only from half - deg N on
+        lo = max(half - int_degree(first.basis), 0)
+        resid = series_product(first.basis, g.slice(lo, sigma), sigma - lo)
+        resids.append(resid.slice(half - lo, sigma - lo))
+        # zero rows cannot occur in a non-singular basis, but keep the sort total
+        shifts2.append([int(d) if d != MINUS_INFINITY else 0
+                        for d in shifted_row_degrees(first.basis, s)])
+    seconds = pmbasis(resids, sigma - half, shifts2)
+    out = []
+    for first, second, s in zip(firsts, seconds, shifts):
+        mat = pm_mul(second.basis, first.basis)
+        out.append(ApproximantBasis(mat, sigma, row_degrees(mat), s))
+    return out[0] if isinstance(f, SeriesMatrix) else out

@@ -17,6 +17,7 @@ the verification path itself can be tested end to end.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -312,7 +313,9 @@ def _cmd_bench(args, rng):
 
 # -- argument parsing --------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args fills a fresh Namespace on every call
     parser = argparse.ArgumentParser(
         prog="polymatkit",
         description="Exact polynomial matrix toolkit over a prime field.",

@@ -122,4 +122,5 @@ class ParseError(PolymatError):
 
 
 class PrimeMismatch(PolymatError):
-    """Operands over different primes: two input files, or the matrices of a sum or product."""
+    """Operands over different primes: two input files, or two field elements,
+    polynomials or matrices combined by one operation."""

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from sympy import factorint, isprime
 
-from .errors import UnsupportedOrder, UnsupportedPrime, ZeroInverse
+from .errors import PrimeMismatch, UnsupportedOrder, UnsupportedPrime, ZeroInverse
 
 DEFAULT_PRIME = 2013265921
 # Residues are multiplied in int64, so every kernel needs p < 2**31.
@@ -90,7 +90,7 @@ class FieldElement:
     def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
             if other.field != self.field:
-                raise ValueError("field mismatch")
+                raise PrimeMismatch(f"operands over p={self.field.p} and p={other.field.p}")
             return other.value
         return int(other) % self.field.p
 

@@ -71,7 +71,8 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p); returns (rref, pivot columns)."""
-    m = mat.astype(np.int64, copy=True) % p
+    m = np.array(mat, dtype=np.int64, order="C")  # row operations run faster on C order
+    m %= p
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -81,15 +82,17 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
-        pr = nz[0] + r
-        if pr != r:
+        if nz[0]:
+            pr = nz[0] + r
             m[[r, pr]] = m[[pr, r]]
-        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+        row = m[r]
+        row *= pow(int(row[c]), -1, p)
+        row %= p
         # clear column c outside row r; a full-matrix update beats gathering
-        # the nonzero rows, and p < 2**31 keeps m - factors * m[r] above -2**63
+        # the nonzero rows, and p < 2**31 keeps m - factors * row above -2**63
         factors = m[:, c].copy()
         factors[r] = 0
-        m -= factors[:, None] * m[r]
+        m -= factors[:, None] * row
         m %= p
         pivots.append(c)
         r += 1

@@ -48,15 +48,8 @@ def rank(a: PolyMatrix, seed=None) -> int:
     return const_rank(pm_eval(a, x0), a.field.p)
 
 
-def minimal_vectors_up_to(a: PolyMatrix, delta: int) -> NullspaceBasis:
-    """All minimal left nullspace vectors of A of degree at most delta.
-
-    Computes an order basis of order delta + deg(A) + 1 and keeps the rows
-    of degree at most delta; those are certified by an exact product check.
-    """
-    d = int_degree(a)
-    sigma = delta + d + 1
-    basis = pmbasis(a.to_series(sigma), sigma)
+def _select(a: PolyMatrix, basis, delta: int) -> NullspaceBasis:
+    """The rows of an order basis of degree at most delta, certified to annihilate A."""
     degs = row_degrees(basis.basis)
     sel = [i for i, dd in enumerate(degs) if dd != MINUS_INFINITY and dd <= delta]
     sel.sort(key=lambda i: (degs[i], i))
@@ -66,6 +59,27 @@ def minimal_vectors_up_to(a: PolyMatrix, delta: int) -> NullspaceBasis:
     if not pm_mul(rows, a).is_zero():
         raise NullspaceCheckFailure("order-basis rows of degree <= delta do not annihilate A")
     return NullspaceBasis(rows, [degs[i] for i in sel])
+
+
+def minimal_vectors_up_to(a: PolyMatrix | list, delta: int) -> NullspaceBasis | list:
+    """All minimal left nullspace vectors of A of degree at most delta.
+
+    Computes an order basis of order delta + deg(A) + 1 and keeps the rows
+    of degree at most delta; those are certified by an exact product check.
+    ``a`` may also be a list of matrices: the result is then the list of
+    their bases, from one batched order-basis call per shape and order.
+    """
+    if isinstance(a, PolyMatrix):
+        sigma = delta + int_degree(a) + 1
+        return _select(a, pmbasis(a.to_series(sigma), sigma), delta)
+    groups = {}
+    for i, mat in enumerate(a):
+        groups.setdefault((delta + int_degree(mat) + 1, mat.rows, mat.cols), []).append(i)
+    out = [None] * len(a)
+    for (sigma, _, _), idx in groups.items():
+        for i, basis in zip(idx, pmbasis([a[i].to_series(sigma) for i in idx], sigma)):
+            out[i] = _select(a[i], basis, delta)
+    return out
 
 
 def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DuplicateAbscissa
+from .errors import DuplicateAbscissa, PrimeMismatch
 from .field import FieldElement, PrimeField
 
 MINUS_INFINITY = -math.inf
@@ -88,7 +88,7 @@ class Polynomial:
 
     def _check(self, other: "Polynomial"):
         if self.field != other.field:
-            raise ValueError("field mismatch")
+            raise PrimeMismatch(f"operands over p={self.field.p} and p={other.field.p}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)

@@ -3,21 +3,23 @@ and left factorization from a right one.
 
 Inverse and determinant run the block-elimination recursion on power-of-two
 dimensions: at each round the two halves of every diagonal block are
-annihilated by minimal nullspace bases whose indices must all equal the
-expected degree (the generic pattern is the correctness certificate; any
-deviation raises GenericityFailure). Row reduction goes through
-expansion/reconstruction of the proper tail of A^{-1} and certifies its
-answer with the two transforms between A and R.
+annihilated by minimal nullspace bases, all from one batched call, whose
+indices must all equal the expected degree (the generic pattern is the
+correctness certificate; any deviation raises GenericityFailure). Row
+reduction goes through expansion/reconstruction of the proper tail of
+A^{-1} and certifies its answer with the two transforms between A and R.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    CertificateFailure, DimensionMismatch, GenericityFailure, NotPowerOfTwo, NotSquare,
+    CertificateFailure, DimensionMismatch, FieldTooSmall, GenericityFailure, NotPowerOfTwo,
+    NotSquare,
     ReconstructionFailure, SelfCheckFailure, SingularAtZero, SingularInput, WrongRowCount,
     ZeroRow,
 )
@@ -62,27 +64,29 @@ def _block_diag(blocks) -> PolyMatrix:
     return PolyMatrix(fld, out)
 
 
-def _elimination_pair(block: PolyMatrix, expected_deg: int):
-    """Nullspace bases of the two column halves, with the genericity check."""
-    s = block.rows
+def _elimination_level(blocks, expected_deg: int) -> list:
+    """(top, bottom, left, right) per block: the nullspace bases of its right
+    and left column halves, all from one batched call, genericity-checked."""
+    s = blocks[0].rows
     half = s // 2
-    left = block.take_cols(range(half))
-    right = block.take_cols(range(half, s))
-    top = minimal_vectors_up_to(right, expected_deg)      # annihilates the right half
-    bottom = minimal_vectors_up_to(left, expected_deg)    # annihilates the left half
-    for basis in (top, bottom):
+    halves = [h for b in blocks for h in (b.take_cols(range(half, s)), b.take_cols(range(half)))]
+    bases = minimal_vectors_up_to(halves, expected_deg)
+    for basis in bases:
         if basis.row_count != half or any(d != expected_deg for d in basis.kronecker_degrees):
             raise GenericityFailure(
                 f"expected {half} nullspace rows of degree {expected_deg}, "
                 f"got {basis.row_count} with degrees {basis.kronecker_degrees}"
             )
-    return top, bottom, left, right
+    return [(bases[i], bases[i + 1], halves[i + 1], halves[i]) for i in range(0, len(bases), 2)]
 
 
 def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
     """Diagonalizing transform for a generic A with power-of-two dimension.
 
-    The recursion draws nothing at random; ``seed`` is accepted and unused.
+    Each round makes one batched nullspace call for both halves of every
+    block. When a round fails its genericity check, ``regular_point(a,
+    seed)`` tells a singular A (SingularInput) from a non-generic one
+    (GenericityFailure); a successful call draws nothing at random.
     """
     _require_square(a)
     n = a.rows
@@ -93,10 +97,15 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
     step = 1
     while blocks[0].rows > 1:
         expected = 2 ** (step - 1) * d
+        try:
+            level = _elimination_level(blocks, expected)
+        except GenericityFailure:
+            with contextlib.suppress(FieldTooSmall):  # too few points to tell
+                regular_point(a, seed)  # raises SingularInput when A is singular
+            raise
         new_blocks = []
         round_transforms = []
-        for block in blocks:
-            top, bottom, left, right = _elimination_pair(block, expected)
+        for top, bottom, left, right in level:
             round_transforms.append(PolyMatrix.vstack([top.matrix, bottom.matrix]))
             new_blocks.append(pm_mul(top.matrix, left))
             new_blocks.append(pm_mul(bottom.matrix, right))
@@ -126,7 +135,7 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     step = 1
     while block.rows > 1:
         expected = 2 ** (step - 1) * d
-        top, _, left, _ = _elimination_pair(block, expected)
+        [(top, _, left, _)] = _elimination_level([block], expected)
         block = pm_mul(top.matrix, left)
         step += 1
     b11 = block.entry(0, 0)
@@ -182,6 +191,8 @@ def row_reduce(a: PolyMatrix, seed=None):
     n = a.rows
     d = int_degree(a)
     x0 = regular_point(a, seed)
+    if n == 0:  # T and W are 0 x 0 too; the certificate's row degrees would be empty
+        return a, {"shift": x0, "transform": a, "inverse": a}
     if d == 0:
         return a, _certify(a, a, x0)
 

@@ -10,7 +10,7 @@ from polymatkit.approxbasis import (
     pmbasis,
     shifted_row_degrees,
 )
-from polymatkit.errors import OrderExceedsData
+from polymatkit.errors import DimensionMismatch, OrderExceedsData
 from polymatkit.field import DEFAULT_PRIME
 from polymatkit.linalg import rank as const_rank
 from polymatkit.oracle import det_by_interpolation, minimal_basis_bruteforce
@@ -245,3 +245,56 @@ def test_shifted_row_degrees_match_entry_loop(f97, rng):
         shift = [int(s) for s in rng.integers(-3, 4, size=cols)]
         assert shifted_row_degrees(a, shift) == _shifted_degrees_ref(a, shift)
         assert pk.row_degrees(a) == _shifted_degrees_ref(a, [0] * cols)
+
+
+@pytest.mark.parametrize("p", [97, 65537, DEFAULT_PRIME])
+@pytest.mark.parametrize("algo", [mbasis, pmbasis])
+def test_batch_equals_separate_calls(p, algo):
+    fld = pk.get_field(p)
+    rng = np.random.default_rng(p + 1)
+    # orders on both sides of the leaf, so the batch also goes through the recursion
+    for i, sigma in enumerate([0, 1, 5, 12, PMBASIS_THRESHOLD, PMBASIS_THRESHOLD + 7] * 2):
+        batch, n = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        m = n + int(rng.integers(1, 3)) if i % 3 == 2 else int(rng.integers(1, n + 1))
+        arr = rng.integers(0, p, size=(batch, sigma, n, m))
+        arr[rng.random(arr.shape) < 0.1] = p - 1
+        if i % 4 == 1:
+            arr[int(rng.integers(0, batch))] = 0  # a zero problem inside the batch
+        fs = [series(fld, a) for a in arr]
+        # a small range, so ties are common; the plain batch gets no shift at all
+        shifts = [[int(s) for s in rng.integers(-2, 2, size=n)] for _ in fs] if i % 2 else None
+        got = algo(fs, sigma, shifts)
+        assert len(got) == batch
+        for b, (f, basis) in enumerate(zip(fs, got)):
+            one = algo(f, sigma, shifts[b] if shifts else None)
+            assert basis.basis == one.basis and basis.row_degrees == one.row_degrees
+            assert basis.shift == one.shift and basis.order == one.order == sigma
+            _check_order_basis(basis, f, sigma, one.shift)
+
+
+@pytest.mark.parametrize("cells", [24, 512])
+def test_batch_recursion_with_small_leaf(monkeypatch, cells):
+    # a small leaf makes the batch recurse; 24 cells cut it into batches of 2, 2 and 1
+    monkeypatch.setattr(approxbasis, "PMBASIS_THRESHOLD", 3)
+    monkeypatch.setattr(approxbasis, "BATCH_CELLS", cells)
+    fld = pk.get_field(97)
+    rng = np.random.default_rng(5)
+    fs = [series(fld, rng.integers(0, 97, size=(17, 3, 2))) for _ in range(5)]
+    shifts = [[0, 1, 1], [2, 0, 0], [0, 0, 0], [1, 1, 0], [0, 0, 5]]
+    got = pmbasis(fs, 17, shifts)
+    assert len(got) == 5
+    for basis, f, shift in zip(got, fs, shifts):
+        assert basis.basis == pmbasis(f, 17, shift).basis == mbasis(f, 17, shift).basis
+
+
+def test_batch_rejects_mixed_shapes_and_orders(f97):
+    f, g = SeriesMatrix.zero(f97, 4, 3, 2), SeriesMatrix.zero(f97, 4, 2, 2)
+    for algo in (mbasis, pmbasis):
+        with pytest.raises(DimensionMismatch):
+            algo([f, g], 4)
+        with pytest.raises(DimensionMismatch):
+            algo([], 4)
+        with pytest.raises(DimensionMismatch):
+            algo([f, f], 4, [[0, 0, 0]])
+        with pytest.raises(OrderExceedsData):
+            algo([f, SeriesMatrix.zero(f97, 3, 3, 2)], 4)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit.errors import PolymatError, UnsupportedOrder, UnsupportedPrime, ZeroInverse
+from polymatkit.errors import (PolymatError, PrimeMismatch, UnsupportedOrder, UnsupportedPrime,
+                               ZeroInverse)
 from polymatkit.field import FieldElement
 
 
@@ -116,3 +117,10 @@ def test_primes_from_2_to_the_31_are_rejected():
         pk.PrimeField(2147483659)  # the least prime above 2**31
     # typed, and not a ValueError, so the parser does not report it as a parse error
     assert issubclass(UnsupportedPrime, PolymatError) and not issubclass(UnsupportedPrime, ValueError)
+
+
+def test_element_prime_mismatch_is_typed(fd, f97):
+    a, b = fd.element(3), f97.element(3)
+    for op in (lambda: a + b, lambda: a * b, lambda: a - b):
+        with pytest.raises(PrimeMismatch, match="p=2013265921 and p=97"):
+            op()

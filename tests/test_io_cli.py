@@ -345,3 +345,18 @@ def test_cli_default_paths_call_no_oracle(tmp_path, fd, monkeypatch):
     # the documented fallback: det interpolates when n is not a power of two
     with pytest.raises(OracleCalled):
         main(["--seed", "5", "det", write("a3.pm", pk.rand_instance(3, 3, 2, 55, field=fd))])
+
+
+def test_cli_calls_share_no_state(tmp_path, fd, files, capsys):
+    assert cli.build_parser() is cli.build_parser()  # built once per process
+    _, pa, *_ = files
+    assert main(["--seed", "2", "--oracle", "det", str(pa)]) == 0
+    assert "oracle: agreement" in capsys.readouterr().err
+    assert main(["--seed", "2", "det", str(pa)]) == 0
+    assert "oracle" not in capsys.readouterr().err
+    dims = ["--n", "2", "--m", "3", "--d", "1"]
+    first, second = tmp_path / "r5.pm", tmp_path / "r7.pm"
+    assert main(["rand", *dims, "--seed", "5", "-o", str(first)]) == 0
+    assert main(["--seed", "7", "rand", *dims, "-o", str(second)]) == 0
+    assert pmio.load(first) == pk.rand_instance(2, 3, 1, 5, field=fd)
+    assert pmio.load(second) == pk.rand_instance(2, 3, 1, 7, field=fd)

@@ -110,6 +110,16 @@ def test_partial_nullspace_column(fd):
     assert pk.pm_mul(basis.matrix, a).is_zero()
 
 
+def test_minimal_vectors_batch_equals_separate_calls(fd, rng):
+    # two shapes and three degrees: one order-basis call per (order, shape) group
+    mats = [pk.rand_instance(6, 3, int(d), int(rng.integers(0, 2**31)), field=fd)
+            for d in (2, 2, 3, 0, 2)]
+    mats += [pk.rand_instance(4, 2, 2, 5, field=fd), singular_2x2(fd), PolyMatrix.zero(fd, 4, 2)]
+    for delta in (0, 2, 5):
+        got = minimal_vectors_up_to(mats, delta)
+        assert got == [minimal_vectors_up_to(a, delta) for a in mats]
+
+
 @pytest.mark.parametrize("rows, cols, d, delta", [(12, 8, 4, 8), (6, 4, 3, 10), (6, 3, 2, 4)])
 def test_partial_nullspace_matches_minimal_vectors(fd, rows, cols, d, delta):
     a = pk.rand_instance(rows, cols, d, 17 * rows + d, field=fd)

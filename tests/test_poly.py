@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit.errors import DuplicateAbscissa
+from polymatkit.errors import DuplicateAbscissa, PrimeMismatch
 from polymatkit.poly import MINUS_INFINITY, Polynomial
 from polymatkit.polymat import PolyMatrix
 
@@ -134,3 +134,10 @@ def test_shift_round_trip(fd, rng):
         x0 = int(rng.integers(0, fd.p))
         back = shift(shift(a, x0), (-x0) % fd.p)
         assert back == a
+
+
+def test_prime_mismatch_is_typed(fd, f97):
+    a, b = P(fd, 1, 2), P(f97, 1, 2)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(PrimeMismatch, match="p=2013265921 and p=97"):
+            op()

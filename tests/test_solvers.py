@@ -15,7 +15,8 @@ from polymatkit.errors import (
 )
 from polymatkit.linalg import det as const_det, rank as crank
 from polymatkit.oracle import det_by_interpolation, unimodular_equiv_check
-from polymatkit.polymat import PolyMatrix, pm_eval, pm_mul, row_degrees
+from polymatkit.nullspace import minimal_vectors_up_to
+from polymatkit.polymat import PolyMatrix, int_degree, pm_eval, pm_mul, row_degrees
 from polymatkit.reconstruct import LeftFactorization, matfrac_rec
 from polymatkit.solvers import (
     generic_det,
@@ -98,6 +99,51 @@ def test_inverse_diagonal_constant_multiple_of_det(fd, rng):
                 continue
             ratios.add(bv * pow(dv, -1, fd.p) % fd.p)
         assert len(ratios) == 1
+
+
+def per_half_inverse(a):
+    """The elimination recursion with one minimal_vectors_up_to call per column half."""
+    d, transform, blocks, step = int_degree(a), PolyMatrix.identity(a.field, a.rows), [a], 1
+    while blocks[0].rows > 1:
+        expected, rounds, nxt = 2 ** (step - 1) * d, [], []
+        for block in blocks:
+            s = block.rows
+            left, right = block.take_cols(range(s // 2)), block.take_cols(range(s // 2, s))
+            top, bottom = minimal_vectors_up_to(right, expected), minimal_vectors_up_to(left, expected)
+            rounds.append(PolyMatrix.vstack([top.matrix, bottom.matrix]))
+            nxt += [pm_mul(top.matrix, left), pm_mul(bottom.matrix, right)]
+        transform, blocks, step = pm_mul(solvers._block_diag(rounds), transform), nxt, step + 1
+    return transform, solvers._block_diag(blocks)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (4, 2), (8, 2), (16, 1)])
+def test_batched_levels_match_per_half_calls(fd, rng, n, d):
+    a = nonsingular_at_zero(fd, n, d, rng)
+    transform, diagonal = per_half_inverse(a)
+    rep = generic_inverse(a, 0)
+    assert rep.transform == transform and rep.diagonal == diagonal
+    # generic_det follows the upper-left branch: b_11 rescaled to det A(0) at x = 0
+    b11 = diagonal.entry(0, 0)
+    scale = const_det(pm_eval(a, 0), fd.p) * pow(int(b11.coeff(0)), -1, fd.p) % fd.p
+    assert generic_det(a, 0) == b11 * scale
+
+
+def test_inverse_singular_input_names_singularity(fd, f97):
+    planted = pk.rand_instance(4, 4, 2, 11, profile="planted-rank", rank=2, field=fd)
+    for a in (PolyMatrix.zero(f97, 4, 4), planted):
+        with pytest.raises(SingularInput):
+            generic_inverse(a, 3)
+
+
+def test_inverse_non_generic_input_still_raises_genericity(fd):
+    # det A = 1 - x^2: non-singular, but its nullspace degrees are not the generic ones
+    a = PolyMatrix.from_lists(fd, [[[1], [0, 1], [0], [0]], [[0, 1], [1], [0], [0]],
+                                   [[0], [0], [1], [0, 0, 1]], [[0], [0], [0], [1]]])
+    with pytest.raises(GenericityFailure):
+        generic_inverse(a, 3)
+    # det = x^2 + x vanishes on all of GF(2), too few points to show A non-singular
+    with pytest.raises(GenericityFailure):
+        generic_inverse(PolyMatrix.from_lists(pk.get_field(2), [[[0, 1, 1], [0]], [[0], [1]]]), 3)
 
 
 # -- generic determinant -----------------------------------------------------
@@ -239,6 +285,12 @@ def test_rowreduce_field_exhausted_raises_field_too_small():
     a = PolyMatrix.from_lists(f5, [[[0, 4, 0, 0, 0, 1]]])  # x^5 - x vanishes on GF(5)
     with pytest.raises(FieldTooSmall):
         row_reduce(a, 0)
+
+
+def test_rowreduce_empty_matrix(fd):
+    a = PolyMatrix.zero(fd, 0, 0)
+    reduced, cert = row_reduce(a, seed=1)
+    assert reduced == a and cert["transform"] == a and cert["inverse"] == a
 
 
 def test_rowreduce_constant_input(fd):
