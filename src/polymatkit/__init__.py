@@ -49,6 +49,7 @@ from .polymat import (
     leading_row_matrix,
     pm_eval,
     pm_mul,
+    pm_mul_batch,
     pm_shift_var,
     pm_truncate,
     row_degrees,
@@ -100,6 +101,7 @@ __all__ = [
     "partial_nullspace",
     "pm_eval",
     "pm_mul",
+    "pm_mul_batch",
     "pm_shift_var",
     "pm_truncate",
     "pmbasis",

@@ -11,9 +11,10 @@ sorted shifted row degrees are the minimal indices of the approximant module.
 
 Both also take a batch of B same-shape series (one level of the generic
 inverse or determinant), whose orders share one sort, one elimination on
-the block diagonal of the B residuals and one product: the Python work of
-an order is paid once, not B times, and each basis is what its own call
-returns.
+the block diagonal of the B residuals and one product, and whose
+``pmbasis`` glue makes one batched residual and one batched final product:
+the Python work is paid once, not B times, and each basis is what its own
+call returns.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import DimensionMismatch, OrderExceedsData
 from .linalg import PRODUCT_MULTS, mod_matmul, rref
 from .poly import MINUS_INFINITY
-from .polymat import PolyMatrix, SeriesMatrix, entry_degrees, int_degree, pm_mul, row_degrees
+from .polymat import (PolyMatrix, SeriesMatrix, entry_degrees, int_degree, pm_mul, pm_mul_batch,
+                      row_degrees)
 
 # Below this order the recursion bottoms out into the iterative algorithm.
 PMBASIS_THRESHOLD = 64
@@ -163,7 +165,7 @@ def pmbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis 
     """Divide-and-conquer order basis; same contract as mbasis.
 
     A batch runs in groups of at most sqrt(BATCH_CELLS / (n m)) problems;
-    the residuals and final products are formed problem by problem.
+    the residuals and the final products of a group are one batched product each.
     """
     fs, shifts = _as_batch(f, sigma, shift)
     group = max(1, math.isqrt(BATCH_CELLS // max(fs[0].rows * fs[0].cols, 1)))
@@ -174,18 +176,16 @@ def pmbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis 
         return mbasis(f, sigma, shift)
     half = (sigma + 1) // 2
     firsts = pmbasis([g.slice(0, half) for g in fs], half, shifts)
-    resids, shifts2 = [], []
-    for g, first, s in zip(fs, firsts, shifts):
-        # slices [half, sigma) of N * F need F only from half - deg N on
-        lo = max(half - int_degree(first.basis), 0)
-        resid = series_product(first.basis, g.slice(lo, sigma), sigma - lo)
-        resids.append(resid.slice(half - lo, sigma - lo))
-        # zero rows cannot occur in a non-singular basis, but keep the sort total
-        shifts2.append([int(d) if d != MINUS_INFINITY else 0
-                        for d in shifted_row_degrees(first.basis, s)])
+    # slices [half, sigma) of N * F need F only from half - deg N on
+    los = [max(half - int_degree(first.basis), 0) for first in firsts]
+    prods = pm_mul_batch([first.basis for first in firsts],
+                         [g.slice(lo, sigma).to_polymat() for g, lo in zip(fs, los)])
+    resids = [prod.to_series(sigma - lo).slice(half - lo, sigma - lo)
+              for prod, lo in zip(prods, los)]
+    # zero rows cannot occur in a non-singular basis, but keep the sort total
+    shifts2 = [[int(d) if d != MINUS_INFINITY else 0 for d in shifted_row_degrees(first.basis, s)]
+               for first, s in zip(firsts, shifts)]
     seconds = pmbasis(resids, sigma - half, shifts2)
-    out = []
-    for first, second, s in zip(firsts, seconds, shifts):
-        mat = pm_mul(second.basis, first.basis)
-        out.append(ApproximantBasis(mat, sigma, row_degrees(mat), s))
+    mats = pm_mul_batch([second.basis for second in seconds], [first.basis for first in firsts])
+    out = [ApproximantBasis(mat, sigma, row_degrees(mat), s) for mat, s in zip(mats, shifts)]
     return out[0] if isinstance(f, SeriesMatrix) else out

@@ -69,12 +69,9 @@ class RankDeficient(PolymatError):
     """A full-column-rank precondition failed."""
 
 
-class RetriesExhausted(PolymatError):
-    """A Las Vegas routine gave up after its retry budget."""
-
-
 class NullspaceCheckFailure(SelfCheckFailure):
-    """Order-basis rows selected as nullspace vectors do not annihilate the input."""
+    """Order-basis rows selected as nullspace vectors do not annihilate the input,
+    or are dependent at a point, which a minimal basis never is."""
 
 
 class CapTooSmall(PolymatError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError, PrimeMismatch
 from .field import PrimeField, get_field
-from .polymat import PolyMatrix
+from .polymat import PolyMatrix, entry_degrees
 
 FORMAT_TAG = "polymat"
 FORMAT_VERSION = 1
@@ -34,14 +34,12 @@ def serialize(a: PolyMatrix) -> str:
         f"p {a.field.p}",
         f"dims {a.rows} {a.cols}",
     ]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            col = a.coeffs[:, i, j]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            cs = " ".join(str(int(c)) for c in col[: nz[-1] + 1])
-            lines.append(f"e {i} {j} {cs}")
+    # one conversion to Python ints per matrix; each entry ends at its degree
+    degs = entry_degrees(a).tolist()
+    for i, row in enumerate(a.coeffs.transpose(1, 2, 0).tolist()):
+        for j, col in enumerate(row):
+            if degs[i][j] >= 0:
+                lines.append(f"e {i} {j} " + " ".join(map(str, col[: degs[i][j] + 1])))
     return "\n".join(lines) + "\n"
 
 

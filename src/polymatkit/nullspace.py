@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approxbasis import pmbasis
-from .errors import FieldTooSmall, NullspaceCheckFailure, RankDeficient, RetriesExhausted
+from .errors import FieldTooSmall, NullspaceCheckFailure, RankDeficient
 from .linalg import rank as const_rank
 from .poly import MINUS_INFINITY
-from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul, row_degrees
+from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul_batch, row_degrees
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,25 @@ def rank(a: PolyMatrix, seed=None) -> int:
     return const_rank(pm_eval(a, x0), a.field.p)
 
 
-def _select(a: PolyMatrix, basis, delta: int) -> NullspaceBasis:
-    """The rows of an order basis of degree at most delta, certified to annihilate A."""
-    degs = row_degrees(basis.basis)
-    sel = [i for i, dd in enumerate(degs) if dd != MINUS_INFINITY and dd <= delta]
-    sel.sort(key=lambda i: (degs[i], i))
-    if not sel:
-        return _empty_basis(a)
-    rows = basis.basis.take_rows(sel)
-    if not pm_mul(rows, a).is_zero():
-        raise NullspaceCheckFailure("order-basis rows of degree <= delta do not annihilate A")
-    return NullspaceBasis(rows, [degs[i] for i in sel])
+def _select(mats: list, bases: list, delta: int) -> list:
+    """Per matrix A, the rows of its order basis of degree at most delta, certified
+    to annihilate A by one batched product check per selected row count."""
+    picks = []
+    for basis in bases:
+        degs = row_degrees(basis.basis)
+        sel = [i for i, dd in enumerate(degs) if dd != MINUS_INFINITY and dd <= delta]
+        sel.sort(key=lambda i: (degs[i], i))
+        picks.append((basis.basis.take_rows(sel), [degs[i] for i in sel]))
+    by_count = {}
+    for j, (rows, _) in enumerate(picks):
+        if rows.rows:
+            by_count.setdefault(rows.rows, []).append(j)
+    for idx in by_count.values():
+        if not all(c.is_zero() for c in pm_mul_batch([picks[j][0] for j in idx],
+                                                     [mats[j] for j in idx])):
+            raise NullspaceCheckFailure("order-basis rows of degree <= delta do not annihilate A")
+    return [NullspaceBasis(rows, degs) if rows.rows else _empty_basis(a)
+            for a, (rows, degs) in zip(mats, picks)]
 
 
 def minimal_vectors_up_to(a: PolyMatrix | list, delta: int) -> NullspaceBasis | list:
@@ -67,18 +75,21 @@ def minimal_vectors_up_to(a: PolyMatrix | list, delta: int) -> NullspaceBasis | 
     Computes an order basis of order delta + deg(A) + 1 and keeps the rows
     of degree at most delta; those are certified by an exact product check.
     ``a`` may also be a list of matrices: the result is then the list of
-    their bases, from one batched order-basis call per shape and order.
+    their bases, from one batched order-basis call and one batched check
+    per shape and order.
     """
     if isinstance(a, PolyMatrix):
         sigma = delta + int_degree(a) + 1
-        return _select(a, pmbasis(a.to_series(sigma), sigma), delta)
+        return _select([a], [pmbasis(a.to_series(sigma), sigma)], delta)[0]
     groups = {}
     for i, mat in enumerate(a):
         groups.setdefault((delta + int_degree(mat) + 1, mat.rows, mat.cols), []).append(i)
     out = [None] * len(a)
     for (sigma, _, _), idx in groups.items():
-        for i, basis in zip(idx, pmbasis([a[i].to_series(sigma) for i in idx], sigma)):
-            out[i] = _select(a[i], basis, delta)
+        mats = [a[i] for i in idx]
+        found = _select(mats, pmbasis([m.to_series(sigma) for m in mats], sigma), delta)
+        for i, basis in zip(idx, found):
+            out[i] = basis
     return out
 
 
@@ -124,8 +135,9 @@ def general_nullspace(a: PolyMatrix, seed=None) -> NullspaceBasis:
         if found.row_count >= target or delta >= cap:
             break
         delta *= 2
+    # a minimal basis has full rank at every point (Forney), so only a wrong one fails here
     x0 = int(rng.integers(0, a.field.p))
     got = found.row_count
     if got and const_rank(pm_eval(found.matrix, x0), a.field.p) < got:
-        raise RetriesExhausted("nullspace rows dependent at a random point")
+        raise NullspaceCheckFailure("nullspace rows dependent at a random point")
     return NullspaceBasis(found.matrix, found.kronecker_degrees, input_rank=n - got)

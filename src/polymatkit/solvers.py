@@ -28,8 +28,8 @@ from .linalg import det as const_det
 from .nullspace import general_nullspace, minimal_vectors_up_to
 from .poly import Polynomial
 from .polymat import (
-    PolyMatrix, int_degree, is_row_reduced, pm_eval, pm_mul, pm_shift_var, pm_truncate,
-    regular_point, row_degrees,
+    PolyMatrix, int_degree, is_row_reduced, pm_eval, pm_mul, pm_mul_batch, pm_shift_var,
+    pm_truncate, regular_point, row_degrees,
 )
 from .reconstruct import LeftFactorization, matfrac_rec
 
@@ -84,9 +84,11 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
     """Diagonalizing transform for a generic A with power-of-two dimension.
 
     Each round makes one batched nullspace call for both halves of every
-    block. When a round fails its genericity check, ``regular_point(a,
-    seed)`` tells a singular A (SingularInput) from a non-generic one
-    (GenericityFailure); a successful call draws nothing at random.
+    block, one batched product for the new blocks and one for the transform,
+    each block's rows by its own round transform. When a round fails its
+    genericity check, ``regular_point(a, seed)`` tells a singular A
+    (SingularInput) from a non-generic one (GenericityFailure); a
+    successful call draws nothing at random.
     """
     _require_square(a)
     n = a.rows
@@ -103,14 +105,13 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
             with contextlib.suppress(FieldTooSmall):  # too few points to tell
                 regular_point(a, seed)  # raises SingularInput when A is singular
             raise
-        new_blocks = []
-        round_transforms = []
-        for top, bottom, left, right in level:
-            round_transforms.append(PolyMatrix.vstack([top.matrix, bottom.matrix]))
-            new_blocks.append(pm_mul(top.matrix, left))
-            new_blocks.append(pm_mul(bottom.matrix, right))
-        transform = pm_mul(_block_diag(round_transforms), transform)
-        blocks = new_blocks
+        s = blocks[0].rows
+        blocks = pm_mul_batch([b.matrix for top, bottom, _, _ in level for b in (top, bottom)],
+                              [half for _, _, left, right in level for half in (left, right)])
+        # the round's transform is block diagonal: block j multiplies rows j s .. j s + s - 1
+        rounds = [PolyMatrix.vstack([top.matrix, bottom.matrix]) for top, bottom, _, _ in level]
+        own_rows = [transform.take_rows(range(j * s, (j + 1) * s)) for j in range(len(level))]
+        transform = PolyMatrix.vstack(pm_mul_batch(rounds, own_rows))
         step += 1
 
     diagonal = _block_diag(blocks)

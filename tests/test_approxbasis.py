@@ -15,7 +15,7 @@ from polymatkit.field import DEFAULT_PRIME
 from polymatkit.linalg import rank as const_rank
 from polymatkit.oracle import det_by_interpolation, minimal_basis_bruteforce
 from polymatkit.poly import MINUS_INFINITY
-from polymatkit.polymat import PolyMatrix, SeriesMatrix
+from polymatkit.polymat import PolyMatrix, SeriesMatrix, int_degree
 
 
 def series(field, arr):
@@ -285,6 +285,27 @@ def test_batch_recursion_with_small_leaf(monkeypatch, cells):
     assert len(got) == 5
     for basis, f, shift in zip(got, fs, shifts):
         assert basis.basis == pmbasis(f, 17, shift).basis == mbasis(f, 17, shift).basis
+
+
+@pytest.mark.parametrize("p", [97, DEFAULT_PRIME])
+def test_batch_glue_above_the_leaf(p):
+    # at the real leaf, sigma > PMBASIS_THRESHOLD recurses once: the residuals and final
+    # products are one batched product each, over first bases of different degrees
+    fld = pk.get_field(p)
+    rng = np.random.default_rng(p)
+    sigma, n, m = PMBASIS_THRESHOLD + 9, 4, 2
+    arr = rng.integers(0, p, size=(4, sigma, n, m))
+    arr[1] = 0                   # the zero series: its first basis is the identity
+    arr[2, :, :, 1] = 0          # a zero column: a lower-degree first basis
+    arr[3, : sigma // 2] = 0     # f = O(x^(sigma/2))
+    fs = [series(fld, a) for a in arr]
+    shifts = [[0, 1, 2, 3], None, [3, 0, 0, 1], [0, 0, 0, 0]]
+    got = pmbasis(fs, sigma, shifts)
+    firsts = pmbasis([f.slice(0, (sigma + 1) // 2) for f in fs], (sigma + 1) // 2, shifts)
+    assert len({int_degree(b.basis) for b in firsts}) > 1  # operands of several lengths
+    for basis, f, shift in zip(got, fs, shifts):
+        assert basis.basis == mbasis(f, sigma, shift).basis
+        _check_order_basis(basis, f, sigma, shift or [0] * n)
 
 
 def test_batch_rejects_mixed_shapes_and_orders(f97):

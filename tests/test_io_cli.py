@@ -15,6 +15,23 @@ def test_serialize_identity_round_trip(fd):
     assert pmio.parse(text) == i2
 
 
+def test_serialize_matches_fixture_byte_for_byte(f97):
+    # zero entries are omitted; each entry stops at its own degree, inner zeros kept
+    a = PolyMatrix.from_lists(f97, [[[1, 2, 0, 3], [0], [5]],
+                                    [[0, 0], [0, 0, 96], [7, 8]]])
+    assert pmio.serialize(a) == (
+        "polymat 1\n"
+        "p 97\n"
+        "dims 2 3\n"
+        "e 0 0 1 2 0 3\n"
+        "e 0 2 5\n"
+        "e 1 1 0 0 96\n"
+        "e 1 2 7 8\n"
+    )
+    assert pmio.serialize(PolyMatrix.zero(f97, 2, 2)) == "polymat 1\np 97\ndims 2 2\n"
+    assert pmio.serialize(PolyMatrix.zero(f97, 0, 3)) == "polymat 1\np 97\ndims 0 3\n"
+
+
 def test_omitted_entries_are_zero(fd):
     text = f"polymat 1\np {fd.p}\ndims 2 2\ne 0 0 1\n"
     got = pmio.parse(text)

@@ -162,6 +162,43 @@ def test_general_nullspace_outer_product(fd, rng):
     assert max(basis.kronecker_degrees) <= 4 * 1  # n*d bound
 
 
+def _dependent_basis(monkeypatch):
+    """Make minimal_vectors_up_to return its first row twice: it still annihilates
+    A, but it is dependent at every point, which no minimal basis is."""
+    real = nullspace.minimal_vectors_up_to
+
+    def doubled(a, delta):
+        found = real(a, delta)
+        if not found.row_count:
+            return found
+        row = found.matrix.take_rows([0] * found.row_count)
+        return nullspace.NullspaceBasis(row, [found.kronecker_degrees[0]] * found.row_count)
+
+    monkeypatch.setattr(nullspace, "minimal_vectors_up_to", doubled)
+
+
+def _rank_one_3x3(fd):
+    u, v = pk.rand_instance(3, 1, 1, 141, field=fd), pk.rand_instance(1, 3, 1, 142, field=fd)
+    return pk.pm_mul(u, v)
+
+
+def test_general_nullspace_dependent_rows_fail_the_self_check(fd, monkeypatch):
+    _dependent_basis(monkeypatch)
+    with pytest.raises(NullspaceCheckFailure, match="dependent"):
+        general_nullspace(_rank_one_3x3(fd), 1)
+
+
+def test_cli_nullspace_dependent_rows_exit_2(fd, monkeypatch, tmp_path, capsys):
+    from polymatkit import io as pmio
+    from polymatkit.cli import main
+
+    _dependent_basis(monkeypatch)
+    path = tmp_path / "a.pm"
+    pmio.save(path, _rank_one_3x3(fd))
+    assert main(["--seed", "1", "nullspace", str(path)]) == 2
+    assert "dependent" in capsys.readouterr().err
+
+
 def test_general_nullspace_unbalanced_profile(fd):
     a = pk.rand_instance(
         4, 4, 2, 121, profile="planted-unbalanced-nullspace", field=fd

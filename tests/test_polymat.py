@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit import ntt
+from polymatkit import ntt, polymat
 from polymatkit.errors import (DimensionMismatch, FieldTooSmall, NotSquare, PrimeMismatch,
                                SingularInput, ZeroRow)
 from polymatkit.field import DEFAULT_PRIME
+from polymatkit.linalg import PRODUCT_MULTS
 from polymatkit.linalg import det as const_det
 from polymatkit.oracle import naive_mul
 from polymatkit.poly import MINUS_INFINITY
@@ -123,7 +124,7 @@ def test_operands_over_different_primes(fd, f97):
 
 @pytest.mark.parametrize("shape, d", [
     ((16, 16, 16), 64),   # one slice of A per block product, 65 of them
-    ((4, 4, 4), 64),      # 31 slices of A per block product, the last has 3
+    ((4, 4, 4), 64),      # 63 slices of A per block product, the last has 2
     ((16, 16, 2), 64),
     ((3, 70, 2), 5),      # inner dimension above the float64 chunk of 42
     ((3, 70, 2), 30),
@@ -151,6 +152,95 @@ def test_mul_block_path_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    kernel = getattr(polymat, name)
+
+    def spy(a, b, *rest):
+        calls.append((a.shape, b.shape))
+        return kernel(a, b, *rest)
+
+    monkeypatch.setattr(polymat, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 2**31 - 1, 97])
+def test_mul_batch_equals_pairwise(p, monkeypatch):
+    fld = pk.get_field(p)
+    rng = np.random.default_rng(p % 1009)
+    ntt_calls, block_calls = _spy(monkeypatch, "_mul_ntt"), _spy(monkeypatch, "_mul_blocks")
+    # (n, k, m, degrees of a, degrees of b): long operands for the NTT (except at
+    # 2^31 - 1, which has none), short ones for the blocks, lengths mixed in a batch
+    cases = [(3, 4, 2, [20, 31, 17, 25], [24, 18, 30, 17]),
+             (3, 4, 2, [2, 9, 0, 15], [15, 4, 7, 1]),
+             (2, 2, 2, [12], [40]),
+             (5, 3, 1, [3, 40, 17], [30, 2, 17]),
+             (1, 1, 1, [0, 0], [0, 5])]
+    for n, k, m, da, db in cases:
+        a = [pk.rand_instance(n, k, d, int(rng.integers(1 << 30)), field=fld) for d in da]
+        b = [pk.rand_instance(k, m, d, int(rng.integers(1 << 30)), field=fld) for d in db]
+        if len(a) > 1:
+            a[0] = PolyMatrix.zero(fld, n, k)  # a zero operand inside the batch
+        before = len(ntt_calls) + len(block_calls)
+        got = pk.pm_mul_batch(a, b)
+        assert len(ntt_calls) + len(block_calls) == before + 1  # one kernel call per batch
+        assert got == [pk.pm_mul(x, y) for x, y in zip(a, b)]
+        assert got == [naive_mul(x, y) for x, y in zip(a, b)]
+    assert block_calls and (ntt_calls or p == 2**31 - 1)
+    assert max(shape[0][1] for shape in ntt_calls + block_calls) == 3  # B in the second axis
+
+
+def test_mul_batch_edge_shapes(fd):
+    a = pk.rand_instance(2, 3, 4, 51, field=fd)
+    b = pk.rand_instance(3, 2, 20, 52, field=fd)
+    assert pk.pm_mul_batch([], []) == []
+    assert pk.pm_mul_batch([a], [b]) == [pk.pm_mul(a, b)]
+    zero = PolyMatrix.zero(fd, 2, 3)
+    assert pk.pm_mul_batch([zero, zero], [b, b]) == [PolyMatrix.zero(fd, 2, 2)] * 2
+    for n, k, m in ((0, 3, 2), (2, 0, 2), (2, 3, 0)):
+        x, y = PolyMatrix.zero(fd, n, k), PolyMatrix.zero(fd, k, m)
+        got = pk.pm_mul_batch([x, x], [y, y])
+        assert got == [PolyMatrix.zero(fd, n, m)] * 2 and got[0].coeffs.shape == (1, n, m)
+
+
+def test_mul_batch_rejects_mismatches(fd, f97):
+    a, b = PolyMatrix.identity(fd, 2), pk.rand_instance(2, 3, 2, 53, field=fd)
+    with pytest.raises(DimensionMismatch):
+        pk.pm_mul_batch([a, a], [b])
+    with pytest.raises(DimensionMismatch):
+        pk.pm_mul_batch([a, a], [b, PolyMatrix.zero(fd, 2, 2)])
+    with pytest.raises(DimensionMismatch):
+        pk.pm_mul_batch([a, PolyMatrix.identity(fd, 3)], [b, b])
+    with pytest.raises(DimensionMismatch):
+        pk.pm_mul_batch([b, b], [b, b])
+    with pytest.raises(PrimeMismatch):
+        pk.pm_mul_batch([a, PolyMatrix.identity(f97, 2)], [b, b])
+    with pytest.raises(PrimeMismatch):
+        pk.pm_mul_batch([a, a], [b, PolyMatrix.zero(f97, 2, 3)])
+
+
+def test_mul_block_chunks_capped_by_multiplications(monkeypatch):
+    # every chunk GEMM of _mul_blocks stays within PRODUCT_MULTS unless it is one slice
+    seen = []
+    real = polymat.mul_split
+
+    def spy(a, b_split, p):
+        seen.append((a.shape, sum(b.shape[-2] for b in b_split) // 2, b_split[0].shape[-1]))
+        return real(a, b_split, p)
+
+    monkeypatch.setattr(polymat, "mul_split", spy)
+    fld = pk.get_field(2**31 - 1)
+    cases = ((16, 16, 16, 8, 1), (4, 4, 4, 64, 1), (2, 3, 2, 9, 5), (16, 16, 16, 64, 2))
+    for n, k, m, d, batch in cases:
+        a = [pk.rand_instance(n, k, d, 60 + i, field=fld) for i in range(batch)]
+        b = [pk.rand_instance(k, m, d, 70 + i, field=fld) for i in range(batch)]
+        seen.clear()
+        assert pk.pm_mul_batch(a, b) == [naive_mul(x, y) for x, y in zip(a, b)]
+        for (bat, rows, inner), inner2, cols in seen:
+            assert inner == inner2 == k
+            assert rows == n or bat * rows * inner * cols <= PRODUCT_MULTS
 
 
 def test_mul_dimension_mismatch(fd):

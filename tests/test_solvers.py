@@ -116,7 +116,7 @@ def per_half_inverse(a):
     return transform, solvers._block_diag(blocks)
 
 
-@pytest.mark.parametrize("n, d", [(2, 3), (4, 2), (8, 2), (16, 1)])
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (4, 2), (8, 2), (16, 1), (32, 1)])
 def test_batched_levels_match_per_half_calls(fd, rng, n, d):
     a = nonsingular_at_zero(fd, n, d, rng)
     transform, diagonal = per_half_inverse(a)
