@@ -10,7 +10,7 @@ brute-force search over degree-bounded linear systems finds the same ones.
 import numpy as np
 
 import polymatkit as pk
-from polymatkit.approxbasis import order_residual
+from polymatkit.approxbasis import series_product
 from polymatkit.oracle import minimal_basis_bruteforce
 
 f97 = pk.get_field(97)
@@ -29,7 +29,7 @@ print("pmbasis row degrees:", basis.row_degrees)
 print("sorted (the minimal indices):", basis.minimal_indices)
 print("row reduced?", pk.is_row_reduced(basis.basis))
 
-resid = order_residual(basis.basis, f, sigma)
+resid = series_product(basis.basis, f, sigma).coeffs
 print("residual N*F mod x^sigma all zero?", not resid.any())
 print()
 

@@ -45,7 +45,6 @@ from .polymat import (
     PolyMatrix,
     SeriesMatrix,
     is_row_reduced,
-    is_unimodular,
     leading_row_matrix,
     pm_eval,
     pm_mul,
@@ -90,7 +89,6 @@ __all__ = [
     "generic_inverse",
     "get_field",
     "is_row_reduced",
-    "is_unimodular",
     "leading_row_matrix",
     "left_factorization",
     "load",

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionMismatch, OrderExceedsData
-from .linalg import PRODUCT_MULTS, mod_matmul, rref
+from .linalg import PRODUCT_MULTS, mul_unreduced, rref, split_right
 from .poly import MINUS_INFINITY
 from .polymat import (PolyMatrix, SeriesMatrix, entry_degrees, int_degree, pm_mul, pm_mul_batch,
                       row_degrees)
@@ -59,11 +59,6 @@ class ApproximantBasis:
 def series_product(a: PolyMatrix, f: SeriesMatrix, order: int) -> SeriesMatrix:
     """(a * f) mod x**order as a SeriesMatrix."""
     return pm_mul(a, f.to_polymat()).to_series(order)
-
-
-def order_residual(n: PolyMatrix, f: SeriesMatrix, sigma: int) -> np.ndarray:
-    """Coefficient slices of (n * f) mod x**sigma; all-zero iff n approximates f."""
-    return series_product(n, f, sigma).coeffs
 
 
 def shifted_row_degrees(a: PolyMatrix, shift) -> list:
@@ -143,8 +138,9 @@ def mbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis |
             end, step = split + top * n, max(1, PRODUCT_MULTS // lam.size)
             for lo in range((k + 1) * m, end, step):
                 live = slice(lo, min(lo + step, end))
-                upd = state[dep_rows, live] - mod_matmul(lam, state[piv_rows, live], p)
-                upd += (upd >> 63) & p  # from (-p, p) to [0, p) without a division
+                pivot_part = mul_unreduced(lam, split_right(state[piv_rows, live]), p)
+                upd = state[dep_rows, live] - pivot_part
+                upd %= p  # reduces the product and the subtraction at once
                 state[dep_rows, live] = upd
             degs[dep_rows] = np.maximum(degs[dep_rows], top - 1)
         basis[piv_rows, 1:top + 1] = basis[piv_rows, :top]
@@ -156,7 +152,7 @@ def mbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis |
     out = []
     for b, s in enumerate(shifts):
         rows = basis[b * n:(b + 1) * n]
-        mat = PolyMatrix(f0.field, np.ascontiguousarray(rows.transpose(1, 0, 2)))
+        mat = PolyMatrix._canonical(f0.field, np.ascontiguousarray(rows.transpose(1, 0, 2)))
         out.append(ApproximantBasis(mat, sigma, row_degrees(mat), s))
     return out[0] if isinstance(f, SeriesMatrix) else out
 

@@ -89,7 +89,7 @@ def _quo_x_power(a: PolyMatrix, k: int) -> PolyMatrix:
     """Quotient of the division by x**k, dropping the low part."""
     if a.coeffs.shape[0] <= k:
         return PolyMatrix.zero(a.field, a.rows, a.cols)
-    return PolyMatrix(a.field, a.coeffs[k:])
+    return PolyMatrix._canonical(a.field, a.coeffs[k:])
 
 
 def exact_x_power_divide(a: PolyMatrix, k: int) -> PolyMatrix:

@@ -3,9 +3,13 @@
 All matrices are numpy arrays of canonical residues in [0, p). The prime is
 assumed to fit in 31 bits so that a*b fits in an int64. Matrix products run
 on float64 BLAS over 16-bit limbs, in chunks of the inner dimension short
-enough for every partial sum to be exact (see ``_CHUNK``). Elimination
-stays in int64: a pivot step of ``rref`` or ``det`` is one ``nonzero`` and
-one broadcast update of the other rows (the rows below, for ``det``).
+enough for every partial sum to be exact (see ``_CHUNK``). Reduction is
+delayed (Dumas, Giorgi & Pernet, ACM TOMS 2008): ``mul_unreduced`` adds the
+chunks' exact results in int64, each below 2**53, so an int64 cell holds
+up to ``TERMS`` of them before it must be reduced, and ``mul_split`` reduces
+each output cell once. Elimination stays in int64: a pivot step of ``rref``
+or ``det`` is one ``nonzero`` and one broadcast update of the other rows
+(the rows below, for ``det``).
 """
 
 from __future__ import annotations
@@ -18,8 +22,13 @@ _SPLIT = 1 << 16
 # Inner-dimension chunk of the float64 products. Inner index i adds
 # (a_i 2**16 mod p) hi_i + a_i lo_i < 3 * 2**46 to a dot product (p < 2**31,
 # so hi < 2**15 and lo < 2**16); 42 such terms sum to less than 2**53, so
-# every partial sum is exact in float64.
+# every partial sum is exact in float64, and a chunk's result is an int64
+# below 2**53.
 _CHUNK = 42
+# Chunk results (each below 2**53) an int64 accumulator holds without
+# reduction: TERMS * 2**53 + p < 2**63. An inner dimension k gives
+# ceil(k / 42) of them per output cell of mul_unreduced.
+TERMS = 1023
 # Multiplications per piece where callers cut wide products into column
 # ranges: OpenBLAS runs a GEMM this small on one thread (two threads have
 # taken 8 ms instead of 0.3 ms per call on a busy 2-core machine).
@@ -39,11 +48,14 @@ def split_right(b: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def mul_split(a: np.ndarray, b_split: list[np.ndarray], p: int) -> np.ndarray:
-    """Exact a @ b mod p from b's ``split_right`` chunks.
+def mul_unreduced(a: np.ndarray, b_split: list[np.ndarray], p: int) -> np.ndarray:
+    """a @ b congruent mod p, unreduced: each cell is an int64 in [0, w 2**53).
 
-    Each chunk forms [a 2**16 mod p | a] @ [hi; lo] in float64 and reduces
-    it in int64.
+    w = min(len(b_split), TERMS), which is ceil(k / 42) for an inner
+    dimension k up to 42 TERMS. Each chunk forms [a 2**16 mod p | a] @
+    [hi; lo] exactly in float64; the chunk results are summed in int64 and
+    reduced after every TERMS of them (each is below 2**53 - 2**47, which
+    leaves room for the reduced p).
     """
     a_hi = a * _SPLIT % p
     acc = None
@@ -51,10 +63,19 @@ def mul_split(a: np.ndarray, b_split: list[np.ndarray], p: int) -> np.ndarray:
         cut = slice(i * _CHUNK, (i + 1) * _CHUNK)
         a2 = np.concatenate((a_hi[..., cut], a[..., cut]), axis=-1, dtype=np.float64)
         part = (a2 @ b2).astype(np.int64)
-        part %= p
-        acc = part if acc is None else acc + part
-    if len(b_split) > 1:
-        acc %= p
+        if acc is None:
+            acc = part
+            continue
+        if i % TERMS == 0:  # acc holds TERMS chunk results
+            acc %= p
+        acc += part
+    return acc
+
+
+def mul_split(a: np.ndarray, b_split: list[np.ndarray], p: int) -> np.ndarray:
+    """Exact a @ b mod p from b's ``split_right`` chunks: one reduction per output cell."""
+    acc = mul_unreduced(a, b_split, p)
+    acc %= p
     return acc
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .approxbasis import ApproximantBasis
-from .errors import CapTooSmall, DimensionMismatch, FieldTooSmall
+from .errors import CapTooSmall, DimensionMismatch, FieldTooSmall, NotSquare
 from .fraction import truncated_inverse
 from .linalg import left_kernel, det as const_det, rank as const_rank
 from .nullspace import NullspaceBasis
@@ -20,7 +20,6 @@ from .polymat import (
     PolyMatrix,
     SeriesMatrix,
     int_degree,
-    is_unimodular,
     pm_eval,
     pm_mul,
     pm_shift_var,
@@ -227,3 +226,19 @@ def unimodular_equiv_check(a: PolyMatrix, r: PolyMatrix, seed=None) -> bool:
     if pm_mul(candidate, a_sh) != r_sh:
         return False
     return is_unimodular(candidate)
+
+
+def is_unimodular(u: PolyMatrix) -> bool:
+    """True iff det(u) is a nonzero constant.
+
+    det u has degree <= n deg(u), so it is the constant c exactly when it
+    takes the value c at the n deg(u) + 1 points 0, 1, ..., n deg(u).
+    """
+    if not u.is_square():
+        raise NotSquare("unimodularity is defined for square matrices")
+    p = u.field.p
+    count = u.rows * int_degree(u) + 1
+    if p < count:
+        raise FieldTooSmall(f"need {count} distinct points, p = {p}")
+    values = {const_det(pm_eval(u, x), p) for x in range(count)}
+    return len(values) == 1 and 0 not in values

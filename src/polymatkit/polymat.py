@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import ntt
-from .errors import (DimensionMismatch, FieldTooSmall, NotSquare, PrimeMismatch, SingularInput,
-                     ZeroRow)
+from .errors import DimensionMismatch, FieldTooSmall, PrimeMismatch, SingularInput, ZeroRow
 from .field import FieldElement, PrimeField
-from .linalg import (PRODUCT_MULTS, det as const_det, mod_matmul, mul_split, rank as const_rank,
-                     split_right)
+from .linalg import (PRODUCT_MULTS, TERMS, det as const_det, mod_matmul, mul_unreduced,
+                     rank as const_rank, split_right)
 from .poly import MINUS_INFINITY, Polynomial
 
 
@@ -36,7 +35,21 @@ class PolyMatrix:
         arr = np.asarray(coeffs, dtype=np.int64)
         if arr.ndim != 3:
             raise ValueError("coeffs must have shape (L, rows, cols)")
-        arr = _normalize(arr % field.p)
+        self._adopt(field, arr % field.p)
+
+    @classmethod
+    def _canonical(cls, field: PrimeField, arr: np.ndarray) -> "PolyMatrix":
+        """From an int64 (L, rows, cols) array of residues already in [0, p): trims, no reduction.
+
+        For kernel outputs and slices of a canonical matrix; the array is
+        kept (frozen), not copied.
+        """
+        self = object.__new__(cls)
+        self._adopt(field, arr)
+        return self
+
+    def _adopt(self, field: PrimeField, arr: np.ndarray):
+        arr = _normalize(arr)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "rows", arr.shape[1])
@@ -193,7 +206,7 @@ class PolyMatrix:
         arr = np.zeros((order, self.rows, self.cols), dtype=np.int64)
         take = min(order, self.coeffs.shape[0])
         arr[:take] = self.coeffs[:take]
-        return SeriesMatrix(self.field, order, arr)
+        return SeriesMatrix._canonical(self.field, arr)
 
 
 class SeriesMatrix:
@@ -205,8 +218,18 @@ class SeriesMatrix:
         arr = np.asarray(coeffs, dtype=np.int64) % field.p
         if arr.ndim != 3 or arr.shape[0] != order:
             raise ValueError("need exactly `order` coefficient matrices")
+        self._adopt(field, arr)
+
+    @classmethod
+    def _canonical(cls, field: PrimeField, arr: np.ndarray) -> "SeriesMatrix":
+        """From an int64 (order, rows, cols) array of residues in [0, p), kept without reduction."""
+        self = object.__new__(cls)
+        self._adopt(field, arr)
+        return self
+
+    def _adopt(self, field: PrimeField, arr: np.ndarray):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", arr.shape[0])
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "rows", arr.shape[1])
         object.__setattr__(self, "cols", arr.shape[2])
@@ -220,10 +243,12 @@ class SeriesMatrix:
         return cls(field, order, np.zeros((order, rows, cols), dtype=np.int64))
 
     def slice(self, start: int, stop: int) -> "SeriesMatrix":
-        return SeriesMatrix(self.field, stop - start, self.coeffs[start:stop])
+        if not 0 <= start <= stop <= self.order:
+            raise ValueError(f"slice [{start}, {stop}) of a series of order {self.order}")
+        return SeriesMatrix._canonical(self.field, self.coeffs[start:stop])
 
     def to_polymat(self) -> PolyMatrix:
-        return PolyMatrix(self.field, self.coeffs)
+        return PolyMatrix._canonical(self.field, self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, SeriesMatrix):
@@ -261,23 +286,42 @@ def _mul_blocks(a: np.ndarray, b: np.ndarray, p: int, out_len: int) -> np.ndarra
 
     B's slices, stacked as columns (k x lb m), are split once; a chunk of c
     slices of A stacked as rows (c n x k) times them gives all of its
-    A_i B_j, each added at x**(i+j). A chunk is cut to PRODUCT_MULTS
-    multiplications over the batch (one slice at least), as other wide
-    products are: a 2**15-cell cap let some n = 16-32 products run 1.2-1.4x slower.
+    A_i B_j, each added at x**(i+j), by an overlap-add along the shorter of
+    c and lb. A chunk is cut to PRODUCT_MULTS multiplications over the batch
+    (one slice at least), as other wide products are: a 2**15-cell cap let
+    some n = 16-32 products run 1.2-1.4x slower.
+
+    Reduction is delayed: the A_i B_j come unreduced from ``mul_unreduced``,
+    each a sum of w = ceil(k / 42) chunk results below 2**53, and ``out``
+    is reduced once at the end. A cell of ``out`` gathers one A_i B_j per
+    A slice since the last reduction, and at most lb in all, so it holds
+    TERMS // w of them; when a chunk would pass that, ``out`` is reduced
+    early (only for min(la, lb) > TERMS // w, e.g. 1023 slices at k <= 42).
     """
     la, batch, n, k = a.shape
     lb, m = b.shape[0], b.shape[3]
     b_split = split_right(b.transpose(1, 2, 0, 3).reshape(batch, k, lb * m))
+    cap = TERMS // min(len(b_split), TERMS)
     out = np.zeros((out_len, batch, n, m), dtype=np.int64)
-    step = max(1, PRODUCT_MULTS // (batch * n * k * lb * m))
+    step = max(1, min(PRODUCT_MULTS // (batch * n * k * lb * m), cap))
+    pending = 0  # A slices added since out was last reduced
     for s in range(0, la, step):
         chunk = a[s: s + step]
         c = chunk.shape[0]
-        prod = mul_split(chunk.transpose(1, 0, 2, 3).reshape(batch, c * n, k), b_split, p)
+        prod = mul_unreduced(chunk.transpose(1, 0, 2, 3).reshape(batch, c * n, k), b_split, p)
         prod = prod.reshape(batch, c, n, lb, m).transpose(1, 3, 0, 2, 4)
-        for i in range(c):
-            out[s + i: s + i + lb] += prod[i]
-    return out % p
+        if min(pending + c, lb) > cap:
+            out %= p
+            pending = 0
+        pending += c
+        if c <= lb:
+            for i in range(c):
+                out[s + i: s + i + lb] += prod[i]
+        else:
+            for j in range(lb):
+                out[s + j: s + j + c] += prod[:, j]
+    out %= p
+    return out
 
 
 def _stack(arrays: list) -> np.ndarray:
@@ -331,7 +375,7 @@ def _products(a: list, b: list) -> list:
     else:
         prod = _mul_blocks(sa, sb, field.p, out_len)
     for j, i in enumerate(live):
-        out[i] = PolyMatrix(field, prod[:, j])
+        out[i] = PolyMatrix._canonical(field, np.ascontiguousarray(prod[:, j]))
     return out
 
 
@@ -373,21 +417,35 @@ def pm_truncate(a, k: int) -> PolyMatrix:
     field = a.field
     if k == 0:
         return PolyMatrix.zero(field, a.rows, a.cols)
-    return PolyMatrix(field, a.coeffs[:k])
+    return PolyMatrix._canonical(field, a.coeffs[:k])
 
 
 def pm_shift_var(a: PolyMatrix, x0) -> PolyMatrix:
-    """Entry-wise variable shift x -> x + x0."""
+    """Entry-wise variable shift x -> x + x0: one product by the Taylor-shift matrix.
+
+    Coefficient j of A(x + x0) is sum_i C(i, j) x0**(i - j) A_i. Row i of
+    ``taylor`` holds C(i, j) x0**(i - j) over j, from row i - 1 by Pascal's
+    rule (C(i, j) = C(i - 1, j) + C(i - 1, j - 1)) in whole-row operations,
+    so no binomial is divided and every p serves, also below the length.
+    """
     p = a.field.p
     v = int(x0) % p
     if v == 0 or a.is_zero():
         return a
-    c = a.coeffs.copy()
-    length = c.shape[0]
-    for i in range(length - 1):
-        for j in range(length - 2, i - 1, -1):
-            c[j] = (c[j] + v * c[j + 1]) % p
-    return PolyMatrix(a.field, c)
+    length, n, m = a.coeffs.shape
+    taylor = np.zeros((length, length), dtype=np.int64)
+    taylor[0, 0] = 1
+    for i in range(1, length):
+        row = taylor[i]
+        row[1:i + 1] = taylor[i - 1, :i]
+        row[:i] += v * taylor[i - 1, :i]
+        row[:i] %= p
+    coeffs = a.coeffs.reshape(length, n * m)
+    shifted = np.empty_like(coeffs)
+    step = max(1, PRODUCT_MULTS // taylor.size)  # one-thread GEMMs, see PRODUCT_MULTS
+    for lo in range(0, n * m, step):
+        shifted[:, lo: lo + step] = mod_matmul(taylor.T, coeffs[:, lo: lo + step], p)
+    return PolyMatrix._canonical(a.field, shifted.reshape(length, n, m))
 
 
 # -- row-degree predicates ---------------------------------------------------
@@ -444,19 +502,3 @@ def regular_point(a: PolyMatrix, rng=None) -> int:
     if len(tried) > n * d:
         raise SingularInput("det A vanishes identically: A is singular")
     raise FieldTooSmall("no regular point found in the whole field")
-
-
-def is_unimodular(u: PolyMatrix) -> bool:
-    """True iff det(u) is a nonzero constant.
-
-    det u has degree <= n deg(u), so it is the constant c exactly when it
-    takes the value c at the n deg(u) + 1 points 0, 1, ..., n deg(u).
-    """
-    if not u.is_square():
-        raise NotSquare("unimodularity is defined for square matrices")
-    p = u.field.p
-    count = u.rows * int_degree(u) + 1
-    if p < count:
-        raise FieldTooSmall(f"need {count} distinct points, p = {p}")
-    values = {const_det(pm_eval(u, x), p) for x in range(count)}
-    return len(values) == 1 and 0 not in values

@@ -14,7 +14,7 @@ import pytest
 
 import polymatkit as pk
 from polymatkit import io as pmio
-from polymatkit.approxbasis import order_residual
+from polymatkit.approxbasis import series_product
 from polymatkit.cli import main as cli_main
 from polymatkit.errors import GenericityFailure
 from polymatkit.fraction import exact_x_power_divide, truncated_inverse
@@ -70,7 +70,7 @@ def test_acceptance_order_basis_minimality(capsys, f97):
                     for algo in (pk.mbasis, pk.pmbasis):
                         basis = algo(f, sigma)
                         assert basis.minimal_indices == want, (n, m, sigma, algo)
-                        assert not order_residual(basis.basis, f, sigma).any()
+                        assert not series_product(basis.basis, f, sigma).coeffs.any()
                         assert pk.is_row_reduced(basis.basis)
 
 

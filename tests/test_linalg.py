@@ -126,6 +126,17 @@ def test_mod_matmul_exact(p, k, a_shape, b_shape, rng):
         assert got.tolist() == _matmul_ref(a, b, p).tolist()
 
 
+def test_mod_matmul_past_the_unreduced_terms(rng):
+    # 1100 chunks of 42 inner indices: their unreduced sum of all-(p - 1)
+    # products passes 2**63, so the accumulator must be reduced on the way
+    p = 2**31 - 1
+    k = 1100 * 42
+    a = np.full((2, k), p - 1, dtype=np.int64)
+    b = np.full((k, 3), p - 1, dtype=np.int64)
+    a[1] = rng.integers(p - 2**20, p, size=k)
+    assert mod_matmul(a, b, p).tolist() == _matmul_ref(a, b, p).tolist()
+
+
 @pytest.mark.parametrize("p", [97, 2**31 - 1, DEFAULT_PRIME])
 def test_one_split_serves_many_left_operands(p, rng):
     b = rng.integers(0, p, size=(90, 6))

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit.errors import CapTooSmall, DimensionMismatch, SingularInput
+from polymatkit.errors import (CapTooSmall, DimensionMismatch, FieldTooSmall, NotSquare,
+                               SingularInput)
 from polymatkit.oracle import (
     det_by_interpolation,
+    is_unimodular,
     minimal_basis_bruteforce,
     naive_mul,
     nullspace_bruteforce,
@@ -115,3 +117,22 @@ def test_unimodular_equiv_non_square_reference(fd):
     a = pk.rand_instance(2, 3, 1, 303, field=fd)
     with pytest.raises(DimensionMismatch):
         unimodular_equiv_check(a, a, seed=1)
+
+
+def test_is_unimodular(fd):
+    assert is_unimodular(PolyMatrix.identity(fd, 3))
+    diag = PolyMatrix.from_lists(fd, [[[1, 0, fd.p - 1], [0]], [[0], [1]]])
+    assert not is_unimodular(diag)
+    tri = PolyMatrix.from_lists(fd, [[[1], [0, 1]], [[0], [1]]])
+    assert is_unimodular(tri)
+    # [[1, x^2 + 1], [0, 1]] [[1, 0], [x^3, 1]]: degree 5, det 1
+    upper = PolyMatrix.from_lists(fd, [[[1], [1, 0, 1]], [[0], [1]]])
+    lower = PolyMatrix.from_lists(fd, [[[1], [0]], [[0, 0, 0, 1], [1]]])
+    assert is_unimodular(pk.pm_mul(upper, lower))
+    # det x^2 - x + 1 takes the value 1 at both x = 0 and x = 1
+    same_at_0_1 = PolyMatrix.from_lists(fd, [[[1, fd.p - 1, 1], [0]], [[0], [1]]])
+    assert not is_unimodular(same_at_0_1)
+    with pytest.raises(NotSquare):
+        is_unimodular(PolyMatrix.zero(fd, 2, 3))
+    with pytest.raises(FieldTooSmall):  # needs 2 * 2 + 1 points
+        is_unimodular(PolyMatrix.from_lists(pk.get_field(3), [[[1, 0, 1], [0]], [[0], [1]]]))

@@ -5,14 +5,14 @@ import pytest
 
 import polymatkit as pk
 from polymatkit import ntt, polymat
-from polymatkit.errors import (DimensionMismatch, FieldTooSmall, NotSquare, PrimeMismatch,
-                               SingularInput, ZeroRow)
+from polymatkit.errors import (DimensionMismatch, FieldTooSmall, PrimeMismatch, SingularInput,
+                               ZeroRow)
 from polymatkit.field import DEFAULT_PRIME
 from polymatkit.linalg import PRODUCT_MULTS
 from polymatkit.linalg import det as const_det
 from polymatkit.oracle import naive_mul
 from polymatkit.poly import MINUS_INFINITY
-from polymatkit.polymat import PolyMatrix, regular_point
+from polymatkit.polymat import PolyMatrix, SeriesMatrix, regular_point
 
 
 def anchor(fd):
@@ -138,6 +138,72 @@ def test_mul_block_path_matches_naive(shape, d):
     assert pk.pm_mul(a, b) == naive_mul(a, b)
 
 
+def _all_top(fld, length, rows, cols):
+    """A rows x cols matrix of length slices whose every coefficient is p - 1."""
+    return PolyMatrix(fld, np.full((length, rows, cols), fld.p - 1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("length", [1023, 1024, 1100])
+def test_mul_blocks_delayed_reduction_bound(length):
+    # all coefficients p - 1 make every unreduced A_i B_j as large as it gets
+    # (near ceil(k / 42) 2**53), and min(la, lb) of them meet in the middle
+    # cells: without the early reductions their sum passes 2**63 at 1100
+    # slices for k = 42, and from 1023 slices for k = 43 and 100
+    fld = pk.get_field(2**31 - 1)
+    # every entry of A (1 x k) is f and of B (k x 1) is g, so A B = k f g
+    f, g = _all_top(fld, length, 1, 1), _all_top(fld, length + 7, 1, 1)
+    fg = naive_mul(f, g)
+    for k in (1, 42, 43, 100):
+        want = PolyMatrix(fld, k * fg.coeffs)
+        a, b = _all_top(fld, length, 1, k), _all_top(fld, length + 7, k, 1)
+        assert pk.pm_mul(a, b) == want
+        assert pk.pm_mul(b.transpose(), a.transpose()) == want  # the longer operand on the left
+
+
+def test_mul_blocks_delayed_reduction_batch():
+    # a batch of three on the block path, early reductions included (k = 43)
+    fld = pk.get_field(2**31 - 1)
+    lengths = [(1100, 1100), (1024, 1030), (600, 1100)]
+    a = [_all_top(fld, la, 1, 43) for la, _ in lengths]
+    b = [_all_top(fld, lb, 43, 1) for _, lb in lengths]
+    want = [PolyMatrix(fld, 43 * naive_mul(_all_top(fld, la, 1, 1), _all_top(fld, lb, 1, 1)).coeffs)
+            for la, lb in lengths]
+    assert pk.pm_mul_batch(a, b) == want
+
+
+@pytest.mark.parametrize("p, lengths, kernel", [
+    (DEFAULT_PRIME, (20, 30), "_mul_ntt"), (97, (20, 30), "_mul_ntt"),
+    (DEFAULT_PRIME, (5, 9), "_mul_blocks"), (2**31 - 1, (20, 30), "_mul_blocks"),
+    (97, (40, 60), "_mul_blocks"),  # product length 99 > p - 1: no transform
+])
+def test_mul_output_canonical(p, lengths, kernel, monkeypatch):
+    # kernel outputs are adopted without a second reduction, so each kernel
+    # must return residues in [0, p), trimmed
+    fld = pk.get_field(p)
+    calls = _spy(monkeypatch, kernel)
+    a = _all_top(fld, lengths[0], 3, 4)
+    b = pk.rand_instance(4, 2, lengths[1] - 1, 61, field=fld)
+    got = pk.pm_mul(a, b)
+    assert len(calls) == 1
+    assert got.coeffs.dtype == np.int64
+    assert 0 <= got.coeffs.min() and got.coeffs.max() < p
+    assert got.coeffs[-1].any()
+    assert got == naive_mul(a, b)
+
+
+def test_constructors_reduce(fd):
+    p = fd.p
+    raw = np.array([[[-1, p]], [[2 * p + 3, -p - 5]], [[p, 0]]], dtype=np.int64)
+    want = np.array([[[p - 1, 0]], [[3, p - 5]]])
+    assert PolyMatrix(fd, raw).coeffs.tolist() == want.tolist()  # reduced, then trimmed
+    s = SeriesMatrix(fd, 3, raw)
+    assert s.coeffs.tolist() == [*want.tolist(), [[0, 0]]]
+    assert s.slice(1, 3).coeffs.tolist() == s.coeffs[1:].tolist()
+    assert s.to_polymat().coeffs.tolist() == want.tolist()
+    with pytest.raises(ValueError):
+        s.slice(2, 4)
+
+
 def test_mul_block_path_memory():
     # operands and output take 0.5 MiB; capping the cells of each block
     # product keeps the peak near that (2**18-cell blocks reach 7 MiB)
@@ -224,13 +290,13 @@ def test_mul_batch_rejects_mismatches(fd, f97):
 def test_mul_block_chunks_capped_by_multiplications(monkeypatch):
     # every chunk GEMM of _mul_blocks stays within PRODUCT_MULTS unless it is one slice
     seen = []
-    real = polymat.mul_split
+    real = polymat.mul_unreduced
 
     def spy(a, b_split, p):
         seen.append((a.shape, sum(b.shape[-2] for b in b_split) // 2, b_split[0].shape[-1]))
         return real(a, b_split, p)
 
-    monkeypatch.setattr(polymat, "mul_split", spy)
+    monkeypatch.setattr(polymat, "mul_unreduced", spy)
     fld = pk.get_field(2**31 - 1)
     cases = ((16, 16, 16, 8, 1), (4, 4, 4, 64, 1), (2, 3, 2, 9, 5), (16, 16, 16, 64, 2))
     for n, k, m, d, batch in cases:
@@ -308,25 +374,6 @@ def test_is_row_reduced(fd):
     assert pk.is_row_reduced(good)
 
 
-def test_is_unimodular(fd):
-    assert pk.is_unimodular(PolyMatrix.identity(fd, 3))
-    diag = PolyMatrix.from_lists(fd, [[[1, 0, fd.p - 1], [0]], [[0], [1]]])
-    assert not pk.is_unimodular(diag)
-    tri = PolyMatrix.from_lists(fd, [[[1], [0, 1]], [[0], [1]]])
-    assert pk.is_unimodular(tri)
-    # [[1, x^2 + 1], [0, 1]] [[1, 0], [x^3, 1]]: degree 5, det 1
-    upper = PolyMatrix.from_lists(fd, [[[1], [1, 0, 1]], [[0], [1]]])
-    lower = PolyMatrix.from_lists(fd, [[[1], [0]], [[0, 0, 0, 1], [1]]])
-    assert pk.is_unimodular(pk.pm_mul(upper, lower))
-    # det x^2 - x + 1 takes the value 1 at both x = 0 and x = 1
-    same_at_0_1 = PolyMatrix.from_lists(fd, [[[1, fd.p - 1, 1], [0]], [[0], [1]]])
-    assert not pk.is_unimodular(same_at_0_1)
-    with pytest.raises(NotSquare):
-        pk.is_unimodular(PolyMatrix.zero(fd, 2, 3))
-    with pytest.raises(FieldTooSmall):  # needs 2 * 2 + 1 points
-        pk.is_unimodular(PolyMatrix.from_lists(pk.get_field(3), [[[1, 0, 1], [0]], [[0], [1]]]))
-
-
 def test_regular_point(fd):
     x = PolyMatrix.from_lists(fd, [[[0, 1]]])  # [[x]]: singular at 0 only
     assert regular_point(x, 3) != 0
@@ -359,6 +406,31 @@ def test_shift_var_round_trip(fd, rng):
     xi = PolyMatrix.from_lists(fd, [[[0, 1], [0]], [[0], [0, 1]]])
     want = PolyMatrix.from_lists(fd, [[[1, 1], [0]], [[0], [1, 1]]])
     assert pk.pm_shift_var(xi, 1) == want
+
+
+def _shift_var_loop(a: PolyMatrix, x0) -> PolyMatrix:
+    """The Taylor shift as L**2 / 2 slice updates, the reference for pm_shift_var."""
+    p = a.field.p
+    v = int(x0) % p
+    c = a.coeffs.copy()
+    length = c.shape[0]
+    for i in range(length - 1):
+        for j in range(length - 2, i - 1, -1):
+            c[j] = (c[j] + v * c[j + 1]) % p
+    return PolyMatrix(a.field, c)
+
+
+@pytest.mark.parametrize("p", [97, 65537, 2**31 - 1, DEFAULT_PRIME])
+@pytest.mark.parametrize("length", [1, 2, 9, 130])
+def test_shift_var_matches_loop(p, length):
+    fld = pk.get_field(p)
+    rng = np.random.default_rng(p % 1000 + length)
+    arr = rng.integers(0, p, size=(length, 2, 3))
+    arr[rng.random(arr.shape) < 0.2] = p - 1
+    arr[-1, 0, 0] = 1  # nonzero top slice, so no trimming
+    a = PolyMatrix(fld, arr)
+    for x0 in (0, 1, -1, int(rng.integers(2, p))):
+        assert pk.pm_shift_var(a, x0) == _shift_var_loop(a, x0)
 
 
 def test_row_degrees_sentinel(fd):
