@@ -15,9 +15,7 @@ from .field import (
     FieldElement,
     PrimeField,
     default_field,
-    ff_inv,
     get_field,
-    root_of_unity,
 )
 from .fraction import (
     ExpansionSlice,
@@ -53,7 +51,7 @@ from .polymat import (
     pm_truncate,
     row_degrees,
 )
-from .reconstruct import LeftFactorization, matfrac_rec, verify_left_factorization
+from .reconstruct import LeftFactorization, matfrac_rec
 from .solvers import (
     InverseRepresentation,
     generic_det,
@@ -83,7 +81,6 @@ __all__ = [
     "bench",
     "default_field",
     "expansion_slice",
-    "ff_inv",
     "general_nullspace",
     "generic_det",
     "generic_inverse",
@@ -108,11 +105,9 @@ __all__ = [
     "proper_tail",
     "rand_instance",
     "rank",
-    "root_of_unity",
     "row_degrees",
     "row_reduce",
     "save",
     "serialize",
     "truncated_inverse",
-    "verify_left_factorization",
 ]

@@ -55,6 +55,13 @@ class ApproximantBasis:
             return sorted(self.row_degrees)
         return sorted(shifted_row_degrees(self.basis, self.shift))
 
+    def rows_up_to(self, degree: int) -> tuple[PolyMatrix, list]:
+        """The basis rows of degree at most ``degree``, sorted by (degree, index),
+        and their degrees."""
+        picked = sorted((d, i) for i, d in enumerate(self.row_degrees)
+                        if d != MINUS_INFINITY and d <= degree)
+        return self.basis.take_rows([i for _, i in picked]), [d for d, _ in picked]
+
 
 def series_product(a: PolyMatrix, f: SeriesMatrix, order: int) -> SeriesMatrix:
     """(a * f) mod x**order as a SeriesMatrix."""

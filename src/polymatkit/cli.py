@@ -4,8 +4,9 @@ Every solver verb verifies its result (product / residual checks) before
 printing anything, so the Las Vegas contract is visible at the process
 boundary; ``rowreduce`` checks the certificate T A = R, W R = A that
 ``row_reduce`` returns. The brute-force oracles run only under --oracle,
-apart from ``det``'s interpolation fallback (n not a power of two, or the
-generic recursion failing). Exit codes: 0 success and verified,
+apart from ``det``'s interpolation fallback: when ``generic_det`` fails
+(n not a power of two, det A(0) = 0, or a genericity check), ``det`` prints
+the reason on stderr and interpolates. Exit codes: 0 success and verified,
 2 verification failure (the CLI's checks or the library's own,
 SelfCheckFailure), 3 precondition error, 4 parse error.
 
@@ -27,7 +28,8 @@ import numpy as np
 from . import io as pmio
 from .approxbasis import pmbasis, series_product
 from .bench import BENCH_OPS, bench
-from .errors import GenericityFailure, ParseError, PolymatError, SelfCheckFailure, SingularAtZero
+from .errors import (GenericityFailure, NotPowerOfTwo, ParseError, PolymatError, SelfCheckFailure,
+                     SingularAtZero)
 from .field import get_field
 from .fraction import expansion_slice
 from .instances import PROFILES, rand_instance
@@ -162,15 +164,10 @@ def _print_poly(f: Polynomial):
 
 def _cmd_det(args, rng):
     a = pmio.load(args.a)
-    n = a.rows
-    use_generic = n >= 1 and n & (n - 1) == 0
-    if use_generic:
-        try:
-            result = generic_det(a, int(rng.integers(0, 2**31)))
-        except (SingularAtZero, GenericityFailure) as exc:
-            print(f"# generic_det failed ({exc}); interpolating instead", file=sys.stderr)
-            result = det_by_interpolation(a)
-    else:
+    try:
+        result = generic_det(a, int(rng.integers(0, 2**31)))
+    except (NotPowerOfTwo, SingularAtZero, GenericityFailure) as exc:
+        print(f"# generic_det failed ({exc}); interpolating instead", file=sys.stderr)
         result = det_by_interpolation(a)
     result = _corrupt_poly(result)
     p = a.field.p

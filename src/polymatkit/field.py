@@ -65,9 +65,6 @@ class PrimeField:
             raise ZeroInverse("0 has no multiplicative inverse")
         return pow(a, -1, self.p)
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
     def root_of_unity(self, order: int) -> "FieldElement":
         """A primitive root of unity of the given order, e.g. an NTT length c * 2**k.
 
@@ -133,17 +130,8 @@ class FieldElement:
         return f"{self.value} (mod {self.field.p})"
 
     def inverse(self) -> "FieldElement":
+        """Multiplicative inverse; raises ZeroInverse on 0."""
         return FieldElement(self.field.inv(self.value), self.field)
-
-
-def ff_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises ZeroInverse on a = 0."""
-    return a.inverse()
-
-
-def root_of_unity(field: PrimeField, order: int) -> FieldElement:
-    """Primitive root of unity of ``order`` in ``field``; ``order`` must divide p - 1."""
-    return field.root_of_unity(order)
 
 
 @lru_cache(maxsize=None)

@@ -6,10 +6,10 @@ on float64 BLAS over 16-bit limbs, in chunks of the inner dimension short
 enough for every partial sum to be exact (see ``_CHUNK``). Reduction is
 delayed (Dumas, Giorgi & Pernet, ACM TOMS 2008): ``mul_unreduced`` adds the
 chunks' exact results in int64, each below 2**53, so an int64 cell holds
-up to ``TERMS`` of them before it must be reduced, and ``mul_split`` reduces
-each output cell once. Elimination stays in int64: a pivot step of ``rref``
-or ``det`` is one ``nonzero`` and one broadcast update of the other rows
-(the rows below, for ``det``).
+up to ``TERMS`` of them before it must be reduced, and ``mod_matmul``
+reduces each output cell once. Elimination stays in int64: a pivot step of
+``rref`` or ``det`` is one ``nonzero`` and one broadcast update of the other
+rows (the rows below, for ``det``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ PRODUCT_MULTS = 1 << 18
 
 
 def split_right(b: np.ndarray) -> list[np.ndarray]:
-    """The right operand of ``mul_split``: per inner chunk, float64 [hi; lo] of b.
+    """The right operand of ``mul_unreduced``: per inner chunk, float64 [hi; lo] of b.
 
     Splitting does not depend on p, so one split serves every left operand.
     """
@@ -72,22 +72,17 @@ def mul_unreduced(a: np.ndarray, b_split: list[np.ndarray], p: int) -> np.ndarra
     return acc
 
 
-def mul_split(a: np.ndarray, b_split: list[np.ndarray], p: int) -> np.ndarray:
-    """Exact a @ b mod p from b's ``split_right`` chunks: one reduction per output cell."""
-    acc = mul_unreduced(a, b_split, p)
-    acc %= p
-    return acc
-
-
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (batched) matrix product modulo p, for residues below p < 2**31.
 
     Accepts stacked operands with broadcastable leading axes, like
-    ``np.matmul``. It is ``mul_split(a, split_right(b), p)``: b is split
-    into 16-bit limbs b = hi 2**16 + lo once, and every inner chunk of a
-    multiplies its rows of [hi; lo].
+    ``np.matmul``. b is split into 16-bit limbs b = hi 2**16 + lo once,
+    every inner chunk of a multiplies its rows of [hi; lo], and each output
+    cell is reduced once.
     """
-    return mul_split(a, split_right(b), p)
+    acc = mul_unreduced(a, split_right(b), p)
+    acc %= p
+    return acc
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -16,8 +16,7 @@ import numpy as np
 from .approxbasis import pmbasis
 from .errors import FieldTooSmall, NullspaceCheckFailure, RankDeficient
 from .linalg import rank as const_rank
-from .poly import MINUS_INFINITY
-from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul_batch, row_degrees
+from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul_batch
 
 
 @dataclass(frozen=True)
@@ -51,12 +50,7 @@ def rank(a: PolyMatrix, seed=None) -> int:
 def _select(mats: list, bases: list, delta: int) -> list:
     """Per matrix A, the rows of its order basis of degree at most delta, certified
     to annihilate A by one batched product check per selected row count."""
-    picks = []
-    for basis in bases:
-        degs = row_degrees(basis.basis)
-        sel = [i for i, dd in enumerate(degs) if dd != MINUS_INFINITY and dd <= delta]
-        sel.sort(key=lambda i: (degs[i], i))
-        picks.append((basis.basis.take_rows(sel), [degs[i] for i in sel]))
+    picks = [basis.rows_up_to(delta) for basis in bases]
     by_count = {}
     for j, (rows, _) in enumerate(picks):
         if rows.rows:
@@ -78,19 +72,17 @@ def minimal_vectors_up_to(a: PolyMatrix | list, delta: int) -> NullspaceBasis | 
     their bases, from one batched order-basis call and one batched check
     per shape and order.
     """
-    if isinstance(a, PolyMatrix):
-        sigma = delta + int_degree(a) + 1
-        return _select([a], [pmbasis(a.to_series(sigma), sigma)], delta)[0]
+    batch = [a] if isinstance(a, PolyMatrix) else a
     groups = {}
-    for i, mat in enumerate(a):
+    for i, mat in enumerate(batch):
         groups.setdefault((delta + int_degree(mat) + 1, mat.rows, mat.cols), []).append(i)
-    out = [None] * len(a)
+    out = [None] * len(batch)
     for (sigma, _, _), idx in groups.items():
-        mats = [a[i] for i in idx]
+        mats = [batch[i] for i in idx]
         found = _select(mats, pmbasis([m.to_series(sigma) for m in mats], sigma), delta)
         for i, basis in zip(idx, found):
             out[i] = basis
-    return out
+    return out[0] if isinstance(a, PolyMatrix) else out
 
 
 def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:

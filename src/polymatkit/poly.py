@@ -86,7 +86,8 @@ class Polynomial:
 
     # -- arithmetic --
 
-    def _check(self, other: "Polynomial"):
+    def _check(self, other):
+        """PrimeMismatch unless ``other`` (a polynomial or a FieldElement) is over this field."""
         if self.field != other.field:
             raise PrimeMismatch(f"operands over p={self.field.p} and p={other.field.p}")
 
@@ -110,9 +111,11 @@ class Polynomial:
         return Polynomial(self.field, -self.coeffs)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, FieldElement)):
-            return Polynomial(self.field, self.coeffs * (int(other) % self.field.p))
+        if isinstance(other, int):
+            return Polynomial(self.field, self.coeffs * (other % self.field.p))
         self._check(other)
+        if isinstance(other, FieldElement):
+            return Polynomial(self.field, self.coeffs * other.value)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.field)
         prod = np.convolve(self.coeffs.astype(object), other.coeffs.astype(object))

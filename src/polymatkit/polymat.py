@@ -125,7 +125,8 @@ class PolyMatrix:
 
     # -- arithmetic --
 
-    def _check_field(self, other: "PolyMatrix"):
+    def _check_field(self, other):
+        """PrimeMismatch unless ``other`` (a matrix or a FieldElement) is over this field."""
         if self.field != other.field:
             raise PrimeMismatch(f"operands over p={self.field.p} and p={other.field.p}")
 
@@ -146,8 +147,11 @@ class PolyMatrix:
         return PolyMatrix(self.field, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return PolyMatrix(self.field, self.coeffs * (int(other) % self.field.p))
+        if isinstance(other, int):
+            return PolyMatrix(self.field, self.coeffs * (other % self.field.p))
+        self._check_field(other)
+        if isinstance(other, FieldElement):
+            return PolyMatrix(self.field, self.coeffs * other.value)
         return pm_mul(self, other)
 
     __matmul__ = __mul__
@@ -180,6 +184,7 @@ class PolyMatrix:
         out = np.zeros((length, rows, cols), dtype=np.int64)
         r = 0
         for b in blocks:
+            blocks[0]._check_field(b)
             if b.cols != cols:
                 raise DimensionMismatch("vstack column mismatch")
             out[: b.coeffs.shape[0], r: r + b.rows, :] = b.coeffs
@@ -196,6 +201,7 @@ class PolyMatrix:
         out = np.zeros((length, rows, cols), dtype=np.int64)
         c = 0
         for b in blocks:
+            blocks[0]._check_field(b)
             if b.rows != rows:
                 raise DimensionMismatch("hstack row mismatch")
             out[: b.coeffs.shape[0], :, c: c + b.cols] = b.coeffs

@@ -14,14 +14,7 @@ import numpy as np
 
 from .approxbasis import pmbasis
 from .errors import DimensionMismatch, OrderExceedsData, WrongRowCount
-from .poly import MINUS_INFINITY
-from .polymat import (
-    PolyMatrix,
-    SeriesMatrix,
-    leading_row_matrix,
-    pm_mul,
-    row_degrees,
-)
+from .polymat import PolyMatrix, SeriesMatrix
 
 
 @dataclass(frozen=True)
@@ -40,9 +33,7 @@ def _stack_minus_identity(f: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix(f.field, f.order, arr)
 
 
-def matfrac_rec(
-    f: SeriesMatrix, degree_left: int, degree_right: int, normalize: bool = False
-) -> LeftFactorization:
+def matfrac_rec(f: SeriesMatrix, degree_left: int, degree_right: int) -> LeftFactorization:
     """Reconstruct H = V^{-1} U from its truncated expansion ``f``.
 
     ``f`` must hold at least degree_left + degree_right + 1 coefficients of
@@ -56,40 +47,9 @@ def matfrac_rec(
         raise OrderExceedsData(f"need {sigma} coefficients, have {f.order}")
     n = f.rows
     stacked = _stack_minus_identity(f.slice(0, sigma))
-    basis = pmbasis(stacked, sigma)
-    degs = row_degrees(basis.basis)
-    sel = [i for i, d in enumerate(degs) if d != MINUS_INFINITY and d <= degree_left]
-    if len(sel) != n:
+    block, _ = pmbasis(stacked, sigma).rows_up_to(degree_left)
+    if block.rows != n:
         raise WrongRowCount(
-            f"{len(sel)} rows of degree <= {degree_left}, expected exactly {n}"
+            f"{block.rows} rows of degree <= {degree_left}, expected exactly {n}"
         )
-    sel.sort(key=lambda i: (degs[i], i))
-    block = basis.basis.take_rows(sel)
-    numer = block.take_cols(range(n))
-    denom = block.take_cols(range(n, 2 * n))
-    if normalize:
-        numer, denom = _scale_rows(numer, denom)
-    return LeftFactorization(numer, denom)
-
-
-def _scale_rows(numer: PolyMatrix, denom: PolyMatrix):
-    """Scale each row so the denominator's leading row has first nonzero 1."""
-    p = denom.field.p
-    lead = leading_row_matrix(denom)
-    nc = numer.coeffs.copy()
-    dc = denom.coeffs.copy()
-    for i in range(denom.rows):
-        nz = np.nonzero(lead[i])[0]
-        inv = pow(int(lead[i, nz[0]]), -1, p)
-        nc[:, i, :] = nc[:, i, :] * inv % p
-        dc[:, i, :] = dc[:, i, :] * inv % p
-    return PolyMatrix(numer.field, nc), PolyMatrix(denom.field, dc)
-
-
-def verify_left_factorization(
-    numer: PolyMatrix, denom: PolyMatrix, b: PolyMatrix, a: PolyMatrix
-) -> bool:
-    """True iff numer * a == denom * b exactly (V^{-1}U = BA^{-1} as fractions)."""
-    if numer.cols != a.rows or denom.cols != b.rows:
-        raise DimensionMismatch("incompatible factorization check operands")
-    return pm_mul(numer, a) == pm_mul(denom, b)
+    return LeftFactorization(block.take_cols(range(n)), block.take_cols(range(n, 2 * n)))

@@ -5,6 +5,7 @@ import polymatkit as pk
 from polymatkit import approxbasis
 from polymatkit.approxbasis import (
     PMBASIS_THRESHOLD,
+    ApproximantBasis,
     mbasis,
     pmbasis,
     series_product,
@@ -319,3 +320,13 @@ def test_batch_rejects_mixed_shapes_and_orders(f97):
             algo([f, f], 4, [[0, 0, 0]])
         with pytest.raises(OrderExceedsData):
             algo([f, SeriesMatrix.zero(f97, 3, 3, 2)], 4)
+
+
+def test_rows_up_to_sorts_by_degree_then_index(f97):
+    # rows of degree 2, 0, zero, 1, 0
+    basis = PolyMatrix.from_lists(f97, [[[1, 0, 1]], [[5]], [[0]], [[0, 3]], [[7]]])
+    found = ApproximantBasis(basis, 3, pk.row_degrees(basis))
+    rows, degs = found.rows_up_to(1)
+    assert rows == basis.take_rows([1, 4, 3]) and degs == [0, 0, 1]
+    rows, degs = found.rows_up_to(-1)
+    assert (rows.rows, rows.cols, degs) == (0, 1, [])

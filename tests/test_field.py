@@ -13,29 +13,29 @@ def test_default_prime_structure(fd):
     assert fd.two_adicity == 27
 
 
-def test_ff_inv_identity(fd):
-    assert pk.ff_inv(fd.element(1)) == 1
+def test_inverse_identity(fd):
+    assert FieldElement(1, fd).inverse() == 1
 
 
-def test_ff_inv_two(fd):
+def test_inverse_two(fd):
     # extended-Euclid reference: 2 * r mod p must be 1
-    r = pk.ff_inv(fd.element(2))
+    r = FieldElement(2, fd).inverse()
     assert int(r) == 1006632961
     assert (2 * int(r)) % fd.p == 1
 
 
-def test_ff_inv_zero_raises(fd):
+def test_inverse_zero_raises(fd):
     with pytest.raises(ZeroInverse):
-        pk.ff_inv(fd.element(0))
+        FieldElement(0, fd).inverse()
 
 
 def test_root_of_unity_small(fd):
-    assert int(pk.root_of_unity(fd, 1)) == 1
-    assert int(pk.root_of_unity(fd, 2)) == fd.p - 1
+    assert int(fd.root_of_unity(1)) == 1
+    assert int(fd.root_of_unity(2)) == fd.p - 1
 
 
 def test_root_of_unity_max_order(fd):
-    w = int(pk.root_of_unity(fd, 2**27))
+    w = int(fd.root_of_unity(2**27))
     assert pow(w, 2**27, fd.p) == 1
     assert pow(w, 2**26, fd.p) == fd.p - 1
 
@@ -43,11 +43,11 @@ def test_root_of_unity_max_order(fd):
 def test_root_of_unity_rejects(fd):
     # p - 1 = 15 * 2**27: neither 7 nor 2**28 divides it
     with pytest.raises(UnsupportedOrder):
-        pk.root_of_unity(fd, 7)
+        fd.root_of_unity(7)
     with pytest.raises(UnsupportedOrder):
-        pk.root_of_unity(fd, 2**28)
+        fd.root_of_unity(2**28)
     with pytest.raises(UnsupportedOrder):
-        pk.root_of_unity(pk.get_field(97), 64)  # 96 = 3 * 2**5
+        pk.get_field(97).root_of_unity(64)  # 96 = 3 * 2**5
 
 
 def _is_primitive(w: int, order: int, p: int) -> bool:
@@ -59,18 +59,18 @@ def _is_primitive(w: int, order: int, p: int) -> bool:
 def test_root_of_unity_mixed_orders(fd, c):
     for k in (0, 1, 4, 27):
         order = c * 2**k
-        assert _is_primitive(int(pk.root_of_unity(fd, order)), order, fd.p), order
+        assert _is_primitive(int(fd.root_of_unity(order)), order, fd.p), order
 
 
 def test_root_of_unity_small_prime(f97):
     for order in (3, 6, 32, 48, 96):
-        assert _is_primitive(int(pk.root_of_unity(f97, order)), order, 97), order
+        assert _is_primitive(int(f97.root_of_unity(order)), order, 97), order
 
 
 def test_root_square_relation(fd):
     for k in (2, 4, 8, 1024):
-        w2k = pk.root_of_unity(fd, 2 * k)
-        wk = pk.root_of_unity(fd, k)
+        w2k = fd.root_of_unity(2 * k)
+        wk = fd.root_of_unity(k)
         assert w2k * w2k == wk
 
 
@@ -90,7 +90,7 @@ def test_field_axioms_random(fd, rng):
 
 def test_inverse_random(fd, rng):
     for v in rng.integers(1, fd.p, 200):
-        assert int(pk.ff_inv(fd.element(int(v)))) * int(v) % fd.p == 1
+        assert int(FieldElement(int(v), fd).inverse()) * int(v) % fd.p == 1
 
 
 def test_small_field_and_nonprime():
@@ -101,8 +101,8 @@ def test_small_field_and_nonprime():
 
 
 def test_field_element_operators(f97):
-    a = f97.element(50)
-    b = f97.element(60)
+    a = FieldElement(50, f97)
+    b = FieldElement(60, f97)
     assert int(a + b) == 13
     assert int(a - b) == 87
     assert int(a * b) == 3000 % 97
@@ -120,7 +120,7 @@ def test_primes_from_2_to_the_31_are_rejected():
 
 
 def test_element_prime_mismatch_is_typed(fd, f97):
-    a, b = fd.element(3), f97.element(3)
+    a, b = FieldElement(3, fd), FieldElement(3, f97)
     for op in (lambda: a + b, lambda: a * b, lambda: a - b):
         with pytest.raises(PrimeMismatch, match="p=2013265921 and p=97"):
             op()

@@ -155,8 +155,9 @@ def test_cli_nullspace_self_check_exits_2(tmp_path, fd, monkeypatch, capsys):
     from polymatkit import nullspace
     from polymatkit.approxbasis import ApproximantBasis
 
-    def identity_basis(f, sigma):
-        return ApproximantBasis(PolyMatrix.identity(f.field, f.rows), sigma, [0] * f.rows)
+    def identity_basis(fs, sigma):
+        return [ApproximantBasis(PolyMatrix.identity(f.field, f.rows), sigma, [0] * f.rows)
+                for f in fs]
 
     monkeypatch.setattr(nullspace, "pmbasis", identity_basis)
     p = tmp_path / "a.pm"
@@ -194,6 +195,20 @@ def test_cli_det_falls_back_with_reason(tmp_path, fd, capsys):
     captured = capsys.readouterr()
     assert captured.out == f"det p={fd.p} coeffs 0 0 1\n"
     assert "det A(0) = 0" in captured.err
+
+
+def test_cli_det_not_power_of_two_gives_reason(tmp_path, fd, capsys):
+    from polymatkit.oracle import det_by_interpolation
+
+    a = pk.rand_instance(6, 6, 2, 21, field=fd)
+    pa = tmp_path / "a6.pm"
+    pmio.save(pa, a)
+    assert main(["--seed", "2", "det", str(pa)]) == 0
+    captured = capsys.readouterr()
+    coeffs = " ".join(str(int(c)) for c in det_by_interpolation(a).coeffs)
+    assert captured.out == f"det p={fd.p} coeffs {coeffs}\n"
+    assert captured.err == (
+        "# generic_det failed (dimension 6 is not a power of two); interpolating instead\n")
 
 
 def test_cli_rand_deterministic(tmp_path):

@@ -37,8 +37,9 @@ def test_minimal_vectors_identity_empty(fd):
 
 def test_minimal_vectors_failed_product_check_raises(fd, monkeypatch):
     # an identity "basis": its degree-0 rows get selected but do not annihilate A
-    def identity_basis(f, sigma):
-        return ApproximantBasis(PolyMatrix.identity(f.field, f.rows), sigma, [0] * f.rows)
+    def identity_basis(fs, sigma):
+        return [ApproximantBasis(PolyMatrix.identity(f.field, f.rows), sigma, [0] * f.rows)
+                for f in fs]
 
     monkeypatch.setattr(nullspace, "pmbasis", identity_basis)
     with pytest.raises(NullspaceCheckFailure, match="do not annihilate"):
@@ -118,6 +119,18 @@ def test_minimal_vectors_batch_equals_separate_calls(fd, rng):
     for delta in (0, 2, 5):
         got = minimal_vectors_up_to(mats, delta)
         assert got == [minimal_vectors_up_to(a, delta) for a in mats]
+
+
+@pytest.mark.parametrize("p", [97, 65537, 2**31 - 1, 2013265921])
+def test_minimal_vectors_single_equals_one_element_batch(p):
+    fld = pk.get_field(p)
+    mats = [pk.rand_instance(6, 3, 2, 11, field=fld),
+            pk.rand_instance(5, 5, 2, 12, profile="planted-rank", field=fld, rank=3)]
+    for a in mats:
+        for delta in (0, 2, 6):
+            single = minimal_vectors_up_to(a, delta)
+            assert isinstance(single, nullspace.NullspaceBasis)
+            assert single == minimal_vectors_up_to([a], delta)[0]
 
 
 @pytest.mark.parametrize("rows, cols, d, delta", [(12, 8, 4, 8), (6, 4, 3, 10), (6, 3, 2, 4)])

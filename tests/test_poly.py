@@ -141,3 +141,10 @@ def test_prime_mismatch_is_typed(fd, f97):
     for op in (lambda: a + b, lambda: a - b, lambda: a * b):
         with pytest.raises(PrimeMismatch, match="p=2013265921 and p=97"):
             op()
+
+
+def test_scalar_over_another_prime_is_rejected(f97):
+    a = P(f97, 1, 2)
+    with pytest.raises(PrimeMismatch, match="p=97 and p=5"):
+        a * pk.FieldElement(3, pk.get_field(5))
+    assert a * 100 == 100 * a == a * pk.FieldElement(3, f97) == P(f97, 3, 6)

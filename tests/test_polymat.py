@@ -122,6 +122,19 @@ def test_operands_over_different_primes(fd, f97):
         a - b
 
 
+def test_stacking_and_scalars_over_different_primes(f97):
+    a = pk.rand_instance(2, 2, 2, 3, field=f97)
+    b = pk.rand_instance(2, 2, 2, 3, field=pk.get_field(2**31 - 1))
+    for stack in (PolyMatrix.vstack, PolyMatrix.hstack):
+        with pytest.raises(PrimeMismatch, match="p=97 and p=2147483647"):
+            stack([a, b])
+        assert stack([a, a]).field == f97
+    with pytest.raises(PrimeMismatch, match="p=97 and p=5"):
+        a * pk.FieldElement(3, pk.get_field(5))
+    # int scalars and scalars of the matrix's own field reduce mod p as before
+    assert a * 100 == a * pk.FieldElement(3, f97) == PolyMatrix(f97, a.coeffs * 3)
+
+
 @pytest.mark.parametrize("shape, d", [
     ((16, 16, 16), 64),   # one slice of A per block product, 65 of them
     ((4, 4, 4), 64),      # 63 slices of A per block product, the last has 2

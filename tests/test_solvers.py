@@ -9,6 +9,7 @@ from polymatkit.errors import (
     GenericityFailure,
     NotPowerOfTwo,
     NotSquare,
+    PrimeMismatch,
     ReconstructionFailure,
     SingularAtZero,
     SingularInput,
@@ -376,3 +377,13 @@ def test_factor_singular_a_rejected(fd):
     b = PolyMatrix.identity(fd, 2)
     with pytest.raises(SingularInput):
         left_factorization(b, a, 0)
+
+
+def test_factor_mixed_primes_rejected_before_nullspace(f97, monkeypatch):
+    def no_nullspace(*args):
+        raise AssertionError("general_nullspace ran on operands over two primes")
+
+    monkeypatch.setattr(solvers, "general_nullspace", no_nullspace)
+    a = anchor(pk.get_field(2**31 - 1))
+    with pytest.raises(PrimeMismatch, match="p=2147483647 and p=97"):
+        left_factorization(PolyMatrix.identity(f97, 2), a, 0)
