@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 from sympy import factorint, isprime
 
@@ -84,26 +85,34 @@ class FieldElement:
     def __post_init__(self):
         object.__setattr__(self, "value", self.value % self.field.p)
 
-    def _coerce(self, other) -> int:
+    def _coerce(self, other):
+        """The residue of an integer or a FieldElement of this field; None for other types."""
         if isinstance(other, FieldElement):
             if other.field != self.field:
                 raise PrimeMismatch(f"operands over p={self.field.p} and p={other.field.p}")
             return other.value
-        return int(other) % self.field.p
+        if isinstance(other, Integral):
+            return int(other) % self.field.p
+        return None
 
+    # other operand types get NotImplemented, so Python tries their reflected method
     def __add__(self, other):
-        return FieldElement(self.value + self._coerce(other), self.field)
+        v = self._coerce(other)
+        return NotImplemented if v is None else FieldElement(self.value + v, self.field)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return FieldElement(self.value - self._coerce(other), self.field)
+        v = self._coerce(other)
+        return NotImplemented if v is None else FieldElement(self.value - v, self.field)
 
     def __rsub__(self, other):
-        return FieldElement(self._coerce(other) - self.value, self.field)
+        v = self._coerce(other)
+        return NotImplemented if v is None else FieldElement(v - self.value, self.field)
 
     def __mul__(self, other):
-        return FieldElement(self.value * self._coerce(other), self.field)
+        v = self._coerce(other)
+        return NotImplemented if v is None else FieldElement(self.value * v, self.field)
 
     __rmul__ = __mul__
 

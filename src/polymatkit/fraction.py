@@ -4,27 +4,33 @@
 mod x^t it computes only the new coefficients [t, t') from the residual's
 new half, on the orders k, ceil(k/2), ..., 1 taken upward, so the last
 step multiplies operands of about k/2 + deg(A) slices rather than 2k
-(Hanrot, Quercia & Zimmermann 2004). ``expansion_slice`` (a window
-F_h .. F_{h+delta-1} of the expansion of A^{-1}B) and ``proper_tail`` (the
-residue R_h and a window of A^{-1}) share one engine. Below the crossover
-h < LIFT_CROSSOVER * deg(A) it is one Newton run to order h + delta; above
-it, high-order lifting keeps only the residue R_t = (I - A S_t) / x^t of
-degree < deg(A) and doubles t, so it takes O(log h) products of
-degree-O(deg A) matrices (Storjohann 2003; Jeannerod & Villard 2005).
+(Hanrot, Quercia & Zimmermann 2004). The residual itself is a short
+product: its coefficients [t, t') read only X's top deg(A) slices, so each
+step multiplies A by deg(A) slices of X, not by all t of them.
+``expansion_slice`` (a window F_h .. F_{h+delta-1} of the expansion of
+A^{-1}B) and ``proper_tail`` (the residue R_h and a window of A^{-1}) share
+one engine. It is either one Newton run to order h + delta, or high-order
+lifting, which keeps only the residue R_t = (I - A S_t) / x^t of degree
+< deg(A) and doubles t, so it takes O(log h) products of degree-O(deg A)
+matrices (Storjohann 2003; Jeannerod & Villard 2005). ``_newton_wins``
+picks between them from n, deg(A) and h, by a rule fitted on measured
+times: Newton makes fewer product calls, lifting multiplies fewer
+coefficients, so Newton wins up to h / deg(A) of about 8000 for n = 2,
+d = 1 and of about 6 to 10 for n * deg(A) >= 256.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPolynomialQuotient, NotSquare, SingularAtZero, SingularInput
 from .linalg import inv as const_inv
-from .polymat import PolyMatrix, SeriesMatrix, int_degree, pm_eval, pm_mul, pm_truncate
-
-# h / deg(A) below which one Newton run beats lifting
-LIFT_CROSSOVER = 6
+from .polymat import (
+    PolyMatrix, SeriesMatrix, int_degree, pm_eval, pm_mul, pm_mul_batch, pm_truncate,
+)
 
 
 @dataclass(frozen=True)
@@ -65,16 +71,22 @@ def truncated_inverse(a: PolyMatrix, k: int) -> SeriesMatrix:
     with E the coefficients [t, t') of (A mod x**t') X, and
     A^{-1} mod x**t' = X - x**t ((X E) mod x**(t'-t)). The orders are
     k, ceil(k/2), ..., 1, run upward.
+
+    E is a short product: (A X)_j for j >= t sums A_i X_{j-i} over
+    j - i >= t - deg(A) only, so with lo = max(0, t - deg(A)), E is the
+    coefficients [t - lo, t' - lo) of (A mod x**t') (X div x**lo), a product
+    of deg(A) + 1 by at most deg(A) slices.
     """
     _check_args(a, k=k)
-    fld, n = a.field, a.rows
+    fld, n, d = a.field, a.rows, int_degree(a)
     x = PolyMatrix.constant(fld, _inv_at_zero(a))
     orders = [k]
     while orders[-1] > 1:
         orders.append((orders[-1] + 1) // 2)
     t = 1
     for t_next in reversed(orders[:-1]):
-        e = pm_mul(pm_truncate(a, t_next), x).coeffs[t:t_next]
+        lo = max(0, t - d)
+        e = pm_mul(pm_truncate(a, t_next), _quo_x_power(x, lo)).coeffs[t - lo:t_next - lo]
         if e.any():
             new = pm_mul(pm_truncate(x, t_next - t), PolyMatrix(fld, e)).coeffs[:t_next - t]
             s = np.zeros((t + new.shape[0], n, n), dtype=np.int64)
@@ -144,33 +156,51 @@ def proper_tail(a: PolyMatrix, h: int, sigma: int) -> ProperFractionData:
 # R_t alone determines everything after order t: F_{t+k} = (S_d R_t)_k for
 # k < d, so R_{t+d} = (R_t - A W_t) / x^d with W_t = (S_d R_t) mod x^d, and
 #   R_{2t+d} = R_{t+d} R_t + A ((W_t R_t) div x^d)
-# doubles the order. Each step is a product of degree-O(d) matrices.
+# doubles the order. Each step is a product of degree-O(d) matrices; a
+# doubling sends its independent pairs as one batch each, so it makes three
+# kernel calls: S_d R_t, then [A W_t, W_t R_t], then the two terms above.
+
+
+def _newton_wins(n: int, d: int, h: int) -> bool:
+    """Whether one Newton run to order h beats lifting for an n x n A of degree d >= 1.
+
+    Fitted on _expand timings (width 2d) over n in 2..32, d in 1..16 and
+    h/d in 2..128 at p = 2013265921 and 2**31 - 1: Newton wins while
+    h/d < 2**e, e = 15.25 - 2.25 log2(n d) + 0.375 log2(n) log2(d), with
+    log2 n and log2 d clamped to the measured ranges.
+    """
+    ln = min(max(math.log2(n), 1.0), 5.0)
+    ld = min(math.log2(d), 4.0)
+    return h < d * 2.0 ** (15.25 - 2.25 * (ln + ld) + 0.375 * ln * ld)
 
 
 def _expand(a: PolyMatrix, h: int, width: int):
     """(R_h, [F_h, .., F_{h+width-1}]) for the expansion of A^{-1} at x = 0."""
     d = int_degree(a)
     ident = PolyMatrix.identity(a.field, a.rows)
-    if d == 0 or h < LIFT_CROSSOVER * d:
+    if d == 0 or _newton_wins(a.rows, d, h):  # lifting steps by d, so it needs d >= 1
         s = truncated_inverse(a, h + width)
         resid = exact_x_power_divide(ident - pm_mul(a, pm_truncate(s, h)), h)
         return resid, s.coeffs[h:]
     s_w = truncated_inverse(a, 2 * d + width).to_polymat()
     s_d = pm_truncate(s_w, d)
 
-    def step(r):  # R_t -> (W_t, R_{t+d})
-        w = pm_truncate(pm_mul(s_d, r), d)
-        return w, exact_x_power_divide(r - pm_mul(a, w), d)
+    def w_of(r):  # W_t from R_t
+        return pm_truncate(pm_mul(s_d, r), d)
 
-    # r is R_t with t = (m - 1) d; m runs through the leading bits of h // d
+    # r is R_t with t = (m - 1) d as m runs through the leading bits of h // d
+    # (t = 0 when h < d)
     r = ident
     for bit in bin(h // d)[3:]:
-        w, r_next = step(r)
-        r = pm_mul(r_next, r) + pm_mul(a, _quo_x_power(pm_mul(w, r), d))  # m -> 2m
+        w = w_of(r)
+        aw, wr = pm_mul_batch([a, w], [w, r])
+        r_next = exact_x_power_divide(r - aw, d)
+        high, low = pm_mul_batch([r_next, a], [r, _quo_x_power(wr, d)])
+        r = high + low  # m -> 2m
         if bit == "1":
-            r = step(r)[1]  # m -> m + 1
-    # h - t = d + h mod d < 2d: one product with S_w gives R_h and the window
-    c = d + h % d
+            r = exact_x_power_divide(r - pm_mul(a, w_of(r)), d)  # m -> m + 1
+    # h - t < 2d: one product with S_w gives R_h and the window
+    c = h - max(h // d - 1, 0) * d
     f = pm_mul(s_w, r).to_series(c + width)
     resid = exact_x_power_divide(r - pm_mul(a, pm_truncate(f, c)), c)
     return resid, f.coeffs[c:]

@@ -156,6 +156,12 @@ class PolyMatrix:
 
     __matmul__ = __mul__
 
+    def __rmul__(self, other):
+        """Scalar times matrix: an int or a FieldElement on the left."""
+        if isinstance(other, (int, FieldElement)):
+            return self * other
+        return NotImplemented
+
     def shift(self, k: int) -> "PolyMatrix":
         """Multiply by x**k."""
         if self.is_zero() or k == 0:

@@ -4,9 +4,10 @@ and left factorization from a right one.
 Inverse and determinant run the block-elimination recursion on power-of-two
 dimensions: at each round the two halves of every diagonal block are
 annihilated by minimal nullspace bases, all from one batched call, whose
-indices must all equal the expected degree (the generic pattern is the
-correctness certificate; any deviation raises GenericityFailure). Row
-reduction goes through expansion/reconstruction of the proper tail of
+indices must all equal the expected degree (any deviation raises
+GenericityFailure). The determinant follows only the upper-left block, so
+it annihilates only right halves, and checks its result at a random point.
+Row reduction goes through expansion/reconstruction of the proper tail of
 A^{-1} and certifies its answer with the two transforms between A and R.
 """
 
@@ -64,19 +65,26 @@ def _block_diag(blocks) -> PolyMatrix:
     return PolyMatrix(fld, out)
 
 
+def _generic_kernels(halves, expected_deg: int) -> list:
+    """Nullspace bases of s x s/2 column halves, from one batched call: s/2 rows
+    of degree expected_deg each, else GenericityFailure."""
+    bases = minimal_vectors_up_to(halves, expected_deg)
+    for half, basis in zip(halves, bases):
+        if basis.row_count != half.cols or any(d != expected_deg for d in basis.kronecker_degrees):
+            raise GenericityFailure(
+                f"expected {half.cols} nullspace rows of degree {expected_deg}, "
+                f"got {basis.row_count} with degrees {basis.kronecker_degrees}"
+            )
+    return bases
+
+
 def _elimination_level(blocks, expected_deg: int) -> list:
     """(top, bottom, left, right) per block: the nullspace bases of its right
     and left column halves, all from one batched call, genericity-checked."""
     s = blocks[0].rows
     half = s // 2
     halves = [h for b in blocks for h in (b.take_cols(range(half, s)), b.take_cols(range(half)))]
-    bases = minimal_vectors_up_to(halves, expected_deg)
-    for basis in bases:
-        if basis.row_count != half or any(d != expected_deg for d in basis.kronecker_degrees):
-            raise GenericityFailure(
-                f"expected {half} nullspace rows of degree {expected_deg}, "
-                f"got {basis.row_count} with degrees {basis.kronecker_degrees}"
-            )
+    bases = _generic_kernels(halves, expected_deg)
     return [(bases[i], bases[i + 1], halves[i + 1], halves[i]) for i in range(0, len(bases), 2)]
 
 
@@ -124,27 +132,35 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
 
 
 def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
-    """det(A) via the upper-left branch of the elimination recursion."""
+    """det(A) via the upper-left branch of the elimination recursion.
+
+    Each level computes only the nullspace basis of the right column half,
+    genericity-checked. The rescaled b_11 is then checked against
+    det A(x0) at one random point x0 drawn from ``seed``; a mismatch raises
+    GenericityFailure.
+    """
     _require_square(a)
     n = a.rows
     _require_pow2(n)
     d = int_degree(a)
-    det_a0 = const_det(pm_eval(a, 0), a.field.p)
+    p = a.field.p
+    det_a0 = const_det(pm_eval(a, 0), p)
     if det_a0 == 0:
         raise SingularAtZero("det A(0) = 0; shift before the generic recursion")
     block = a
-    step = 1
     while block.rows > 1:
-        expected = 2 ** (step - 1) * d
-        [(top, _, left, _)] = _elimination_level([block], expected)
-        block = pm_mul(top.matrix, left)
-        step += 1
+        s = block.rows
+        [top] = _generic_kernels([block.take_cols(range(s // 2, s))], n // s * d)
+        block = pm_mul(top.matrix, block.take_cols(range(s // 2)))
     b11 = block.entry(0, 0)
     b11_at_0 = b11.coeff(0)
     if b11_at_0 == 0:
         raise GenericityFailure("b_{1,1}(0) vanished; cannot rescale")
-    scale = det_a0 * pow(b11_at_0, -1, a.field.p) % a.field.p
-    return b11 * scale
+    det = b11 * (det_a0 * pow(b11_at_0, -1, p) % p)
+    x0 = int(np.random.default_rng(seed).integers(0, p))
+    if int(det(x0)) != const_det(pm_eval(a, x0), p):
+        raise GenericityFailure(f"det check at x0 = {x0} failed")
+    return det
 
 
 def _certify(a: PolyMatrix, r: PolyMatrix, x0: int):

@@ -109,6 +109,12 @@ def test_field_element_operators(f97):
     assert int(-a) == 47
     assert a == 50 + 97
     assert isinstance(a**3, FieldElement)
+    assert int(a * np.int64(2)) == int(np.int64(53) - a) == 3
+    # other operand types are left to their own reflected methods
+    for op in (a.__add__, a.__sub__, a.__rsub__, a.__mul__):
+        assert op("2") is NotImplemented and op(2.0) is NotImplemented
+    with pytest.raises(TypeError):
+        a * "2"
 
 
 def test_primes_from_2_to_the_31_are_rejected():

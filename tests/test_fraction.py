@@ -1,12 +1,13 @@
+import bisect
+
 import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit import ntt
+from polymatkit import fraction, ntt, polymat
 from polymatkit.errors import NotSquare, SingularAtZero
 from polymatkit.field import DEFAULT_PRIME
 from polymatkit.fraction import (
-    LIFT_CROSSOVER,
     exact_x_power_divide,
     expansion_slice,
     proper_tail,
@@ -14,7 +15,7 @@ from polymatkit.fraction import (
 )
 from polymatkit.linalg import det as const_det
 from polymatkit.oracle import naive_mul
-from polymatkit.polymat import PolyMatrix, pm_eval, pm_mul, pm_truncate
+from polymatkit.polymat import PolyMatrix, int_degree, pm_eval, pm_mul, pm_truncate
 
 
 def anchor(fd):
@@ -149,18 +150,23 @@ def newton_window(a, b, h, delta):
     return pm_mul(s, b).to_series(h + delta).coeffs[h:]
 
 
+def crossover(n, d):
+    """The least h at which the engine rule picks lifting for an n x n A of degree d."""
+    return bisect.bisect_left(range(2**20), True, key=lambda h: not fraction._newton_wins(n, d, h))
+
+
 def test_expansion_slice_around_crossover(fd, rng):
     for trial in range(12):
         n = int(rng.integers(1, 6))
         d = int(rng.integers(1, 6))
         a = nonsingular_at_zero(fd, n, d, int(rng.integers(0, 2**31)))
-        cross = LIFT_CROSSOVER * d
+        cross = crossover(n, int_degree(a))
         for db in (0, d):
             b = pk.rand_instance(
                 n, int(rng.integers(1, 4)), db, int(rng.integers(0, 2**31)), field=fd
             )
             hs = (cross + db - 1, cross + db, cross + db + 1,
-                  int(rng.integers(cross + db + 2, 40 * d + 40)))
+                  int(rng.integers(cross + db + 2, cross + db + 40 * d + 40)))
             for h in hs:
                 delta = int(rng.integers(1, 12))
                 got = expansion_slice(a, b, h, delta).coeffs
@@ -174,7 +180,7 @@ def test_expansion_slice_numerator_above_order(fd, rng):
         a = nonsingular_at_zero(fd, n, d, int(rng.integers(0, 2**31)))
         db = int(rng.integers(d + 1, 4 * d + 3))
         b = pk.rand_instance(n, 2, db, int(rng.integers(0, 2**31)), field=fd)
-        for h in (0, db - 1, db + LIFT_CROSSOVER * d + 5):
+        for h in (0, db - 1, db + crossover(n, int_degree(a)) + 5):
             got = expansion_slice(a, b, h, 6).coeffs
             assert np.array_equal(got, newton_window(a, b, h, 6)), (trial, n, d, db, h)
 
@@ -217,10 +223,10 @@ def test_proper_tail_invariants_random(fd, rng):
 
 
 def test_proper_tail_lifting_side(fd, rng):
-    for n, d in ((10, 2), (12, 3)):
+    for n, d in ((32, 1), (24, 3)):
         a = nonsingular_at_zero(fd, n, d, int(rng.integers(0, 2**31)))
         h = (n - 1) * d + 1
-        assert h >= LIFT_CROSSOVER * d
+        assert int_degree(a) == d and not fraction._newton_wins(n, d, h)
         data = proper_tail(a, h, 2 * d + 1)
         s = truncated_inverse(a, h + 2 * d + 1)
         ident = PolyMatrix.identity(fd, n)
@@ -233,3 +239,51 @@ def test_proper_tail_rejects_small_h(fd):
     a = anchor(fd)
     with pytest.raises(ValueError):
         proper_tail(a, 1, 3)  # need h > (n-1)d = 1
+
+
+def expansion_input(fld, n, d, rng):
+    """A of degree exactly d with A(0) unit lower triangular, so non-singular at 0."""
+    c = rng.integers(0, fld.p, size=(d + 1, n, n))
+    c[0] = np.tril(c[0], -1) + np.eye(n, dtype=np.int64)
+    if d:
+        c[d, 0, 0] = 1
+    return PolyMatrix(fld, c)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 2**31 - 1, DEFAULT_PRIME])
+def test_engines_agree(p, monkeypatch):
+    # (n, d, h, width): d = 0, h = 0, width 0, n = 1, h < d, and h + width <= d,
+    # so lifting's truncated inverse has order 2d + width while Newton's has k <= deg A
+    fld = pk.get_field(p)
+    rng = np.random.default_rng(p)
+    cases = [(1, 0, 0, 0), (2, 0, 7, 3), (1, 1, 0, 0), (1, 3, 0, 2), (3, 4, 2, 0), (2, 5, 3, 1),
+             (1, 2, 9, 4), (3, 1, 40, 0), (2, 3, 3, 5), (4, 2, 17, 6)]
+    cases += [(int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(0, 120)),
+               int(rng.integers(0, 12))) for _ in range(8)]
+    for n, d, h, width in cases:
+        a = expansion_input(fld, n, d, rng)
+        got = []
+        for newton in (True, False):
+            monkeypatch.setattr(fraction, "_newton_wins", lambda *_, newton=newton: newton)
+            got.append(fraction._expand(a, h, width))
+        (r_newton, w_newton), (r_lift, w_lift) = got
+        assert r_newton == r_lift and np.array_equal(w_newton, w_lift), (n, d, h, width)
+        assert w_newton.shape == (width, n, n)
+
+
+def test_lifting_doubling_makes_three_kernel_calls(fd, monkeypatch):
+    # h = m d with m a power of two takes log2(m) doublings and no single steps
+    a = nonsingular_at_zero(fd, 4, 3, 11)
+    calls = []
+    products = polymat._products
+
+    def counting(*args):
+        calls[-1] += 1
+        return products(*args)
+
+    monkeypatch.setattr(polymat, "_products", counting)
+    monkeypatch.setattr(fraction, "_newton_wins", lambda *_: False)
+    for m in (1, 2, 4, 8):
+        calls.append(0)
+        fraction._expand(a, m * 3, 5)
+    assert [b - a for a, b in zip(calls, calls[1:])] == [3, 3, 3], calls

@@ -145,6 +145,8 @@ def test_prime_mismatch_is_typed(fd, f97):
 
 def test_scalar_over_another_prime_is_rejected(f97):
     a = P(f97, 1, 2)
-    with pytest.raises(PrimeMismatch, match="p=97 and p=5"):
-        a * pk.FieldElement(3, pk.get_field(5))
-    assert a * 100 == 100 * a == a * pk.FieldElement(3, f97) == P(f97, 3, 6)
+    for product in (lambda c: a * c, lambda c: c * a):
+        with pytest.raises(PrimeMismatch, match="p=97 and p=5"):
+            product(pk.FieldElement(3, pk.get_field(5)))
+    three = pk.FieldElement(3, f97)
+    assert a * 100 == 100 * a == a * three == three * a == P(f97, 3, 6)

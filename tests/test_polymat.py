@@ -129,10 +129,15 @@ def test_stacking_and_scalars_over_different_primes(f97):
         with pytest.raises(PrimeMismatch, match="p=97 and p=2147483647"):
             stack([a, b])
         assert stack([a, a]).field == f97
-    with pytest.raises(PrimeMismatch, match="p=97 and p=5"):
-        a * pk.FieldElement(3, pk.get_field(5))
-    # int scalars and scalars of the matrix's own field reduce mod p as before
-    assert a * 100 == a * pk.FieldElement(3, f97) == PolyMatrix(f97, a.coeffs * 3)
+    for product in (lambda c: a * c, lambda c: c * a):
+        with pytest.raises(PrimeMismatch, match="p=97 and p=5"):
+            product(pk.FieldElement(3, pk.get_field(5)))
+    # int scalars and scalars of the matrix's own field reduce mod p, on either side
+    three = pk.FieldElement(3, f97)
+    assert a * 100 == a * three == PolyMatrix(f97, a.coeffs * 3)
+    assert 100 * a == three * a == a * three
+    with pytest.raises(TypeError):
+        "3" * a
 
 
 @pytest.mark.parametrize("shape, d", [

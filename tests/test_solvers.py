@@ -170,6 +170,21 @@ def test_det_random_matches_oracle(fd, rng):
                 assert got == det_by_interpolation(a)
 
 
+def test_det_point_check_rejects_a_wrong_b11(fd, rng, monkeypatch):
+    # b_11 + x^(deg + 1) keeps b_11(0), so only the check at a random point can see it
+    a = nonsingular_at_zero(fd, 4, 2, rng)
+    mul = solvers.pm_mul
+
+    def corrupt(x, y):
+        out = mul(x, y)
+        return out + PolyMatrix.identity(fd, 1).shift(out.degree + 1) if out.rows == 1 else out
+
+    assert generic_det(a, 0) == det_by_interpolation(a)
+    monkeypatch.setattr(solvers, "pm_mul", corrupt)
+    with pytest.raises(GenericityFailure, match="det check"):
+        generic_det(a, 0)
+
+
 def test_det_singular_at_zero(fd):
     a = PolyMatrix.from_lists(fd, [[[0, 1], [0]], [[0], [0, 1]]])  # x I
     with pytest.raises(SingularAtZero):
