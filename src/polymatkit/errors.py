@@ -33,6 +33,11 @@ class FieldTooSmall(PolymatError):
     """The prime is too small for the requested evaluation-based routine."""
 
 
+class InvalidModulus(PolymatError, ValueError):
+    """The field modulus is not an integer, or not a prime. A ValueError too, so the
+    parser reports a bad header prime as a ParseError."""
+
+
 class UnsupportedPrime(PolymatError):
     """The prime is 2**31 or larger; the int64 and float64 product kernels would lose exactness."""
 

@@ -3,6 +3,9 @@
 The default prime 2013265921 = 15 * 2**27 + 1 is NTT-friendly: it supports
 evaluation/interpolation grids of length up to 2**27 while keeping all
 products of canonical representatives inside 64-bit words.
+
+Field set-up needs no computer-algebra package: below 2**31, Miller-Rabin on
+the bases 2, 7 and 61 is exact (Jaeschke 1993), and p - 1 is trial-divided.
 """
 
 from __future__ import annotations
@@ -11,43 +14,68 @@ from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
 
-from sympy import factorint, isprime
-
-from .errors import PrimeMismatch, UnsupportedOrder, UnsupportedPrime, ZeroInverse
+from .errors import InvalidModulus, PrimeMismatch, UnsupportedOrder, UnsupportedPrime, ZeroInverse
 
 DEFAULT_PRIME = 2013265921
 # Residues are multiplied in int64, so every kernel needs p < 2**31.
 PRIME_LIMIT = 1 << 31
 
 
-class PrimeField:
-    """The field Z/pZ for a prime p < 2**31 (UnsupportedPrime otherwise).
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 4,759,123,141 (bases 2, 7, 61)."""
+    if n < 2:
+        return False
+    for a in (2, 7, 61):
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2**s * d with d odd
+    d = (n - 1) >> s
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    Elements are represented by their canonical residues in [0, p). The
-    field caches its two-adicity (largest k with 2**k | p-1) and a fixed
-    primitive root, from which ``root_of_unity`` takes a root of every
-    order dividing p - 1 for NTT grids.
+
+class PrimeField:
+    """The field Z/pZ for a prime p < 2**31.
+
+    A non-integer or non-prime p raises InvalidModulus (a ValueError); p >= 2**31
+    raises UnsupportedPrime before any primality test. Elements are canonical
+    residues in [0, p). The field caches its two-adicity (largest k with
+    2**k | p-1) and its least primitive root, from which ``root_of_unity``
+    takes a root of every order dividing p - 1 for NTT grids.
     """
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if not isprime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        if not isinstance(p, Integral) or isinstance(p, bool):
+            raise InvalidModulus(f"{p!r} is not an integer")
         if p >= PRIME_LIMIT:
-            raise UnsupportedPrime(f"prime {p} is not below 2**31, the limit of the int64 kernels")
+            raise UnsupportedPrime(f"a {int(p).bit_length()}-bit modulus is not below 2**31")
+        if not is_prime(int(p)):
+            raise InvalidModulus(f"modulus {p} is not prime")
         self.p = int(p)
-        k, q = 0, self.p - 1
-        while q % 2 == 0:
-            q //= 2
-            k += 1
-        self.two_adicity = k
+        self.two_adicity = ((self.p - 1) & (1 - self.p)).bit_length() - 1
         self.generator = self._find_generator()
 
     def _find_generator(self) -> int:
-        if self.p == 2:
-            return 1
-        prime_divisors = list(factorint(self.p - 1))
-        for g in range(2, self.p):
-            if all(pow(g, (self.p - 1) // q, self.p) != 1 for q in prime_divisors):
+        """The least g whose order is p - 1 (g = 1 for p = 2)."""
+        divisors, n, q = [], self.p - 1, 2
+        while q * q <= n:  # the prime divisors of p - 1, by trial division
+            if n % q == 0:
+                divisors.append(q)
+                while n % q == 0:
+                    n //= q
+            q += 1 if q == 2 else 2
+        divisors += [n] if n > 1 else []
+        for g in range(1, self.p):
+            if all(pow(g, (self.p - 1) // q, self.p) != 1 for q in divisors):
                 return g
         raise AssertionError("no primitive root found (p not prime?)")
 
@@ -120,6 +148,8 @@ class FieldElement:
         return FieldElement(-self.value, self.field)
 
     def __pow__(self, e: int):
+        if e < 0:  # invert first, so 0 ** -e raises ZeroInverse
+            return self.inverse() ** -e
         return FieldElement(pow(self.value, e, self.field.p), self.field)
 
     def __eq__(self, other):

@@ -1,10 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit.errors import (PolymatError, PrimeMismatch, UnsupportedOrder, UnsupportedPrime,
-                               ZeroInverse)
-from polymatkit.field import FieldElement
+from polymatkit.errors import (InvalidModulus, PolymatError, PrimeMismatch, UnsupportedOrder,
+                               UnsupportedPrime, ZeroInverse)
+from polymatkit.field import FieldElement, is_prime
 
 
 def test_default_prime_structure(fd):
@@ -130,3 +133,84 @@ def test_element_prime_mismatch_is_typed(fd, f97):
     for op in (lambda: a + b, lambda: a * b, lambda: a - b):
         with pytest.raises(PrimeMismatch, match="p=2013265921 and p=97"):
             op()
+
+
+@pytest.mark.parametrize("p", [10**3999 + 1, 10**5000], ids=["4000-digit", "5001-digit"])
+def test_huge_modulus_is_unsupported_at_once(p):
+    # the 2**31 bound is checked before any primality work, and the message has no digits of p
+    with pytest.raises(UnsupportedPrime, match=f"{p.bit_length()}-bit modulus"):
+        pk.PrimeField(p)
+
+
+@pytest.mark.parametrize("p", [91, 0, 1, -7])
+def test_invalid_modulus_is_typed(p):
+    with pytest.raises(InvalidModulus, match="not prime") as info:
+        pk.PrimeField(p)
+    # a PolymatError for the CLI, and still a ValueError for the parser and older callers
+    assert isinstance(info.value, PolymatError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("p", [97.0, True, "97"])
+def test_non_integer_modulus_is_rejected(p):
+    with pytest.raises(ValueError, match="not an integer"):
+        pk.PrimeField(p)
+
+
+def test_numpy_integer_modulus():
+    f = pk.PrimeField(np.int64(97))
+    assert f.p == 97 and type(f.p) is int
+
+
+@pytest.mark.parametrize("e", [-1, -3])
+def test_zero_to_a_negative_power_raises_zero_inverse(f97, e):
+    with pytest.raises(ZeroInverse):
+        FieldElement(0, f97) ** e
+    assert int(FieldElement(5, f97) ** e) == pow(5, e, 97)
+
+
+def _small_primes(limit):
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = False
+    return sieve
+
+
+def test_is_prime_matches_a_sieve_below_10_to_the_5():
+    sieve = _small_primes(10**5)
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+
+
+def test_is_prime_matches_trial_division_on_random_words():
+    divisors = np.flatnonzero(_small_primes(46341))  # every prime up to sqrt(2**31)
+    for n in np.random.default_rng(31).integers(2, 2**31, 10_000).tolist():
+        small = divisors[divisors * divisors <= n]
+        assert is_prime(n) == (not np.any(n % small == 0)), n
+
+
+@pytest.mark.parametrize("n", [2047, 1373653, 25326001, 561, 1105, 1729, 41041, 825265,
+                               321197185])
+def test_strong_pseudoprimes_and_carmichael_numbers_are_composite(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2, 7, 61, 2**31 - 1, 754974721, 943718401, 2013265921])
+def test_bases_and_ntt_primes_are_prime(n):
+    assert is_prime(n)
+
+
+GENERATORS = {2: 1, 3: 2, 5: 2, 7: 3, 97: 5, 7681: 17, 12289: 11, 65537: 3, 754974721: 11,
+              943718401: 7, 2013265921: 31, 2**31 - 1: 7, 2147483629: 2}
+
+
+@pytest.mark.parametrize("p, g", GENERATORS.items())
+def test_generator_is_the_least_primitive_root(p, g):
+    # pinned: every root of unity, NTT grid and output is derived from it
+    assert pk.PrimeField(p).generator == g
+
+
+def test_import_does_not_load_sympy():
+    code = "import sys, polymatkit, polymatkit.cli; print(sys.modules.get('sympy') is not None)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -172,6 +172,27 @@ def test_cli_prime_too_large_exits_3(tmp_path):
     assert main(["--seed", "1", "mul", str(path), str(path), "-o", str(tmp_path / "c.pm")]) == 3
 
 
+def test_cli_huge_composite_prime_exits_3_at_once(tmp_path, capsys):
+    path = tmp_path / "huge.pm"
+    path.write_text(f"polymat 1\np {10**3999 + 1}\ndims 1 1\ne 0 0 3 1\n")
+    assert main(["--seed", "1", "mul", str(path), str(path), "-o", str(tmp_path / "c.pm")]) == 3
+    assert "not below 2**31" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prime", ["91", "0", "1", "-7"])
+def test_cli_invalid_prime_exits_3(tmp_path, prime, capsys):
+    out = tmp_path / "a.pm"
+    assert main([f"--prime={prime}", "rand", "--n", "2", "--m", "2", "--d", "1", "-o", str(out)]) == 3
+    assert "not prime" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_composite_header_prime_is_a_parse_error():
+    with pytest.raises(ParseError, match="not prime") as info:
+        pmio.parse("polymat 1\np 91\ndims 1 1\n")
+    assert info.value.line == 2
+
+
 def test_cli_det_and_oracle(files, capsys):
     _, pa, *_ = files
     assert main(["--seed", "2", "--oracle", "det", str(pa)]) == 0
