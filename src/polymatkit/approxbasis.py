@@ -133,7 +133,7 @@ def mbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis |
     for k in range(sigma):
         order_rows = np.argsort(work, kind="stable")
         blocks[:] = resid[order_rows, k].reshape(batch, n, m).transpose(0, 2, 1)
-        echelon, piv = rref(diag, p)
+        echelon, piv, _ = rref(diag, p)
         if not piv:
             continue
         free = np.ones(batch * n, dtype=bool)

@@ -85,8 +85,8 @@ class CapTooSmall(PolymatError):
 
 # -- fraction / solver layer -------------------------------------------------
 
-class NonPolynomialQuotient(PolymatError):
-    """An exact polynomial division left a remainder (internal bug guard)."""
+class NonPolynomialQuotient(SelfCheckFailure):
+    """An exact polynomial division left a remainder: a fault, not bad input."""
 
 
 class WrongRowCount(PolymatError):

@@ -11,11 +11,11 @@ Entry lines use 0-based indices and coefficients low-to-high, canonical
 residues, trailing zeros forbidden; omitted entries are zero. ``#`` starts
 a comment anywhere on a line.
 
-Every i, j and coefficient token is a canonical decimal: ASCII digits, no
-sign, no underscore, no leading zero except ``0`` itself. Anything else
-(``+5``, ``05``, ``1_000``, non-ASCII digits) is a ParseError on its line,
-so each matrix has one text. A coefficient token longer than any residue is
-"outside canonical range [0, p)", however many digits it has.
+Every p, dims, i, j and coefficient token is a canonical decimal: ASCII
+digits, no sign, no underscore, no leading zero except ``0`` itself.
+Anything else (``+5``, ``05``, ``1_000``, non-ASCII digits) is a ParseError
+on its line, so each matrix has one text. A coefficient token longer than
+any residue is "outside canonical range [0, p)", however many digits it has.
 
 A malformed file raises ParseError for its first faulty line, with each
 line's checks in a fixed order: tag, token count, token grammar, i and j
@@ -97,8 +97,9 @@ def parse(text: str) -> PolyMatrix:
 
     ln, pline = header[1]
     parts = pline.split()
-    if len(parts) != 2 or parts[0] != "p" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "p":
         raise ParseError(f"expected 'p <prime>', got {pline!r}", line=ln)
+    _check_header_tokens(parts[1:], ln)
     try:
         field = get_field(int(parts[1]))
     except ValueError as exc:
@@ -108,14 +109,12 @@ def parse(text: str) -> PolyMatrix:
     parts = dline.split()
     if len(parts) != 3 or parts[0] != "dims":
         raise ParseError(f"expected 'dims <rows> <cols>', got {dline!r}", line=ln)
-    try:
-        rows, cols = int(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ParseError(f"non-integer dimensions in {dline!r}", line=ln) from exc
-    if rows < 0 or cols < 0:
-        raise ParseError("negative dimensions", line=ln)
-    if max(rows, cols, rows * cols) > MAX_COEFFS:
-        raise ParseError(f"{rows}x{cols} exceeds {MAX_COEFFS} coefficients", line=ln)
+    _check_header_tokens(parts[1:], ln)
+    tr, tc = parts[1:]
+    if not (_below(tr, MAX_COEFFS + 1) and _below(tc, MAX_COEFFS + 1)
+            and int(tr) * int(tc) <= MAX_COEFFS):
+        raise ParseError(f"{tr}x{tc} exceeds {MAX_COEFFS} coefficients", line=ln)
+    rows, cols = int(tr), int(tc)
 
     coeffs = _EntryReader(lines, field.p, rows, cols).read(body_start)
     return PolyMatrix._canonical(field, coeffs)
@@ -250,15 +249,23 @@ def _first_faulty(toks: np.ndarray, counts: np.ndarray, rows: int, cols: int, p:
 
 # -- the error path: one token or one line at a time --------------------------
 
-def _grammar_fault(tok: str) -> str | None:
+def _grammar_fault(tok: str, where: str = "entry line") -> str | None:
     """Why ``tok`` is not a canonical decimal (ASCII digits, no sign, no leading zero)."""
     if tok.isascii() and tok.isdigit() and (tok[0] != "0" or len(tok) == 1):
         return None
     try:
         int(tok)
     except ValueError:
-        return "non-integer token on entry line"
-    return "non-canonical integer on entry line: use ASCII digits, no sign, no leading zero"
+        return f"non-integer token on {where}"
+    return f"non-canonical integer on {where}: use ASCII digits, no sign, no leading zero"
+
+
+def _check_header_tokens(tokens: list[str], ln: int):
+    """ParseError on line ``ln`` for the first token that is not a canonical decimal."""
+    for tok in tokens:
+        msg = _grammar_fault(tok, "header line")
+        if msg:
+            raise ParseError(msg, line=ln)
 
 
 def _below(tok: str, bound: int) -> bool:

@@ -7,9 +7,9 @@ enough for every partial sum to be exact (see ``_CHUNK``). Reduction is
 delayed (Dumas, Giorgi & Pernet, ACM TOMS 2008): ``mul_unreduced`` adds the
 chunks' exact results in int64, each below 2**53, so an int64 cell holds
 up to ``TERMS`` of them before it must be reduced, and ``mod_matmul``
-reduces each output cell once. Elimination stays in int64: a pivot step of
-``rref`` or ``det`` is one ``nonzero`` and one broadcast update of the other
-rows (the rows below, for ``det``).
+reduces each output cell once. Elimination stays in int64 and runs in one
+loop, ``rref``: a pivot step is one ``nonzero`` and one broadcast update of
+the other rows. ``rank``, ``det``, ``inv`` and ``left_kernel`` read its result.
 """
 
 from __future__ import annotations
@@ -85,12 +85,14 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (rref, pivot columns)."""
+def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
+    """Reduced row echelon form over GF(p): (rref, pivot columns, d), where d
+    is the product of the pivots as met, negated once per row swap."""
     m = np.array(mat, dtype=np.int64, order="C")  # row operations run faster on C order
     m %= p
     rows, cols = m.shape
     pivots: list[int] = []
+    d = 1
     r = 0
     for c in range(cols):
         if r >= rows:
@@ -101,8 +103,11 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if nz[0]:
             pr = nz[0] + r
             m[[r, pr]] = m[[pr, r]]
+            d = -d
         row = m[r]
-        row *= pow(int(row[c]), -1, p)
+        piv = int(row[c])
+        d = d * piv % p
+        row *= pow(piv, -1, p)
         row %= p
         # clear column c outside row r; a full-matrix update beats gathering
         # the nonzero rows, and p < 2**31 keeps m - factors * row above -2**63
@@ -112,7 +117,7 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         m %= p
         pivots.append(c)
         r += 1
-    return m, pivots
+    return m, pivots, d
 
 
 def rank(mat: np.ndarray, p: int) -> int:
@@ -120,32 +125,19 @@ def rank(mat: np.ndarray, p: int) -> int:
 
 
 def det(mat: np.ndarray, p: int) -> int:
-    """Determinant over GF(p) by Gaussian elimination."""
-    m = mat.astype(np.int64, copy=True) % p
-    n = m.shape[0]
-    if m.shape != (n, n):
+    """Determinant over GF(p): the signed pivot product of ``rref``."""
+    n = mat.shape[0]
+    if mat.shape != (n, n):
         raise ValueError("det needs a square matrix")
-    result = 1
-    for c in range(n):
-        nz = m[c:, c].nonzero()[0]
-        if nz.size == 0:
-            return 0
-        pr = nz[0] + c
-        if pr != c:
-            m[[c, pr]] = m[[pr, c]]
-            result = -result % p
-        piv = int(m[c, c])
-        result = result * piv % p
-        factors = m[c + 1:, c] * pow(piv, -1, p) % p
-        m[c + 1:] = (m[c + 1:] - factors[:, None] * m[c]) % p
-    return result
+    _, pivots, d = rref(mat, p)
+    return d if len(pivots) == n else 0
 
 
 def inv(mat: np.ndarray, p: int) -> np.ndarray:
     """Inverse over GF(p); raises SingularInput when singular."""
     n = mat.shape[0]
-    aug = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
-    r, pivots = rref(aug, p)
+    aug = np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1)
+    r, pivots, _ = rref(aug, p)
     if pivots[:n] != list(range(n)):
         raise SingularInput("matrix is singular over GF(p)")
     return r[:, n:]
@@ -154,7 +146,7 @@ def inv(mat: np.ndarray, p: int) -> np.ndarray:
 def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis (as rows) of {v : v M = 0} over GF(p)."""
     rows = mat.shape[0]
-    r, pivots = rref(mat.T % p, p)
+    r, pivots, _ = rref(mat.T, p)
     free = [j for j in range(rows) if j not in pivots]
     basis = np.eye(rows, dtype=np.int64)[free]
     basis[:, pivots] = -r[:len(pivots), free].T % p

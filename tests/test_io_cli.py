@@ -65,6 +65,7 @@ def test_random_round_trip(fd, rng):
     # above io.MAX_COEFFS = 2^24 coefficients, refused before allocating
     ("polymat 1\np 97\ndims 100000 100000\n", 3),
     ("polymat 1\np 97\ndims 0 100000000\n", 3),
+    pytest.param("polymat 1\np 97\ndims 1 " + "9" * 5000 + "\n", 3, id="dims-of-5000-digits"),
     ("polymat 1\np 97\ndims 4096 4096\ne 0 0 1 1\n", 4),
 ])
 def test_parse_errors_carry_line(bad, line):
@@ -149,6 +150,39 @@ def test_cli_library_self_check_exits_2(tmp_path, fd, monkeypatch, capsys):
     pmio.save(p, PolyMatrix.from_lists(fd, [[[1], [2]], [[0, 1, 0, 1], [1, 0, 1]]]))
     assert main(["--seed", "1", "rowreduce", str(p), "-o", str(tmp_path / "r.pm")]) == 2
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_cli_inverse_self_check_exits_2(tmp_path, fd, monkeypatch, capsys):
+    from polymatkit import solvers
+
+    def wrong_product(a, b):
+        c = pk.pm_mul(a, b)
+        return c + PolyMatrix.identity(c.field, c.rows)
+
+    monkeypatch.setattr(solvers, "pm_mul", wrong_product)
+    p = tmp_path / "a.pm"
+    pmio.save(p, PolyMatrix.from_lists(fd, [[[1], [0, 1]], [[0, 1], [1]]]))
+    assert main(["--seed", "1", "inverse", str(p), "-o", str(tmp_path / "u.pm")]) == 2
+    assert "diagonalization product check failed" in capsys.readouterr().err
+
+
+def test_cli_non_polynomial_quotient_exits_2(tmp_path, fd, monkeypatch, capsys):
+    # a wrong truncated inverse leaves a residue that x^h does not divide: a fault, not bad input
+    from polymatkit import fraction
+    from polymatkit.polymat import SeriesMatrix
+
+    truncated_inverse = fraction.truncated_inverse
+
+    def wrong_inverse(a, k):
+        coeffs = truncated_inverse(a, k).coeffs.copy()
+        coeffs[0, 0, 0] += 1
+        return SeriesMatrix(a.field, k, coeffs)
+
+    monkeypatch.setattr(fraction, "truncated_inverse", wrong_inverse)
+    p = tmp_path / "a.pm"
+    pmio.save(p, pk.rand_instance(3, 3, 2, 4, field=fd))
+    assert main(["--seed", "1", "expand", str(p), "--h", "5", "--delta", "2"]) == 2
+    assert "not divisible by x^" in capsys.readouterr().err
 
 
 def test_cli_nullspace_self_check_exits_2(tmp_path, fd, monkeypatch, capsys):

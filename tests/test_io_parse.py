@@ -231,6 +231,16 @@ def test_non_canonical_tokens_are_refused_on_their_line(token, where):
     assert info.value.line == 5
 
 
+@pytest.mark.parametrize("header", ["p ٩٧", "p 097", "p +97", "dims +2 ٢", "dims 02 2",
+                                    "dims 1_0 2", "dims -1 2"])
+def test_non_canonical_header_tokens_are_refused_on_their_line(header):
+    p_line, dims_line = ("p 97", header) if header.startswith("dims") else (header, "dims 2 2")
+    text = f"polymat 1\n{p_line}\n{dims_line}\ne 0 0 1\n"
+    with pytest.raises(ParseError) as info:
+        pmio.parse(text)
+    assert info.value.line == (3 if header.startswith("dims") else 2)
+
+
 @pytest.mark.parametrize("digits", [11, 19, 20, 25, 4300, 5000, 100_000])
 def test_long_coefficient_is_out_of_range(digits):
     for p in (97, 2013265921):

@@ -38,7 +38,7 @@ def test_rref_matches_exact_reference(p, rng):
         a[:, 1] = 0                                # a zero column
         if rows > 2:
             a[2] = a[0]                            # a repeated row
-        got, piv = rref(a, p)
+        got, piv, _ = rref(a, p)
         want, want_piv = _rref_ref(a.tolist(), p)
         assert piv == want_piv
         assert got.tolist() == want
@@ -74,10 +74,10 @@ def _det_ref(rows, p):
     return total % p
 
 
-@pytest.mark.parametrize("p", [2, 97, 2**31 - 1, DEFAULT_PRIME])
+@pytest.mark.parametrize("p", [2, 3, 97, 2**31 - 1, DEFAULT_PRIME])
 def test_det_matches_exact_reference(p, rng):
     cases = [np.zeros((0, 0), dtype=np.int64), np.array([[p - 1]]), np.full((5, 5), p - 1)]
-    for n in (1, 2, 3, 5, 6):
+    for n in (1, 2, 3, 5, 6, 8):
         a = rng.integers(0, p, size=(n, n))
         a[rng.random((n, n)) < 0.3] = p - 1  # largest residues stress int64
         cases.append(a.copy())

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import polymatkit as pk
 from polymatkit import solvers
 from polymatkit.errors import (
+    CertificateFailure,
     DimensionMismatch,
     FieldTooSmall,
     GenericityFailure,
@@ -11,12 +14,13 @@ from polymatkit.errors import (
     NotSquare,
     PrimeMismatch,
     ReconstructionFailure,
+    SelfCheckFailure,
     SingularAtZero,
     SingularInput,
 )
 from polymatkit.linalg import det as const_det, rank as crank
 from polymatkit.oracle import det_by_interpolation, unimodular_equiv_check
-from polymatkit.nullspace import minimal_vectors_up_to
+from polymatkit.nullspace import general_nullspace, minimal_vectors_up_to
 from polymatkit.polymat import PolyMatrix, int_degree, pm_eval, pm_mul, row_degrees
 from polymatkit.reconstruct import LeftFactorization, matfrac_rec
 from polymatkit.solvers import (
@@ -341,6 +345,47 @@ def test_solvers_reject_non_square(fd):
         left_factorization(pk.rand_instance(2, 3, 1, 4, field=fd), a, 0)
     with pytest.raises(DimensionMismatch):
         left_factorization(a, anchor(fd), 0)  # B has 3 columns, A has 2
+
+
+# -- self-checks: a wrong intermediate result raises the typed error ----------
+
+def bumped(m: PolyMatrix) -> PolyMatrix:
+    """m plus 1 in the constant coefficient of entry (0, 0)."""
+    coeffs = np.zeros((max(m.coeffs.shape[0], 1), m.rows, m.cols), dtype=np.int64)
+    coeffs[:m.coeffs.shape[0]] = m.coeffs
+    coeffs[0, 0, 0] += 1
+    return PolyMatrix(m.field, coeffs)
+
+
+def test_inverse_rejects_a_wrong_diagonalization_product(fd, monkeypatch):
+    monkeypatch.setattr(solvers, "pm_mul", lambda a, b: bumped(pm_mul(a, b)))
+    with pytest.raises(SelfCheckFailure, match="diagonalization product check failed"):
+        generic_inverse(anchor(fd), 0)
+
+
+def test_certify_rejects_a_non_reduced_r(fd):
+    r = PolyMatrix.from_lists(fd, [[[1], [0, 1]], [[1], [0, 1]]])  # leading row matrix singular
+    with pytest.raises(CertificateFailure, match="R is not row-reduced"):
+        solvers._certify(anchor(fd), r, 0)
+
+
+def test_certify_rejects_an_r_not_equivalent_to_a(fd):
+    # diag(x + 1, 1) A is row-reduced and in A's row module, but T = diag(x + 1, 1)
+    # exceeds the Cramer bound on deg T, so the truncated T fails T A = R
+    a = anchor(fd)
+    r = pm_mul(PolyMatrix.from_lists(fd, [[[1, 1], [0]], [[0], [1]]]), a)
+    with pytest.raises(CertificateFailure, match="T A = R check failed"):
+        solvers._certify(a, r, 0)
+
+
+def test_factor_rejects_a_wrong_nullspace_row(fd, monkeypatch):
+    def wrong_nullspace(a, rng):
+        basis = general_nullspace(a, rng)
+        return dataclasses.replace(basis, matrix=bumped(basis.matrix))
+
+    monkeypatch.setattr(solvers, "general_nullspace", wrong_nullspace)
+    with pytest.raises(CertificateFailure, match="U A = V B product check failed"):
+        left_factorization(PolyMatrix.identity(fd, 2), anchor(fd), 0)
 
 
 # -- left factorization ------------------------------------------------------
