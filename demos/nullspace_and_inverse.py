@@ -5,7 +5,7 @@ First half: plant a rank deficiency, then recover the minimal left nullspace
 vectors -- the number of them is n - rank, and their degrees (the left
 Kronecker indices) come out of the order basis for free.
 
-Second half: for a generic square A of power-of-two size, repeatedly
+Second half: for a non-singular square A of power-of-two size, repeatedly
 annihilate half the columns of every diagonal block; log2(n) rounds later A
 has been transformed to a diagonal matrix, and the determinant falls out of
 one branch of the same recursion.

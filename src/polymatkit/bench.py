@@ -16,11 +16,10 @@ import numpy as np
 
 from .approxbasis import pmbasis
 from .field import PrimeField, default_field
-from .fraction import truncated_inverse
 from .instances import rand_instance
 from .nullspace import minimal_vectors_up_to
 from .polymat import SeriesMatrix, pm_mul
-from .solvers import generic_det, row_reduce
+from .solvers import generic_det, generic_inverse, row_reduce
 
 BENCH_OPS = ("mul", "mbasis", "nullspace", "det", "inverse", "rowreduce")
 
@@ -81,7 +80,7 @@ def _setup(op: str, n: int, d: int, rng, fld: PrimeField):
         return lambda: generic_det(a)
     if op == "inverse":
         a = rand_instance(n, n, d, seed, field=fld)
-        return lambda: truncated_inverse(a, n * d + 1)
+        return lambda: generic_inverse(a, seed)
     if op == "rowreduce":
         a = rand_instance(n, n, d, seed, field=fld)
         return lambda: row_reduce(a, seed)

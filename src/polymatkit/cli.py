@@ -62,10 +62,6 @@ EXIT_PARSE = 4
 CORRUPT_ENV = "POLYMATKIT_CORRUPT"
 
 
-class VerificationFailed(Exception):
-    pass
-
-
 def _maybe_corrupt(mat: PolyMatrix) -> PolyMatrix:
     if not os.environ.get(CORRUPT_ENV):
         return mat
@@ -92,7 +88,7 @@ def _emit(mat: PolyMatrix, path=None):
 
 def _check(cond: bool, message: str):
     if not cond:
-        raise VerificationFailed(message)
+        raise SelfCheckFailure(message)
 
 
 # -- verbs -------------------------------------------------------------------
@@ -417,7 +413,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (VerificationFailed, SelfCheckFailure) as exc:
+    except SelfCheckFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except PolymatError as exc:

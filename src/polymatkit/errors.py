@@ -106,7 +106,7 @@ class NotPowerOfTwo(PolymatError):
 
 
 class GenericityFailure(PolymatError):
-    """A recursion round did not show the generic degree pattern."""
+    """A determinant recursion round did not show the generic degree pattern."""
 
 
 # -- CLI / serialization -----------------------------------------------------

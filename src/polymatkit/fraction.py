@@ -9,11 +9,11 @@ product: its coefficients [t, t') read only X's top deg(A) slices, so each
 step multiplies A by deg(A) slices of X, not by all t of them.
 ``expansion_slice`` (a window F_h .. F_{h+delta-1} of the expansion of
 A^{-1}B) and ``proper_tail`` (the residue R_h and a window of A^{-1}) share
-one engine. It is either one Newton run to order h + delta, or high-order
-lifting, which keeps only the residue R_t = (I - A S_t) / x^t of degree
+one engine: a Newton run to order c + delta, then high-order lifting to
+order h - c, which keeps only the residue R_t = (I - A S_t) / x^t of degree
 < deg(A) and doubles t, so it takes O(log h) products of degree-O(deg A)
 matrices (Storjohann 2003; Jeannerod & Villard 2005). ``_newton_wins``
-picks between them from n, deg(A) and h, by a rule fitted on measured
+picks c = h (no lifting) or deg(A) <= c < 2 deg(A), by a rule fitted on measured
 times: Newton makes fewer product calls, lifting multiplies fewer
 coefficients, so Newton wins up to h / deg(A) of about 8000 for n = 2,
 d = 1 and of about 6 to 10 for n * deg(A) >= 256.
@@ -177,30 +177,28 @@ def _newton_wins(n: int, d: int, h: int) -> bool:
 def _expand(a: PolyMatrix, h: int, width: int):
     """(R_h, [F_h, .., F_{h+width-1}]) for the expansion of A^{-1} at x = 0."""
     d = int_degree(a)
-    ident = PolyMatrix.identity(a.field, a.rows)
-    if d == 0 or _newton_wins(a.rows, d, h):  # lifting steps by d, so it needs d >= 1
-        s = truncated_inverse(a, h + width)
-        resid = exact_x_power_divide(ident - pm_mul(a, pm_truncate(s, h)), h)
-        return resid, s.coeffs[h:]
-    s_w = truncated_inverse(a, 2 * d + width).to_polymat()
-    s_d = pm_truncate(s_w, d)
+    lift = d > 0 and not _newton_wins(a.rows, d, h)  # lifting steps by d
+    # lifting reaches R_t, t = h - c; c >= d whenever it takes a step (h >= 2d)
+    c = h - max(h // d - 1, 0) * d if lift else h
+    s = truncated_inverse(a, c + width)
+    r = PolyMatrix.identity(a.field, a.rows)
+    if lift:
+        s_w = s.to_polymat()
+        s_d = pm_truncate(s_w, d)
 
-    def w_of(r):  # W_t from R_t
-        return pm_truncate(pm_mul(s_d, r), d)
+        def w_of(r):  # W_t from R_t
+            return pm_truncate(pm_mul(s_d, r), d)
 
-    # r is R_t with t = (m - 1) d as m runs through the leading bits of h // d
-    # (t = 0 when h < d)
-    r = ident
-    for bit in bin(h // d)[3:]:
-        w = w_of(r)
-        aw, wr = pm_mul_batch([a, w], [w, r])
-        r_next = exact_x_power_divide(r - aw, d)
-        high, low = pm_mul_batch([r_next, a], [r, _quo_x_power(wr, d)])
-        r = high + low  # m -> 2m
-        if bit == "1":
-            r = exact_x_power_divide(r - pm_mul(a, w_of(r)), d)  # m -> m + 1
-    # h - t < 2d: one product with S_w gives R_h and the window
-    c = h - max(h // d - 1, 0) * d
-    f = pm_mul(s_w, r).to_series(c + width)
-    resid = exact_x_power_divide(r - pm_mul(a, pm_truncate(f, c)), c)
-    return resid, f.coeffs[c:]
+        # r is R_t with t = (m - 1) d as m runs through the leading bits of h // d
+        for bit in bin(h // d)[3:]:
+            w = w_of(r)
+            aw, wr = pm_mul_batch([a, w], [w, r])
+            r_next = exact_x_power_divide(r - aw, d)
+            high, low = pm_mul_batch([r_next, a], [r, _quo_x_power(wr, d)])
+            r = high + low  # m -> 2m
+            if bit == "1":
+                r = exact_x_power_divide(r - pm_mul(a, w_of(r)), d)  # m -> m + 1
+        # h - t = c < 2d: one product with S mod x^(c + width) gives R_h and the window
+        s = pm_mul(s_w, r).to_series(c + width)
+    resid = exact_x_power_divide(r - pm_mul(a, pm_truncate(s, c)), c)
+    return resid, s.coeffs[c:]

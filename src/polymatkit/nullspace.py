@@ -4,7 +4,9 @@ A minimal approximant basis of order delta + d + 1 for a degree-d matrix
 contains exactly the minimal nullspace vectors of degree at most delta
 (their degrees are the left Kronecker indices). The routines here select
 those rows and always verify v A = 0 exactly before returning (Las Vegas
-contract).
+contract). One degree sweep, ``_kernel_bases``, serves ``general_nullspace``
+and the solvers' left factorization and inverse; it needs no random point,
+so it runs over any field, GF(2) and GF(3) included.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .approxbasis import pmbasis
 from .errors import FieldTooSmall, NullspaceCheckFailure, RankDeficient
 from .linalg import rank as const_rank
-from .polymat import PolyMatrix, int_degree, pm_eval, pm_mul_batch
+from .polymat import PolyMatrix, int_degree, is_row_reduced, pm_eval, pm_mul_batch
 
 
 @dataclass(frozen=True)
@@ -104,32 +106,40 @@ def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:
     return minimal_vectors_up_to(a, delta)
 
 
+def _kernel_bases(mats: list, counts: list, delta: int) -> list:
+    """Minimal nullspace bases of the matrices in ``mats``, one per matrix.
+
+    Sweeps degree caps delta, 2 delta, 4 delta, ... with one batched
+    ``minimal_vectors_up_to`` call per cap for the matrices not done. Matrix
+    i is done when it has ``counts[i]`` rows, or when the cap reaches its
+    rows * deg, which no Kronecker index exceeds: then it is complete.
+    """
+    out = [None] * len(mats)
+    bounds = [max(m.rows * int_degree(m), 1) for m in mats]
+    todo = list(range(len(mats)))
+    while todo:
+        cap = min(delta, max(bounds[i] for i in todo))
+        for i, basis in zip(todo, minimal_vectors_up_to([mats[i] for i in todo], cap)):
+            out[i] = basis
+        todo = [i for i in todo if out[i].row_count < counts[i] and cap < bounds[i]]
+        delta = max(2 * delta, 1)
+    return out
+
+
 def general_nullspace(a: PolyMatrix, seed=None) -> NullspaceBasis:
     """Rank and a full-row-rank basis of the left nullspace of a square A.
 
-    Sweeps degree thresholds d, 2d, 4d, ... up to n*d (the range of the
-    Kronecker indices) and stops as soon as n - rank(A) independent vectors
-    are found. Each sweep result is exact, so the output is a genuine
-    minimal basis.
+    The kernel sweep stops at n minus the best of three random point ranks
+    rows, or at the bound n*d on the Kronecker indices, so the basis is
+    complete whatever the draws. Its rows annihilate A and, as a minimal
+    basis must be, are row-reduced, hence independent; both are checked.
     """
     rng = np.random.default_rng(seed)
-    n = a.rows
-    d = int_degree(a)
-    r = max(rank(a, rng) for _ in range(3))
-    target = n - r
-    if target == 0:
+    n, p = a.rows, a.field.p
+    r = max(const_rank(pm_eval(a, int(rng.integers(0, p))), p) for _ in range(3))
+    if r == n:
         return _empty_basis(a, input_rank=r)
-
-    delta = max(d, 1)
-    cap = max(n * d, 1)
-    while True:
-        found = minimal_vectors_up_to(a, min(delta, cap))
-        if found.row_count >= target or delta >= cap:
-            break
-        delta *= 2
-    # a minimal basis has full rank at every point (Forney), so only a wrong one fails here
-    x0 = int(rng.integers(0, a.field.p))
-    got = found.row_count
-    if got and const_rank(pm_eval(found.matrix, x0), a.field.p) < got:
-        raise NullspaceCheckFailure("nullspace rows dependent at a random point")
-    return NullspaceBasis(found.matrix, found.kronecker_degrees, input_rank=n - got)
+    [found] = _kernel_bases([a], [n - r], max(int_degree(a), 1))
+    if not is_row_reduced(found.matrix):
+        raise NullspaceCheckFailure("nullspace rows are dependent or not minimal: not row-reduced")
+    return NullspaceBasis(found.matrix, found.kronecker_degrees, input_rank=n - found.row_count)

@@ -3,30 +3,29 @@ and left factorization from a right one.
 
 Inverse and determinant run the block-elimination recursion on power-of-two
 dimensions: at each round the two halves of every diagonal block are
-annihilated by minimal nullspace bases, all from one batched call, whose
-indices must all equal the expected degree (any deviation raises
-GenericityFailure). The determinant follows only the upper-left block, so
-it annihilates only right halves, and checks its result at a random point.
+annihilated by minimal nullspace bases. The inverse takes them from one
+kernel sweep per round and certifies U A = B. The determinant follows only
+the upper-left block, so it annihilates only right halves, whose indices
+must equal the expected degree (else GenericityFailure), and checks its
+result at a random point.
 Row reduction goes through expansion/reconstruction of the proper tail of
 A^{-1} and certifies its answer with the two transforms between A and R.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    CertificateFailure, DimensionMismatch, FieldTooSmall, GenericityFailure, NotPowerOfTwo,
-    NotSquare,
+    CertificateFailure, DimensionMismatch, GenericityFailure, NotPowerOfTwo, NotSquare,
     ReconstructionFailure, SelfCheckFailure, SingularAtZero, SingularInput, WrongRowCount,
     ZeroRow,
 )
 from .fraction import proper_tail, truncated_inverse
 from .linalg import det as const_det
-from .nullspace import general_nullspace, minimal_vectors_up_to
+from .nullspace import _kernel_bases, minimal_vectors_up_to
 from .poly import Polynomial
 from .polymat import (
     PolyMatrix, int_degree, is_row_reduced, pm_eval, pm_mul, pm_mul_batch, pm_shift_var,
@@ -65,38 +64,28 @@ def _block_diag(blocks) -> PolyMatrix:
     return PolyMatrix(fld, out)
 
 
-def _generic_kernels(halves, expected_deg: int) -> list:
-    """Nullspace bases of s x s/2 column halves, from one batched call: s/2 rows
-    of degree expected_deg each, else GenericityFailure."""
-    bases = minimal_vectors_up_to(halves, expected_deg)
-    for half, basis in zip(halves, bases):
-        if basis.row_count != half.cols or any(d != expected_deg for d in basis.kronecker_degrees):
-            raise GenericityFailure(
-                f"expected {half.cols} nullspace rows of degree {expected_deg}, "
-                f"got {basis.row_count} with degrees {basis.kronecker_degrees}"
-            )
-    return bases
-
-
 def _elimination_level(blocks, expected_deg: int) -> list:
     """(top, bottom, left, right) per block: the nullspace bases of its right
-    and left column halves, all from one batched call, genericity-checked."""
+    and left column halves, s/2 rows each, all from one kernel sweep that
+    starts at the expected degree."""
     s = blocks[0].rows
     half = s // 2
     halves = [h for b in blocks for h in (b.take_cols(range(half, s)), b.take_cols(range(half)))]
-    bases = _generic_kernels(halves, expected_deg)
+    bases = _kernel_bases(halves, [half] * len(halves), expected_deg)
+    if any(basis.row_count > half for basis in bases):
+        raise SingularInput(f"a column half has more than {half} kernel rows: A is singular")
     return [(bases[i], bases[i + 1], halves[i + 1], halves[i]) for i in range(0, len(bases), 2)]
 
 
 def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
-    """Diagonalizing transform for a generic A with power-of-two dimension.
+    """Diagonalizing transform for a non-singular A with power-of-two dimension.
 
-    Each round makes one batched nullspace call for both halves of every
-    block, one batched product for the new blocks and one for the transform,
-    each block's rows by its own round transform. When a round fails its
-    genericity check, ``regular_point(a, seed)`` tells a singular A
-    (SingularInput) from a non-generic one (GenericityFailure); a
-    successful call draws nothing at random.
+    Each round makes one kernel sweep for both halves of every block, one
+    batched product for the new blocks and one for the transform, each
+    block's rows by its own round transform. Genericity only lets a sweep
+    stop at its first degree cap; U A = B certifies the result. A singular A
+    raises SingularInput, from a half with too many kernel rows or a zero
+    diagonal entry. ``seed`` is unused: nothing is drawn at random.
     """
     _require_square(a)
     n = a.rows
@@ -106,13 +95,7 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
     blocks = [a]
     step = 1
     while blocks[0].rows > 1:
-        expected = 2 ** (step - 1) * d
-        try:
-            level = _elimination_level(blocks, expected)
-        except GenericityFailure:
-            with contextlib.suppress(FieldTooSmall):  # too few points to tell
-                regular_point(a, seed)  # raises SingularInput when A is singular
-            raise
+        level = _elimination_level(blocks, 2 ** (step - 1) * d)
         s = blocks[0].rows
         blocks = pm_mul_batch([b.matrix for top, bottom, _, _ in level for b in (top, bottom)],
                               [half for _, _, left, right in level for half in (left, right)])
@@ -134,10 +117,12 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
 def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     """det(A) via the upper-left branch of the elimination recursion.
 
-    Each level computes only the nullspace basis of the right column half,
-    genericity-checked. The rescaled b_11 is then checked against
-    det A(x0) at one random point x0 drawn from ``seed``; a mismatch raises
-    GenericityFailure.
+    Each level computes only the nullspace basis of the right column half:
+    s/2 rows of the expected degree D, else GenericityFailure. Their degree
+    sum (s/2) D is the half's top-minor degree less that of the minors'
+    common factor (Forney), so b_11 is a constant times det A. Rescaled, it
+    is checked against det A(x0) at one random point x0 drawn from ``seed``;
+    a mismatch raises GenericityFailure.
     """
     _require_square(a)
     n = a.rows
@@ -150,7 +135,13 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     block = a
     while block.rows > 1:
         s = block.rows
-        [top] = _generic_kernels([block.take_cols(range(s // 2, s))], n // s * d)
+        expected = n // s * d
+        top = minimal_vectors_up_to(block.take_cols(range(s // 2, s)), expected)
+        if top.row_count != s // 2 or any(k != expected for k in top.kronecker_degrees):
+            raise GenericityFailure(
+                f"expected {s // 2} nullspace rows of degree {expected}, "
+                f"got {top.row_count} with degrees {top.kronecker_degrees}"
+            )
         block = pm_mul(top.matrix, block.take_cols(range(s // 2)))
     b11 = block.entry(0, 0)
     b11_at_0 = b11.coeff(0)
@@ -225,8 +216,9 @@ def row_reduce(a: PolyMatrix, seed=None):
 def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactorization:
     """From a right fraction B A^{-1}, a left pair (U, V) with U A = V B.
 
-    Runs the general nullspace on the stacked [-A; B]; coprimeness of the
-    result is not guaranteed.
+    Takes the m kernel rows of the stacked [-A; B] (A non-singular at a
+    random point); V non-singular at another shows them independent.
+    Coprimeness of the result is not guaranteed.
     """
     _require_square(a)
     if b.cols != a.cols:
@@ -236,7 +228,7 @@ def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactoriza
     m = b.rows
     regular_point(a, rng)
     stacked = PolyMatrix.vstack([-a, b])
-    basis = general_nullspace(stacked, rng)
+    [basis] = _kernel_bases([stacked], [m], max(int_degree(stacked), 1))
     if basis.row_count != m:
         raise ReconstructionFailure(
             f"nullspace of the stacked matrix has {basis.row_count} rows, expected {m}"

@@ -174,20 +174,16 @@ def test_acceptance_generic_inverse_det(capsys, fd):
         for d in (1, 2, 4):
             for _ in range(20):
                 a = _nonsingular_at_zero(n, d, int(rng.integers(0, 2**31)), fd)
-                attempts += 2
-                try:
-                    rep = pk.generic_inverse(a, seed=int(rng.integers(0, 2**31)))
-                except GenericityFailure:
-                    failures += 1
-                else:
-                    prod = pm_mul(rep.transform, a)
-                    assert prod == rep.diagonal
-                    off = prod.coeffs.copy()
-                    for i in range(n):
-                        off[:, i, i] = 0
-                    assert not off.any()
-                    for i in range(n):
-                        assert prod.entry(i, i).degree == n * d
+                attempts += 1  # the inverse never aborts; only the determinant may
+                rep = pk.generic_inverse(a, seed=int(rng.integers(0, 2**31)))
+                prod = pm_mul(rep.transform, a)
+                assert prod == rep.diagonal
+                off = prod.coeffs.copy()
+                for i in range(n):
+                    off[:, i, i] = 0
+                assert not off.any()
+                for i in range(n):
+                    assert prod.entry(i, i).degree == n * d
                 try:
                     got = pk.generic_det(a, seed=int(rng.integers(0, 2**31)))
                 except GenericityFailure:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -383,6 +385,19 @@ def test_bench_det_needs_power_of_two(capsys):
         pk.bench("det", [(3, 2)], reps=1, seed=1)
     assert main(["bench", "--op", "det", "--grid", "3x2", "--reps", "1"]) == 3
     assert "not a power of two" in capsys.readouterr().err
+
+
+def test_bench_inverse_times_generic_inverse(capsys, monkeypatch):
+    with pytest.raises(NotPowerOfTwo):
+        pk.bench("inverse", [(3, 2)], reps=1, seed=1)
+    assert main(["bench", "--op", "inverse", "--grid", "3x2", "--reps", "1"]) == 3
+    assert "not a power of two" in capsys.readouterr().err
+    bench_mod = importlib.import_module("polymatkit.bench")  # pk.bench is the function
+    timed = []
+    real = bench_mod.generic_inverse
+    monkeypatch.setattr(bench_mod, "generic_inverse", lambda a, seed: timed.append(a.rows) or real(a, seed))
+    pk.bench("inverse", [(4, 2)], reps=2, seed=1)
+    assert timed == [4, 4, 4]  # the warm-up call and two timed ones
 
 
 class OracleCalled(Exception):

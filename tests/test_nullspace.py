@@ -176,16 +176,18 @@ def test_general_nullspace_outer_product(fd, rng):
 
 
 def _dependent_basis(monkeypatch):
-    """Make minimal_vectors_up_to return its first row twice: it still annihilates
-    A, but it is dependent at every point, which no minimal basis is."""
+    """Make minimal_vectors_up_to return each basis's first row repeated: it still
+    annihilates A, but it is dependent at every point, which no minimal basis is."""
     real = nullspace.minimal_vectors_up_to
 
-    def doubled(a, delta):
-        found = real(a, delta)
+    def repeat_first(found):
         if not found.row_count:
             return found
         row = found.matrix.take_rows([0] * found.row_count)
         return nullspace.NullspaceBasis(row, [found.kronecker_degrees[0]] * found.row_count)
+
+    def doubled(mats, delta):
+        return [repeat_first(found) for found in real(mats, delta)]
 
     monkeypatch.setattr(nullspace, "minimal_vectors_up_to", doubled)
 
@@ -220,6 +222,32 @@ def test_general_nullspace_unbalanced_profile(fd):
     assert basis.row_count == 4 - basis.input_rank
     assert basis.row_count >= 1
     assert pk.pm_mul(basis.matrix, a).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_general_nullspace_small_fields_match_bruteforce(p):
+    fld = pk.get_field(p)
+    for seed in range(4):
+        n, d, r = 4, 1 + seed % 2, 1 + seed % 3
+        a = pk.rand_instance(n, n, d, 300 + seed, profile="planted-rank", rank=r, field=fld)
+        basis = general_nullspace(a, seed)
+        assert pk.pm_mul(basis.matrix, a).is_zero()
+        assert basis.input_rank == true_rank(a)
+        assert basis.kronecker_degrees == nullspace_bruteforce(a, n * d).kronecker_degrees
+
+
+def test_general_nullspace_sweep_starts_at_d_and_doubles(fd, monkeypatch):
+    deltas = []
+    real = nullspace.minimal_vectors_up_to
+
+    def spy(a, delta):
+        deltas.append(delta)
+        return real(a, delta)
+
+    monkeypatch.setattr(nullspace, "minimal_vectors_up_to", spy)
+    a = pk.rand_instance(8, 8, 4, 17, profile="planted-rank", rank=6, field=fd)
+    assert general_nullspace(a, 1).row_count == 2
+    assert deltas == [4, 8]
 
 
 def test_monotonicity_of_thresholds(fd, rng):

@@ -19,8 +19,8 @@ from polymatkit.errors import (
     SingularInput,
 )
 from polymatkit.linalg import det as const_det, rank as crank
-from polymatkit.oracle import det_by_interpolation, unimodular_equiv_check
-from polymatkit.nullspace import general_nullspace, minimal_vectors_up_to
+from polymatkit.oracle import det_by_interpolation, naive_mul, unimodular_equiv_check
+from polymatkit.nullspace import _kernel_bases, minimal_vectors_up_to
 from polymatkit.polymat import PolyMatrix, int_degree, pm_eval, pm_mul, row_degrees
 from polymatkit.reconstruct import LeftFactorization, matfrac_rec
 from polymatkit.solvers import (
@@ -80,7 +80,7 @@ def test_inverse_random_degrees(fd, rng):
                 total += 1
                 try:
                     rep = generic_inverse(a, int(rng.integers(0, 2**31)))
-                except (GenericityFailure, SingularInput):
+                except SingularInput:
                     failures += 1
                     continue
                 assert pm_mul(rep.transform, a) == rep.diagonal
@@ -140,15 +140,42 @@ def test_inverse_singular_input_names_singularity(fd, f97):
             generic_inverse(a, 3)
 
 
-def test_inverse_non_generic_input_still_raises_genericity(fd):
+def assert_diagonalized(a, rep):
+    """U A = B by the quadratic reference product, B diagonal with no zero entry."""
+    assert naive_mul(rep.transform, a) == rep.diagonal
+    n = a.rows
+    off = rep.diagonal.coeffs.copy()
+    off[:, range(n), range(n)] = 0
+    assert not off.any()
+    assert all(not rep.diagonal.entry(i, i).is_zero() for i in range(n))
+
+
+def test_inverse_non_generic_input_is_diagonalized(fd):
     # det A = 1 - x^2: non-singular, but its nullspace degrees are not the generic ones
     a = PolyMatrix.from_lists(fd, [[[1], [0, 1], [0], [0]], [[0, 1], [1], [0], [0]],
                                    [[0], [0], [1], [0, 0, 1]], [[0], [0], [0], [1]]])
-    with pytest.raises(GenericityFailure):
-        generic_inverse(a, 3)
-    # det = x^2 + x vanishes on all of GF(2), too few points to show A non-singular
-    with pytest.raises(GenericityFailure):
-        generic_inverse(PolyMatrix.from_lists(pk.get_field(2), [[[0, 1, 1], [0]], [[0], [1]]]), 3)
+    assert_diagonalized(a, generic_inverse(a, 3))
+    # det = x^2 + x vanishes on all of GF(2), yet the product check certifies the result
+    a = PolyMatrix.from_lists(pk.get_field(2), [[[0, 1, 1], [0]], [[0], [1]]])
+    assert_diagonalized(a, generic_inverse(a, 3))
+
+
+def one_high_row_square(fld, n, d, high, seed):
+    """Entries of degree d except row 0, of degree high."""
+    arr = np.zeros((high + 1, n, n), dtype=np.int64)
+    arr[: d + 1] = pk.rand_instance(n, n, d, seed, field=fld).coeffs
+    arr[:, 0, :] = pk.rand_instance(1, n, high, seed + 1, field=fld).coeffs[:, 0, :]
+    return PolyMatrix(fld, arr)
+
+
+@pytest.mark.parametrize("p, n, d, high", [
+    (2013265921, 4, 1, 8),  # diagonal degrees 11; the kernels' degrees are not 2^k d
+    (97, 8, 2, 12),
+    (3, 4, 2, 2),           # a plain random input, non-generic over GF(3)
+])
+def test_inverse_of_non_generic_inputs(p, n, d, high):
+    a = one_high_row_square(pk.get_field(p), n, d, high, 5)
+    assert_diagonalized(a, generic_inverse(a, 0))
 
 
 # -- generic determinant -----------------------------------------------------
@@ -379,11 +406,11 @@ def test_certify_rejects_an_r_not_equivalent_to_a(fd):
 
 
 def test_factor_rejects_a_wrong_nullspace_row(fd, monkeypatch):
-    def wrong_nullspace(a, rng):
-        basis = general_nullspace(a, rng)
-        return dataclasses.replace(basis, matrix=bumped(basis.matrix))
+    def wrong_kernels(mats, counts, delta):
+        return [dataclasses.replace(basis, matrix=bumped(basis.matrix))
+                for basis in _kernel_bases(mats, counts, delta)]
 
-    monkeypatch.setattr(solvers, "general_nullspace", wrong_nullspace)
+    monkeypatch.setattr(solvers, "_kernel_bases", wrong_kernels)
     with pytest.raises(CertificateFailure, match="U A = V B product check failed"):
         left_factorization(PolyMatrix.identity(fd, 2), anchor(fd), 0)
 
@@ -432,6 +459,17 @@ def test_factor_random(fd, rng):
         done += 1
 
 
+def test_factor_over_gf3(rng):
+    f3 = pk.get_field(3)
+    for seed in range(4):
+        a = pk.rand_instance(3, 3, 2, seed, field=f3)
+        b = pk.rand_instance(2, 3, 2, seed + 100, field=f3)
+        fact = left_factorization(b, a, int(rng.integers(0, 2**31)))
+        assert naive_mul(fact.numerator, a) == naive_mul(fact.denominator, b)
+        v = fact.denominator.entry
+        assert not (v(0, 0) * v(1, 1) - v(0, 1) * v(1, 0)).is_zero()  # V non-singular
+
+
 def test_factor_singular_a_rejected(fd):
     a = PolyMatrix.from_lists(fd, [[[0, 1], [0, 0, 1]], [[1], [0, 1]]])
     b = PolyMatrix.identity(fd, 2)
@@ -441,9 +479,9 @@ def test_factor_singular_a_rejected(fd):
 
 def test_factor_mixed_primes_rejected_before_nullspace(f97, monkeypatch):
     def no_nullspace(*args):
-        raise AssertionError("general_nullspace ran on operands over two primes")
+        raise AssertionError("the kernel sweep ran on operands over two primes")
 
-    monkeypatch.setattr(solvers, "general_nullspace", no_nullspace)
+    monkeypatch.setattr(solvers, "_kernel_bases", no_nullspace)
     a = anchor(pk.get_field(2**31 - 1))
     with pytest.raises(PrimeMismatch, match="p=2147483647 and p=97"):
         left_factorization(PolyMatrix.identity(f97, 2), a, 0)
