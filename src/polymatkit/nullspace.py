@@ -5,8 +5,8 @@ contains exactly the minimal nullspace vectors of degree at most delta
 (their degrees are the left Kronecker indices). The routines here select
 those rows and always verify v A = 0 exactly before returning (Las Vegas
 contract). One degree sweep, ``_kernel_bases``, serves ``general_nullspace``
-and the solvers' left factorization and inverse; it needs no random point,
-so it runs over any field, GF(2) and GF(3) included.
+(and so the exact ``rank``) and the solvers' left factorization and inverse;
+it needs no random point, so it runs over any field, GF(2) and GF(3) too.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approxbasis import pmbasis
-from .errors import FieldTooSmall, NullspaceCheckFailure, RankDeficient
+from .errors import NullspaceCheckFailure, RankDeficient
 from .linalg import rank as const_rank
 from .polymat import PolyMatrix, int_degree, is_row_reduced, pm_eval, pm_mul_batch
 
@@ -40,13 +40,10 @@ def _empty_basis(a: PolyMatrix, input_rank=None) -> NullspaceBasis:
 
 
 def rank(a: PolyMatrix, seed=None) -> int:
-    """Monte Carlo rank of A over K(x): rank of A at one random point."""
-    rng = np.random.default_rng(seed)
-    n, d = max(a.rows, a.cols), int_degree(a)
-    if a.field.p <= 2 * n * d:
-        raise FieldTooSmall(f"p={a.field.p} too small for rank at n={n}, d={d}")
-    x0 = int(rng.integers(0, a.field.p))
-    return const_rank(pm_eval(a, x0), a.field.p)
+    """Exact rank of A over K(x), over any field: the ``input_rank`` of
+    ``general_nullspace`` on the side of A with fewer rows. ``seed`` only
+    draws the point ranks that let a full-rank input skip the sweep."""
+    return general_nullspace(a if a.rows <= a.cols else a.transpose(), seed).input_rank
 
 
 def _select(mats: list, bases: list, delta: int) -> list:
@@ -90,19 +87,15 @@ def minimal_vectors_up_to(a: PolyMatrix | list, delta: int) -> NullspaceBasis | 
 def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:
     """Minimal nullspace vectors of degree <= delta for a tall full-column-rank A.
 
-    A is (n+m) x n with m <= n; full column rank is prechecked at one random
-    point drawn from ``seed``. The vectors are those of
+    A is (n+m) x n with m <= n; full column rank is prechecked with the exact
+    ``rank`` (RankDeficient otherwise). The vectors are those of
     ``minimal_vectors_up_to(a, delta)``, certified by its exact product check.
     """
-    rng = np.random.default_rng(seed)
-    p = a.field.p
-    ncols = a.cols
-    m = a.rows - ncols
-    if m < 0 or m > ncols:
+    m = a.rows - a.cols
+    if m < 0 or m > a.cols:
         raise RankDeficient(f"expected (n+m) x n with m <= n, got {a.rows} x {a.cols}")
-    x0 = int(rng.integers(0, p))
-    if const_rank(pm_eval(a, x0), p) < ncols:
-        raise RankDeficient("input looks column-rank deficient at a random point")
+    if rank(a, seed) < a.cols:
+        raise RankDeficient("input is column-rank deficient")
     return minimal_vectors_up_to(a, delta)
 
 
@@ -127,16 +120,20 @@ def _kernel_bases(mats: list, counts: list, delta: int) -> list:
 
 
 def general_nullspace(a: PolyMatrix, seed=None) -> NullspaceBasis:
-    """Rank and a full-row-rank basis of the left nullspace of a square A.
+    """Exact rank and a full-row-rank basis of the left nullspace of A.
 
-    The kernel sweep stops at n minus the best of three random point ranks
-    rows, or at the bound n*d on the Kronecker indices, so the basis is
-    complete whatever the draws. Its rows annihilate A and, as a minimal
-    basis must be, are row-reduced, hence independent; both are checked.
+    The sweep stops at n - r rows, r the best of up to three point ranks
+    (drawn until one reaches min(rows, cols)), or at the bound n*d on the
+    Kronecker indices, so basis and rank are exact whatever the draws. Its
+    rows annihilate A and are row-reduced, hence independent; both are checked.
     """
     rng = np.random.default_rng(seed)
     n, p = a.rows, a.field.p
-    r = max(const_rank(pm_eval(a, int(rng.integers(0, p))), p) for _ in range(3))
+    r = 0
+    for _ in range(3):
+        r = max(r, const_rank(pm_eval(a, int(rng.integers(0, p))), p))
+        if r == min(n, a.cols):
+            break
     if r == n:
         return _empty_basis(a, input_rank=r)
     [found] = _kernel_bases([a], [n - r], max(int_degree(a), 1))

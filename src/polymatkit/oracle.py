@@ -164,36 +164,53 @@ def minimal_basis_bruteforce(f: SeriesMatrix, sigma: int) -> ApproximantBasis:
     return ApproximantBasis(mat, sigma, row_degrees(mat))
 
 
+def _kernel_solutions(a: PolyMatrix, t: int) -> np.ndarray:
+    """A K-basis of the left kernel vectors of A of degree <= t, flattened
+    (row j of the vector, degree k) -> index j (t + 1) + k."""
+    n, m = a.rows, a.cols
+    ac = a.coeffs
+    out_len = t + int_degree(a) + 1
+
+    def eq(j: int, k: int) -> np.ndarray:
+        rows = []
+        for s in range(out_len):
+            rows.append(ac[s - k, j, :] if 0 <= s - k < ac.shape[0] else np.zeros(m, dtype=np.int64))
+        return np.concatenate(rows)
+
+    return _degree_bounded_solutions(eq, n, t, a.field.p)
+
+
 def true_rank(a: PolyMatrix) -> int:
-    """Deterministic rank over K(x): max over enough evaluation points."""
-    d = int_degree(a)
-    count = min(a.field.p, min(a.rows, a.cols) * d + 1)
-    return max(const_rank(pm_eval(a, x), a.field.p) for x in range(count))
+    """Exact rank over K(x), over any field, by dense linear algebra.
+
+    Works on the side of A with fewer rows, n of them, so every minor has
+    degree <= t = n deg(A). A field with more than t elements holds t + 1
+    points, and a nonzero r x r minor is nonzero at one of them: the rank is
+    the largest rank of A at those points. Otherwise, with k = n - rank
+    minimal kernel vectors, all of degree <= t, the degree-<= t kernel has
+    K-dimension sum (t - deg_i + 1), so going to degree t + 1 adds exactly k.
+    """
+    if a.rows > a.cols:
+        a = a.transpose()
+    n, p = a.rows, a.field.p
+    t = n * int_degree(a)
+    if p > t:
+        return max(const_rank(pm_eval(a, x), p) for x in range(t + 1))
+    if n * (t + 2) > 512:
+        raise ValueError("brute-force rank over a small field limited to n*(n*deg + 2) <= 512")
+    return n - (len(_kernel_solutions(a, t + 1)) - len(_kernel_solutions(a, t)))
 
 
 def nullspace_bruteforce(a: PolyMatrix, degree_cap: int) -> NullspaceBasis:
     """Minimal left nullspace vectors up to degree_cap, by dense search."""
-    n, m = a.rows, a.cols
+    n = a.rows
     p = a.field.p
     if n * (degree_cap + 1) > 512:
         raise ValueError("brute-force nullspace limited to n*(cap+1) <= 512")
-    d = int_degree(a)
     r = true_rank(a)
     need = n - r
-    ac = a.coeffs
-
-    def solutions_at(t: int) -> np.ndarray:
-        out_len = t + d + 1
-
-        def eq(j: int, k: int) -> np.ndarray:
-            rows = []
-            for s in range(out_len):
-                rows.append(ac[s - k, j, :] if 0 <= s - k < ac.shape[0] else np.zeros(m, dtype=np.int64))
-            return np.concatenate(rows)
-
-        return _degree_bounded_solutions(eq, n, t, p)
-
-    chosen = _greedy_minimal_rows(solutions_at, n, lambda t: n * (t + 1), degree_cap, p, need)
+    chosen = _greedy_minimal_rows(lambda t: _kernel_solutions(a, t), n,
+                                  lambda t: n * (t + 1), degree_cap, p, need)
     if len(chosen) < need:
         raise CapTooSmall(
             f"found {len(chosen)} of {need} nullspace vectors below degree {degree_cap}"

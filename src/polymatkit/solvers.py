@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CertificateFailure, DimensionMismatch, GenericityFailure, NotPowerOfTwo, NotSquare,
-    ReconstructionFailure, SelfCheckFailure, SingularAtZero, SingularInput, WrongRowCount,
-    ZeroRow,
+    CertificateFailure, DimensionMismatch, FieldTooSmall, GenericityFailure, NotPowerOfTwo,
+    NotSquare, ReconstructionFailure, SelfCheckFailure, SingularAtZero, SingularInput,
+    WrongRowCount, ZeroRow,
 )
 from .fraction import proper_tail, truncated_inverse
 from .linalg import det as const_det
-from .nullspace import _kernel_bases, minimal_vectors_up_to
+from .nullspace import _kernel_bases, minimal_vectors_up_to, rank
 from .poly import Polynomial
 from .polymat import (
     PolyMatrix, int_degree, is_row_reduced, pm_eval, pm_mul, pm_mul_batch, pm_shift_var,
@@ -189,7 +189,8 @@ def row_reduce(a: PolyMatrix, seed=None):
     random x0 = regular_point(A), so A(x0) is non-singular; the shift is
     undone on the output, which preserves row degrees and the leading row
     matrix. A singular A raises SingularInput once det A vanishes at
-    n deg(A) + 1 distinct points.
+    n deg(A) + 1 distinct points, or, in a field with fewer, once its exact
+    rank is below n.
 
     Returns (R, certificate) with certificate {"shift": x0, "transform": T,
     "inverse": W}: T A = R and W R = A hold exactly, so T is unimodular
@@ -198,7 +199,12 @@ def row_reduce(a: PolyMatrix, seed=None):
     _require_square(a)
     n = a.rows
     d = int_degree(a)
-    x0 = regular_point(a, seed)
+    try:
+        x0 = regular_point(a, seed)
+    except FieldTooSmall:
+        if rank(a, seed) < n:
+            raise SingularInput("A has rank below its dimension: A is singular") from None
+        raise
     if n == 0:  # T and W are 0 x 0 too; the certificate's row degrees would be empty
         return a, {"shift": x0, "transform": a, "inverse": a}
     if d == 0:
@@ -216,17 +222,17 @@ def row_reduce(a: PolyMatrix, seed=None):
 def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactorization:
     """From a right fraction B A^{-1}, a left pair (U, V) with U A = V B.
 
-    Takes the m kernel rows of the stacked [-A; B] (A non-singular at a
-    random point); V non-singular at another shows them independent.
-    Coprimeness of the result is not guaranteed.
+    Takes the m kernel rows of the stacked [-A; B]. The exact ``rank`` shows
+    A non-singular (else SingularInput) and V non-singular, so the rows are
+    independent (else ReconstructionFailure). Coprimeness is not guaranteed.
     """
     _require_square(a)
     if b.cols != a.cols:
         raise DimensionMismatch(f"B has {b.cols} columns, A has {a.cols}")
-    rng = np.random.default_rng(seed)
     n = a.rows
     m = b.rows
-    regular_point(a, rng)
+    if rank(a, seed) < n:
+        raise SingularInput("A has rank below its dimension: A is singular")
     stacked = PolyMatrix.vstack([-a, b])
     [basis] = _kernel_bases([stacked], [m], max(int_degree(stacked), 1))
     if basis.row_count != m:
@@ -237,8 +243,6 @@ def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactoriza
     denom = basis.matrix.take_cols(range(n, n + m))
     if pm_mul(numer, a) != pm_mul(denom, b):
         raise CertificateFailure("U A = V B product check failed")
-    try:
-        regular_point(denom, rng)
-    except SingularInput as exc:
-        raise ReconstructionFailure("V is singular") from exc
+    if rank(denom, seed) < m:
+        raise ReconstructionFailure("V is singular")
     return LeftFactorization(numer, denom)

@@ -363,6 +363,19 @@ def test_cli_factor(tmp_path, fd):
     assert pk.pm_mul(pmio.load(u), a) == pk.pm_mul(pmio.load(v), b)
 
 
+def test_cli_factor_accepts_v_singular_at_a_point(tmp_path):
+    # a correct V that is singular at the point a one-point check drew at --seed 1
+    pa, pb = tmp_path / "a.pm", tmp_path / "b.pm"
+    assert main(["--prime", "97", "rand", "--n", "4", "--m", "4", "--d", "2",
+                 "--seed", "30", "-o", str(pa)]) == 0
+    assert main(["--prime", "97", "rand", "--n", "2", "--m", "4", "--d", "2",
+                 "--seed", "1030", "-o", str(pb)]) == 0
+    u, v = tmp_path / "u.pm", tmp_path / "v.pm"
+    assert main(["--seed", "1", "factor", str(pb), str(pa), "-o", str(u), "-D", str(v)]) == 0
+    a, b = pmio.load(pa), pmio.load(pb)
+    assert pk.pm_mul(pmio.load(u), a) == pk.pm_mul(pmio.load(v), b)
+
+
 def test_cli_reconstruct(tmp_path, fd):
     from polymatkit.fraction import proper_tail
     a = pk.PolyMatrix.from_lists(fd, [[[1], [0, 1]], [[0, 1], [1]]])

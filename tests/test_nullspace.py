@@ -29,6 +29,25 @@ def test_rank_singular(fd):
     assert rank(singular_2x2(fd), 1) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_rank_is_exact_over_any_field(p):
+    # square, wide, tall, 0-row and 0-column inputs, dense and planted rank;
+    # at p = 2, 3 no point test can see the rank of most of them
+    fld = pk.get_field(p)
+    shapes = [(3, 3), (2, 4), (4, 2), (0, 3), (3, 0), (1, 1)]
+    for i, (n, m) in enumerate(shapes * 3):
+        d = i % 3 + 1
+        if i % 2 and min(n, m) > 1:
+            a = pk.rand_instance(n, m, d, 40 + i, profile="planted-rank", field=fld,
+                                 rank=min(n, m) - 1)
+        else:
+            a = pk.rand_instance(n, m, d, 40 + i, field=fld)
+        for seed in (0, 1):
+            assert rank(a, seed) == true_rank(a)
+    x2x = PolyMatrix.from_lists(fld, [[[0, 1, 1], [0]], [[0], [1]]])  # diag(x^2 + x, 1)
+    assert rank(x2x, 0) == 2 and rank(singular_2x2(fld), 0) == 1
+
+
 def test_minimal_vectors_identity_empty(fd):
     basis = minimal_vectors_up_to(PolyMatrix.identity(fd, 3), 5)
     assert basis.row_count == 0
@@ -137,6 +156,16 @@ def test_minimal_vectors_single_equals_one_element_batch(p):
 def test_partial_nullspace_matches_minimal_vectors(fd, rows, cols, d, delta):
     a = pk.rand_instance(rows, cols, d, 17 * rows + d, field=fd)
     assert partial_nullspace(a, delta, seed=3) == minimal_vectors_up_to(a, delta)
+
+
+def test_partial_nullspace_full_rank_column_over_gf2():
+    # [x^2 + x; x^2 + x] vanishes at both points of GF(2) but has column rank 1
+    f2 = pk.get_field(2)
+    a = PolyMatrix.from_lists(f2, [[[0, 1, 1]], [[0, 1, 1]]])
+    for seed in range(4):
+        basis = partial_nullspace(a, 0, seed=seed)
+        assert basis.row_count == 1
+        assert pk.pm_mul(basis.matrix, a).is_zero()
 
 
 def test_partial_nullspace_rank_deficient_rejected(fd):

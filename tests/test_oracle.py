@@ -73,6 +73,19 @@ def test_true_rank(fd):
     assert true_rank(sing) == 1
 
 
+def test_true_rank_exact_over_gf2():
+    # diag(x^2 + x, 1) is singular at every point of GF(2), yet has rank 2
+    f2 = pk.get_field(2)
+    a = PolyMatrix.from_lists(f2, [[[0, 1, 1], [0]], [[0], [1]]])
+    assert true_rank(a) == 2
+    assert true_rank(a.transpose()) == 2
+    assert true_rank(PolyMatrix.zero(f2, 0, 3)) == 0
+    assert true_rank(PolyMatrix.zero(f2, 3, 2)) == 0
+    assert nullspace_bruteforce(a, 2).row_count == 0
+    with pytest.raises(ValueError):
+        true_rank(pk.rand_instance(8, 8, 8, 1, field=f2))
+
+
 def test_nullspace_bruteforce_examples(fd):
     assert nullspace_bruteforce(PolyMatrix.identity(fd, 2), 1).row_count == 0
     sing = PolyMatrix.from_lists(fd, [[[0, 1], [0, 0, 1]], [[1], [0, 1]]])

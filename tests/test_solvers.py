@@ -334,6 +334,14 @@ def test_rowreduce_field_exhausted_raises_field_too_small():
         row_reduce(a, 0)
 
 
+def test_rowreduce_singular_over_small_field_raises_singular():
+    # det A = 0, and GF(2) has too few points to show it by evaluation
+    f2 = pk.get_field(2)
+    a = PolyMatrix.from_lists(f2, [[[0, 1], [0, 0, 1]], [[1], [0, 1]]])
+    with pytest.raises(SingularInput):
+        row_reduce(a, 0)
+
+
 def test_rowreduce_empty_matrix(fd):
     a = PolyMatrix.zero(fd, 0, 0)
     reduced, cert = row_reduce(a, seed=1)
@@ -457,6 +465,20 @@ def test_factor_random(fd, rng):
         x0 = int(rng.integers(0, fd.p))
         assert crank(pm_eval(fact.denominator, x0), fd.p) == m
         done += 1
+
+
+def test_factor_over_gf2_without_a_regular_point():
+    # A = diag(x^2 + x, 1) is singular at both points of GF(2) but non-singular
+    f2 = pk.get_field(2)
+    a = PolyMatrix.from_lists(f2, [[[0, 1, 1], [0]], [[0], [1]]])
+    b = PolyMatrix.from_lists(f2, [[[1], [0, 1]]])
+    for seed in range(3):
+        fact = left_factorization(b, a, seed)
+        assert naive_mul(fact.numerator, a) == naive_mul(fact.denominator, b)
+        assert not fact.denominator.entry(0, 0).is_zero()
+    singular = PolyMatrix.from_lists(f2, [[[0, 1], [0, 0, 1]], [[1], [0, 1]]])
+    with pytest.raises(SingularInput):
+        left_factorization(b, singular, 0)
 
 
 def test_factor_over_gf3(rng):
