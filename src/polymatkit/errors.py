@@ -79,6 +79,11 @@ class NullspaceCheckFailure(SelfCheckFailure):
     or are dependent at a point, which a minimal basis never is."""
 
 
+class OracleTooLarge(PolymatError, ValueError):
+    """The input exceeds a brute-force oracle's size guard. A ValueError too, as
+    the guards raised before they were typed."""
+
+
 class CapTooSmall(PolymatError):
     """Brute-force nullspace degree cap below the largest Kronecker index."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .approxbasis import ApproximantBasis
-from .errors import CapTooSmall, DimensionMismatch, FieldTooSmall, NotSquare
+from .errors import CapTooSmall, DimensionMismatch, FieldTooSmall, NotSquare, OracleTooLarge
 from .fraction import truncated_inverse
 from .linalg import left_kernel, det as const_det, rank as const_rank
 from .nullspace import NullspaceBasis
@@ -142,7 +142,7 @@ def minimal_basis_bruteforce(f: SeriesMatrix, sigma: int) -> ApproximantBasis:
     """
     n, m = f.rows, f.cols
     if n > 4 or sigma > 8:
-        raise ValueError("brute-force order basis is limited to n <= 4, sigma <= 8")
+        raise OracleTooLarge("brute-force order basis is limited to n <= 4, sigma <= 8")
     p = f.field.p
     fc = f.coeffs
 
@@ -197,7 +197,7 @@ def true_rank(a: PolyMatrix) -> int:
     if p > t:
         return max(const_rank(pm_eval(a, x), p) for x in range(t + 1))
     if n * (t + 2) > 512:
-        raise ValueError("brute-force rank over a small field limited to n*(n*deg + 2) <= 512")
+        raise OracleTooLarge("brute-force rank over a small field limited to n*(n*deg + 2) <= 512")
     return n - (len(_kernel_solutions(a, t + 1)) - len(_kernel_solutions(a, t)))
 
 
@@ -206,7 +206,7 @@ def nullspace_bruteforce(a: PolyMatrix, degree_cap: int) -> NullspaceBasis:
     n = a.rows
     p = a.field.p
     if n * (degree_cap + 1) > 512:
-        raise ValueError("brute-force nullspace limited to n*(cap+1) <= 512")
+        raise OracleTooLarge("brute-force nullspace limited to n*(cap+1) <= 512")
     r = true_rank(a)
     need = n - r
     chosen = _greedy_minimal_rows(lambda t: _kernel_solutions(a, t), n,

@@ -7,7 +7,11 @@ annihilated by minimal nullspace bases. The inverse takes them from one
 kernel sweep per round and certifies U A = B. The determinant follows only
 the upper-left block, so it annihilates only right halves, whose indices
 must equal the expected degree (else GenericityFailure), and checks its
-result at a random point.
+result at a random point. The last round, on 2 x 2 blocks [[a, b], [c, d]],
+needs no order basis: its kernel rows are the adjugate rows (d, -b) and
+(-c, a), scaled as mbasis scales a minimal row. They are minimal when the
+column's two entries are coprime, as on generic input; otherwise their
+degree exceeds the minimum by that of the gcd, and U A = B still certifies.
 Row reduction goes through expansion/reconstruction of the proper tail of
 A^{-1} and certifies its answer with the two transforms between A and R.
 """
@@ -28,8 +32,8 @@ from .linalg import det as const_det
 from .nullspace import _kernel_bases, minimal_vectors_up_to, rank
 from .poly import Polynomial
 from .polymat import (
-    PolyMatrix, int_degree, is_row_reduced, pm_eval, pm_mul, pm_mul_batch, pm_shift_var,
-    pm_truncate, regular_point, row_degrees,
+    PolyMatrix, entry_degrees, int_degree, is_row_reduced, pm_eval, pm_mul, pm_mul_batch,
+    pm_shift_var, pm_truncate, regular_point, row_degrees,
 )
 from .reconstruct import LeftFactorization, matfrac_rec
 
@@ -64,17 +68,42 @@ def _block_diag(blocks) -> PolyMatrix:
     return PolyMatrix(fld, out)
 
 
+def _adjugate_rows(blocks) -> list:
+    """Per 2 x 2 block [[a, b], [c, d]], in order, the left kernel rows
+    (d, -b) of its right column and (-c, a) of its left one, each scaled so
+    that its last entry of largest degree is monic, as mbasis normalizes the
+    one minimal kernel row of a 2 x 1 matrix. When gcd(b, d) = 1 (gcd(a, c)
+    for (-c, a)) this is that minimal row; otherwise its degree is
+    larger by the gcd's degree. A zero column gives a zero row."""
+    fld, count = blocks[0].field, len(blocks)
+    m = PolyMatrix.vstack(blocks).coeffs.reshape(-1, count, 2, 2)
+    adj = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1)
+    rows = PolyMatrix(fld, adj.reshape(-1, 2 * count, 2))
+    degs = entry_degrees(rows)
+    piv, at = (degs[:, 1] >= degs[:, 0]).astype(np.intp), np.arange(2 * count)
+    lead = rows.coeffs[degs[at, piv], at, piv]
+    scale = np.array([pow(int(c), -1, fld.p) if c else 1 for c in lead], dtype=np.int64)
+    scaled = PolyMatrix(fld, rows.coeffs * scale[None, :, None])
+    return [scaled.take_rows([i]) for i in range(2 * count)]
+
+
 def _elimination_level(blocks, expected_deg: int) -> list:
-    """(top, bottom, left, right) per block: the nullspace bases of its right
-    and left column halves, s/2 rows each, all from one kernel sweep that
-    starts at the expected degree."""
+    """(top, bottom, left, right) per block: left kernel rows of its right
+    and left column halves, s/2 rows each, and the halves. For s = 2 they are
+    the scaled adjugate rows; larger blocks take minimal nullspace bases from
+    one kernel sweep that starts at the expected degree."""
     s = blocks[0].rows
     half = s // 2
     halves = [h for b in blocks for h in (b.take_cols(range(half, s)), b.take_cols(range(half)))]
-    bases = _kernel_bases(halves, [half] * len(halves), expected_deg)
-    if any(basis.row_count > half for basis in bases):
-        raise SingularInput(f"a column half has more than {half} kernel rows: A is singular")
-    return [(bases[i], bases[i + 1], halves[i + 1], halves[i]) for i in range(0, len(bases), 2)]
+    if s == 2:
+        kernels = _adjugate_rows(blocks)
+    else:
+        bases = _kernel_bases(halves, [half] * len(halves), expected_deg)
+        if any(basis.row_count > half for basis in bases):
+            raise SingularInput(f"a column half has more than {half} kernel rows: A is singular")
+        kernels = [basis.matrix for basis in bases]
+    return [(kernels[i], kernels[i + 1], halves[i + 1], halves[i])
+            for i in range(0, len(kernels), 2)]
 
 
 def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
@@ -82,10 +111,13 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
 
     Each round makes one kernel sweep for both halves of every block, one
     batched product for the new blocks and one for the transform, each
-    block's rows by its own round transform. Genericity only lets a sweep
-    stop at its first degree cap; U A = B certifies the result. A singular A
-    raises SingularInput, from a half with too many kernel rows or a zero
-    diagonal entry. ``seed`` is unused: nothing is drawn at random.
+    block's rows by its own round transform. The last round, on 2 x 2
+    blocks, takes the scaled adjugate rows instead of a sweep; where a
+    column's entries share a factor g, those rows and the diagonal entries
+    they make have deg g more than the minimal ones. Genericity only lets a
+    sweep stop at its first degree cap; U A = B certifies the result. A
+    singular A raises SingularInput, from a half with too many kernel rows
+    or a zero diagonal entry. ``seed`` is unused: nothing is drawn at random.
     """
     _require_square(a)
     n = a.rows
@@ -97,10 +129,10 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
     while blocks[0].rows > 1:
         level = _elimination_level(blocks, 2 ** (step - 1) * d)
         s = blocks[0].rows
-        blocks = pm_mul_batch([b.matrix for top, bottom, _, _ in level for b in (top, bottom)],
+        blocks = pm_mul_batch([k for top, bottom, _, _ in level for k in (top, bottom)],
                               [half for _, _, left, right in level for half in (left, right)])
         # the round's transform is block diagonal: block j multiplies rows j s .. j s + s - 1
-        rounds = [PolyMatrix.vstack([top.matrix, bottom.matrix]) for top, bottom, _, _ in level]
+        rounds = [PolyMatrix.vstack([top, bottom]) for top, bottom, _, _ in level]
         own_rows = [transform.take_rows(range(j * s, (j + 1) * s)) for j in range(len(level))]
         transform = PolyMatrix.vstack(pm_mul_batch(rounds, own_rows))
         step += 1
@@ -120,9 +152,12 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     Each level computes only the nullspace basis of the right column half:
     s/2 rows of the expected degree D, else GenericityFailure. Their degree
     sum (s/2) D is the half's top-minor degree less that of the minors'
-    common factor (Forney), so b_11 is a constant times det A. Rescaled, it
-    is checked against det A(x0) at one random point x0 drawn from ``seed``;
-    a mismatch raises GenericityFailure.
+    common factor (Forney), so the last 2 x 2 block [[a, b], [c, d]] has a
+    constant times det A as its determinant. Its top adjugate row (d, -b),
+    scaled, makes b_11 a constant times ad - bc, with no degree condition even
+    when gcd(b, d) is not 1; so for n = 2 only det A(0) != 0 is required.
+    Rescaled, b_11 is checked against det A(x0) at one random point x0 drawn
+    from ``seed``; a mismatch raises GenericityFailure.
     """
     _require_square(a)
     n = a.rows
@@ -135,14 +170,18 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     block = a
     while block.rows > 1:
         s = block.rows
-        expected = n // s * d
-        top = minimal_vectors_up_to(block.take_cols(range(s // 2, s)), expected)
-        if top.row_count != s // 2 or any(k != expected for k in top.kronecker_degrees):
-            raise GenericityFailure(
-                f"expected {s // 2} nullspace rows of degree {expected}, "
-                f"got {top.row_count} with degrees {top.kronecker_degrees}"
-            )
-        block = pm_mul(top.matrix, block.take_cols(range(s // 2)))
+        if s == 2:
+            top = _adjugate_rows([block])[0]
+        else:
+            expected = n // s * d
+            found = minimal_vectors_up_to(block.take_cols(range(s // 2, s)), expected)
+            if found.row_count != s // 2 or any(k != expected for k in found.kronecker_degrees):
+                raise GenericityFailure(
+                    f"expected {s // 2} nullspace rows of degree {expected}, "
+                    f"got {found.row_count} with degrees {found.kronecker_degrees}"
+                )
+            top = found.matrix
+        block = pm_mul(top, block.take_cols(range(s // 2)))
     b11 = block.entry(0, 0)
     b11_at_0 = b11.coeff(0)
     if b11_at_0 == 0:

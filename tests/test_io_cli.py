@@ -7,6 +7,7 @@ import polymatkit as pk
 from polymatkit import cli, io as pmio
 from polymatkit.cli import main
 from polymatkit.errors import NotPowerOfTwo, ParseError, PrimeMismatch
+from polymatkit.oracle import naive_mul
 from polymatkit.polymat import PolyMatrix
 
 
@@ -266,6 +267,32 @@ def test_cli_det_not_power_of_two_gives_reason(tmp_path, fd, capsys):
     assert captured.out == f"det p={fd.p} coeffs {coeffs}\n"
     assert captured.err == (
         "# generic_det failed (dimension 6 is not a power of two); interpolating instead\n")
+
+
+def test_cli_det_2x2_over_gf3_needs_no_fallback(tmp_path, capsys):
+    f3 = pk.get_field(3)
+    a = pk.rand_instance(2, 2, 2, 5, field=f3)  # its right column's minimal kernel row has degree 1
+    pa = tmp_path / "a.pm"
+    pmio.save(pa, a)
+    assert main(["--prime", "3", "--seed", "2", "det", str(pa)]) == 0
+    captured = capsys.readouterr()
+
+    def e(i, j):
+        return a.take_rows([i]).take_cols([j])
+
+    det = naive_mul(e(0, 0), e(1, 1)) - naive_mul(e(0, 1), e(1, 0))
+    coeffs = " ".join(str(int(c)) for c in det.entry(0, 0).coeffs)
+    assert captured.out == f"det p=3 coeffs {coeffs}\n"
+    assert "interpolating instead" not in captured.err
+
+
+@pytest.mark.parametrize("delta, guard", [([], "nullspace limited"), (["--delta", "2"], "rank")])
+def test_cli_oracle_size_guard_exits_3(tmp_path, capsys, delta, guard):
+    pa = tmp_path / "a.pm"
+    assert main(["--prime", "97", "rand", "--n", "8", "--m", "8", "--d", "16",
+                 "--profile", "planted-rank", "--rank", "7", "-o", str(pa)]) == 0
+    assert main(["--oracle", "nullspace", str(pa), *delta]) == 3
+    assert f"error: brute-force {guard}" in capsys.readouterr().err
 
 
 def test_cli_rand_deterministic(tmp_path):

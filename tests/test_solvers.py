@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit import solvers
+from polymatkit import nullspace, solvers
 from polymatkit.errors import (
     CertificateFailure,
     DimensionMismatch,
@@ -135,7 +135,8 @@ def test_batched_levels_match_per_half_calls(fd, rng, n, d):
 
 def test_inverse_singular_input_names_singularity(fd, f97):
     planted = pk.rand_instance(4, 4, 2, 11, profile="planted-rank", rank=2, field=fd)
-    for a in (PolyMatrix.zero(f97, 4, 4), planted):
+    zero_column = PolyMatrix.from_lists(f97, [[[1, 1], [0]], [[0, 1], [0]]])
+    for a in (PolyMatrix.zero(f97, 4, 4), planted, zero_column, zero_column.transpose()):
         with pytest.raises(SingularInput):
             generic_inverse(a, 3)
 
@@ -178,6 +179,103 @@ def test_inverse_of_non_generic_inputs(p, n, d, high):
     assert_diagonalized(a, generic_inverse(a, 0))
 
 
+
+def gcd_degree(u, v, p):
+    """deg gcd(u, v) over GF(p) by Euclid, from coefficient arrays (lowest first)."""
+    def trim(w):
+        while w and w[-1] == 0:
+            w.pop()
+        return w
+
+    u, v = trim([int(c) % p for c in u]), trim([int(c) % p for c in v])
+    while v:
+        inv = pow(v[-1], -1, p)
+        while len(u) >= len(v):
+            q, at = u[-1] * inv % p, len(u) - len(v)
+            for i, c in enumerate(v):
+                u[at + i] = (u[at + i] - q * c) % p
+            trim(u)
+        u, v = v, u
+    return len(u) - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 2013265921])
+def test_adjugate_rows_are_the_minimal_kernel_rows(p):
+    # row 0 of each block has degree top, row 1 degree bottom: equal and unequal column degrees
+    fld, rng = pk.get_field(p), np.random.default_rng(p)
+    coprime = 0
+    for top, bottom in [(2, 2), (3, 1), (0, 4), (1, 1), (4, 2)]:
+        for _ in range(12):
+            coeffs = rng.integers(0, p, (5, 2, 2))
+            coeffs[top + 1:, 0] = 0
+            coeffs[bottom + 1:, 1] = 0
+            coeffs[top, 0] = rng.integers(1, p, 2)
+            coeffs[bottom, 1] = rng.integers(1, p, 2)
+            block = PolyMatrix(fld, coeffs)
+            rows = solvers._adjugate_rows([block])
+            for row, half in zip(rows, (block.take_cols([1]), block.take_cols([0]))):
+                minimal = minimal_vectors_up_to(half, 8)
+                excess = gcd_degree(half.coeffs[:, 0, 0], half.coeffs[:, 1, 0], p)
+                assert pm_mul(row, half).is_zero()
+                assert row.degree == minimal.kronecker_degrees[0] + excess
+                if excess == 0:
+                    assert row == minimal.matrix
+                    coprime += 1
+    assert coprime > 0
+
+
+def planted_common_factor(fld, rng):
+    """A non-singular 2 x 2 block whose right column is divisible by x + 1."""
+    factor = PolyMatrix.from_lists(fld, [[[1, 1]]])
+    while True:
+        block = pk.rand_instance(2, 2, 2, int(rng.integers(0, 2**31)), field=fld)
+        block = PolyMatrix.hstack([block.take_cols([0]), pm_mul(block.take_cols([1]), factor)])
+        if not det2(block).is_zero():
+            return block
+
+
+def det2(a):
+    """a00 a11 - a01 a10 by the quadratic reference product, as a 1 x 1 matrix."""
+    def e(i, j):
+        return a.take_rows([i]).take_cols([j])
+    return naive_mul(e(0, 0), e(1, 1)) - naive_mul(e(0, 1), e(1, 0))
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_inverse_with_a_common_factor_in_a_2x2_column(p):
+    # a diagonal entry exceeds the minimal recursion's by the degree of its column's gcd,
+    # at least 1 for the planted right columns; U A = B still certifies the result
+    fld, rng = pk.get_field(p), np.random.default_rng(p)
+    for count in (1, 2):
+        blocks = [planted_common_factor(fld, rng) for _ in range(count)]
+        a = solvers._block_diag(blocks)
+        rep = generic_inverse(a, 0)
+        assert_diagonalized(a, rep)
+        excess = [gcd_degree(b.coeffs[:, 0, c], b.coeffs[:, 1, c], p) for b in blocks for c in (1, 0)]
+        assert all(excess[0::2])
+        _, minimal_diagonal = per_half_inverse(a)
+        assert row_degrees(rep.diagonal) == [
+            deg + extra for deg, extra in zip(row_degrees(minimal_diagonal), excess)]
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (2, 4, 8) for d in (1, 3)])
+def test_2x2_level_needs_no_order_basis(fd, rng, n, d, monkeypatch):
+    # the 2 x 2 blocks take their kernel rows in closed form: no kernel problem has 2 rows
+    rows = []
+
+    def spy(a, delta, inner=minimal_vectors_up_to):
+        rows.extend(m.rows for m in ([a] if isinstance(a, PolyMatrix) else a))
+        return inner(a, delta)
+
+    monkeypatch.setattr(nullspace, "minimal_vectors_up_to", spy)
+    monkeypatch.setattr(solvers, "minimal_vectors_up_to", spy)
+    a = nonsingular_at_zero(fd, n, d, rng)
+    generic_inverse(a, 0)
+    generic_det(a, 0)
+    assert 2 not in rows
+    assert bool(rows) == (n > 2)
+
+
 # -- generic determinant -----------------------------------------------------
 
 def test_det_constant(fd):
@@ -214,6 +312,19 @@ def test_det_point_check_rejects_a_wrong_b11(fd, rng, monkeypatch):
     monkeypatch.setattr(solvers, "pm_mul", corrupt)
     with pytest.raises(GenericityFailure, match="det check"):
         generic_det(a, 0)
+
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_det_2x2_has_no_genericity_condition(p):
+    fld, rng = pk.get_field(p), np.random.default_rng(p)
+    checked = 0
+    while checked < 200:
+        a = pk.rand_instance(2, 2, int(rng.integers(1, 4)), int(rng.integers(0, 2**31)), field=fld)
+        if const_det(pm_eval(a, 0), p) == 0:
+            continue
+        assert generic_det(a, int(rng.integers(0, 2**31))) == det2(a).entry(0, 0)
+        checked += 1
 
 
 def test_det_singular_at_zero(fd):
