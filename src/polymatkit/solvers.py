@@ -7,11 +7,14 @@ annihilated by minimal nullspace bases. The inverse takes them from one
 kernel sweep per round and certifies U A = B. The determinant follows only
 the upper-left block, so it annihilates only right halves, whose indices
 must equal the expected degree (else GenericityFailure), and checks its
-result at a random point. The last round, on 2 x 2 blocks [[a, b], [c, d]],
-needs no order basis: its kernel rows are the adjugate rows (d, -b) and
-(-c, a), scaled as mbasis scales a minimal row. They are minimal when the
-column's two entries are coprime, as on generic input; otherwise their
-degree exceeds the minimum by that of the gcd, and U A = B still certifies.
+result at a random point. Both stop at blocks of size s <= 4, which need no
+order basis: the transform rows of a block M are the rows of adj(M), each
+scaled as mbasis scales a minimal row, and adj(M) M = det(M) I. On generic
+input they are, row for row, those of the minimal recursion. Otherwise they
+can exceed the minimal degree, since at the 4 x 4 level each diagonal entry
+is a constant times det M whatever the block's columns share: on
+diag(B1, B2) every one is a multiple of det B1 det B2. U A = B still
+certifies the inverse.
 Row reduction goes through expansion/reconstruction of the proper tail of
 A^{-1} and certifies its answer with the two transforms between A and R.
 """
@@ -68,42 +71,71 @@ def _block_diag(blocks) -> PolyMatrix:
     return PolyMatrix(fld, out)
 
 
-def _adjugate_rows(blocks) -> list:
-    """Per 2 x 2 block [[a, b], [c, d]], in order, the left kernel rows
-    (d, -b) of its right column and (-c, a) of its left one, each scaled so
-    that its last entry of largest degree is monic, as mbasis normalizes the
-    one minimal kernel row of a 2 x 1 matrix. When gcd(b, d) = 1 (gcd(a, c)
-    for (-c, a)) this is that minimal row; otherwise its degree is
-    larger by the gcd's degree. A zero column gives a zero row."""
-    fld, count = blocks[0].field, len(blocks)
-    m = PolyMatrix.vstack(blocks).coeffs.reshape(-1, count, 2, 2)
-    adj = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1)
-    rows = PolyMatrix(fld, adj.reshape(-1, 2 * count, 2))
-    degs = entry_degrees(rows)
-    piv, at = (degs[:, 1] >= degs[:, 0]).astype(np.intp), np.arange(2 * count)
-    lead = rows.coeffs[degs[at, piv], at, piv]
+# The 4 x 4 cofactor table of a column pair: at row r, column j (r != j), the pair's 2 x 2
+# minor on the other two rows u < v, times the sign (-1)^(j + the place of r among the rows
+# other than j); 0 at r = j.
+_U, _V = (np.array([[sorted({0, 1, 2, 3} - {r, j})[k] if r != j else k for j in range(4)]
+                    for r in range(4)]) for k in (0, 1))
+_SIGN = np.array([[(-1) ** (j + r - (r > j)) if r != j else 0 for j in range(4)]
+                  for r in range(4)])
+
+
+def _adjugates(blocks) -> list:
+    """Per s x s block M (s <= 4), adj(M) with each row scaled so that its
+    last entry of largest degree is monic, as mbasis normalizes a minimal
+    kernel row; a zero row stays zero. Row i of adj(M) annihilates every
+    column of M but column i. A smaller block is padded to diag(M, I),
+    whose adjugate is diag(adj M, det M I). The 4 x 4 ones take two batched
+    products: the 2 x 2 minors of the column pairs {0, 1} and {2, 3}, from
+    outer products, and the cofactors by Laplace expansion along the
+    columns of one pair, each with the other pair's minors.
+    """
+    fld, count, s = blocks[0].field, len(blocks), blocks[0].rows
+    stacked = PolyMatrix.vstack(blocks).coeffs
+    m = np.zeros((stacked.shape[0], count, 4, 4), dtype=np.int64)
+    m[:, :, :s, :s] = stacked.reshape(-1, count, s, s)
+    m[0, :, range(s, 4), range(s, 4)] = 1
+    # P[r, t] = M[r, c] M[t, c + 1], so the pair's minor on rows u, v is P[u, v] - P[v, u]
+    pairs = [(j, c) for j in range(count) for c in (0, 2)]
+    outer = pm_mul_batch([PolyMatrix(fld, m[:, j, :, c: c + 1]) for j, c in pairs],
+                         [PolyMatrix(fld, m[:, j, None, :, c + 1]) for j, c in pairs])
+    tables = [PolyMatrix(fld, _SIGN * (q.coeffs[:, _U, _V] - q.coeffs[:, _V, _U])) for q in outer]
+    # rows 0, 1 of adj M are (M_1, -M_0)^T times the {2, 3} table, rows 2, 3 (M_3, -M_2)^T
+    # times the {0, 1} table
+    halves = pm_mul_batch(
+        [PolyMatrix(fld, np.stack([m[:, j, :, c + 1], -m[:, j, :, c]], axis=1)) for j, c in pairs],
+        [tables[k ^ 1] for k in range(2 * count)])
+    rows = PolyMatrix.vstack(halves).coeffs.reshape(-1, count, 4, 4)[:, :, :s, :s]
+    rows = rows.reshape(-1, count * s, s)
+    degs = entry_degrees(PolyMatrix._canonical(fld, rows))
+    at, piv = np.arange(count * s), s - 1 - np.argmax(degs[:, ::-1], axis=1)
+    lead = rows[degs[at, piv], at, piv]
     scale = np.array([pow(int(c), -1, fld.p) if c else 1 for c in lead], dtype=np.int64)
-    scaled = PolyMatrix(fld, rows.coeffs * scale[None, :, None])
-    return [scaled.take_rows([i]) for i in range(2 * count)]
+    return [PolyMatrix(fld, rows[:, j * s: (j + 1) * s] * scale[None, j * s: (j + 1) * s, None])
+            for j in range(count)]
 
 
-def _elimination_level(blocks, expected_deg: int) -> list:
-    """(top, bottom, left, right) per block: left kernel rows of its right
-    and left column halves, s/2 rows each, and the halves. For s = 2 they are
-    the scaled adjugate rows; larger blocks take minimal nullspace bases from
-    one kernel sweep that starts at the expected degree."""
+def _elimination_level(blocks, expected_deg: int) -> tuple:
+    """One round on s x s blocks: per block its s x s round transform, and
+    the blocks that the transforms leave. Blocks of s <= 4 take their scaled
+    adjugate and leave the diagonal of its product with the block, s blocks
+    of 1 x 1. Larger ones take minimal nullspace bases of both column halves,
+    s/2 rows each, from one kernel sweep that starts at the expected degree,
+    and leave two s/2 x s/2 blocks."""
     s = blocks[0].rows
+    if s <= 4:
+        rounds = _adjugates(blocks)
+        return rounds, pm_mul_batch([r.take_rows([i]) for r in rounds for i in range(s)],
+                                    [b.take_cols([i]) for b in blocks for i in range(s)])
     half = s // 2
     halves = [h for b in blocks for h in (b.take_cols(range(half, s)), b.take_cols(range(half)))]
-    if s == 2:
-        kernels = _adjugate_rows(blocks)
-    else:
-        bases = _kernel_bases(halves, [half] * len(halves), expected_deg)
-        if any(basis.row_count > half for basis in bases):
-            raise SingularInput(f"a column half has more than {half} kernel rows: A is singular")
-        kernels = [basis.matrix for basis in bases]
-    return [(kernels[i], kernels[i + 1], halves[i + 1], halves[i])
-            for i in range(0, len(kernels), 2)]
+    bases = _kernel_bases(halves, [half] * len(halves), expected_deg)
+    if any(basis.row_count > half for basis in bases):
+        raise SingularInput(f"a column half has more than {half} kernel rows: A is singular")
+    kernels = [basis.matrix for basis in bases]
+    # the kernel of the right half (top) keeps the left half, and the other way round
+    rounds = [PolyMatrix.vstack(kernels[i: i + 2]) for i in range(0, len(kernels), 2)]
+    return rounds, pm_mul_batch(kernels, [halves[i ^ 1] for i in range(len(halves))])
 
 
 def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
@@ -111,13 +143,14 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
 
     Each round makes one kernel sweep for both halves of every block, one
     batched product for the new blocks and one for the transform, each
-    block's rows by its own round transform. The last round, on 2 x 2
-    blocks, takes the scaled adjugate rows instead of a sweep; where a
-    column's entries share a factor g, those rows and the diagonal entries
-    they make have deg g more than the minimal ones. Genericity only lets a
-    sweep stop at its first degree cap; U A = B certifies the result. A
-    singular A raises SingularInput, from a half with too many kernel rows
-    or a zero diagonal entry. ``seed`` is unused: nothing is drawn at random.
+    block's rows by its own round transform. The last round, on blocks M of
+    size s <= 4, takes the scaled rows of adj(M) instead of a sweep, and
+    leaves each diagonal entry a constant times det M. On non-generic input
+    those rows and entries can have a larger degree than the minimal ones.
+    Genericity only lets a sweep stop at its first degree cap; U A = B
+    certifies the result. A singular A raises SingularInput, from a half
+    with too many kernel rows or a zero diagonal entry. ``seed`` is unused:
+    nothing is drawn at random.
     """
     _require_square(a)
     n = a.rows
@@ -127,13 +160,10 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
     blocks = [a]
     step = 1
     while blocks[0].rows > 1:
-        level = _elimination_level(blocks, 2 ** (step - 1) * d)
         s = blocks[0].rows
-        blocks = pm_mul_batch([k for top, bottom, _, _ in level for k in (top, bottom)],
-                              [half for _, _, left, right in level for half in (left, right)])
+        rounds, blocks = _elimination_level(blocks, 2 ** (step - 1) * d)
         # the round's transform is block diagonal: block j multiplies rows j s .. j s + s - 1
-        rounds = [PolyMatrix.vstack([top, bottom]) for top, bottom, _, _ in level]
-        own_rows = [transform.take_rows(range(j * s, (j + 1) * s)) for j in range(len(level))]
+        own_rows = [transform.take_rows(range(j * s, (j + 1) * s)) for j in range(len(rounds))]
         transform = PolyMatrix.vstack(pm_mul_batch(rounds, own_rows))
         step += 1
 
@@ -152,10 +182,10 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     Each level computes only the nullspace basis of the right column half:
     s/2 rows of the expected degree D, else GenericityFailure. Their degree
     sum (s/2) D is the half's top-minor degree less that of the minors'
-    common factor (Forney), so the last 2 x 2 block [[a, b], [c, d]] has a
-    constant times det A as its determinant. Its top adjugate row (d, -b),
-    scaled, makes b_11 a constant times ad - bc, with no degree condition even
-    when gcd(b, d) is not 1; so for n = 2 only det A(0) != 0 is required.
+    common factor (Forney), so the last block M, of size s <= 4, has a
+    constant times det A as its determinant. The first row of adj(M),
+    scaled, makes b_11 a constant times det M, with no degree condition at
+    that level; so for n <= 4 only det A(0) != 0 is required.
     Rescaled, b_11 is checked against det A(x0) at one random point x0 drawn
     from ``seed``; a mismatch raises GenericityFailure.
     """
@@ -168,21 +198,17 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     if det_a0 == 0:
         raise SingularAtZero("det A(0) = 0; shift before the generic recursion")
     block = a
-    while block.rows > 1:
+    while block.rows > 4:
         s = block.rows
-        if s == 2:
-            top = _adjugate_rows([block])[0]
-        else:
-            expected = n // s * d
-            found = minimal_vectors_up_to(block.take_cols(range(s // 2, s)), expected)
-            if found.row_count != s // 2 or any(k != expected for k in found.kronecker_degrees):
-                raise GenericityFailure(
-                    f"expected {s // 2} nullspace rows of degree {expected}, "
-                    f"got {found.row_count} with degrees {found.kronecker_degrees}"
-                )
-            top = found.matrix
-        block = pm_mul(top, block.take_cols(range(s // 2)))
-    b11 = block.entry(0, 0)
+        expected = n // s * d
+        found = minimal_vectors_up_to(block.take_cols(range(s // 2, s)), expected)
+        if found.row_count != s // 2 or any(k != expected for k in found.kronecker_degrees):
+            raise GenericityFailure(
+                f"expected {s // 2} nullspace rows of degree {expected}, "
+                f"got {found.row_count} with degrees {found.kronecker_degrees}"
+            )
+        block = pm_mul(found.matrix, block.take_cols(range(s // 2)))
+    b11 = pm_mul(_adjugates([block])[0].take_rows([0]), block.take_cols([0])).entry(0, 0)
     b11_at_0 = b11.coeff(0)
     if b11_at_0 == 0:
         raise GenericityFailure("b_{1,1}(0) vanished; cannot rescale")

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -281,6 +282,25 @@ def test_cli_det_2x2_over_gf3_needs_no_fallback(tmp_path, capsys):
         return a.take_rows([i]).take_cols([j])
 
     det = naive_mul(e(0, 0), e(1, 1)) - naive_mul(e(0, 1), e(1, 0))
+    coeffs = " ".join(str(int(c)) for c in det.entry(0, 0).coeffs)
+    assert captured.out == f"det p=3 coeffs {coeffs}\n"
+    assert "interpolating instead" not in captured.err
+
+
+def test_cli_det_4x4_over_gf3_needs_no_fallback(tmp_path, capsys):
+    f3 = pk.get_field(3)
+    a = pk.rand_instance(4, 4, 2, 1, field=f3)  # its right column half's kernel degrees are 1, 3
+    pa = tmp_path / "a.pm"
+    pmio.save(pa, a)
+    assert main(["--prime", "3", "--seed", "2", "det", str(pa)]) == 0
+    captured = capsys.readouterr()
+    det = PolyMatrix.zero(f3, 1, 1)  # by the Leibniz formula
+    for perm in itertools.permutations(range(4)):
+        term = PolyMatrix.identity(f3, 1)
+        for i, j in enumerate(perm):
+            term = naive_mul(term, a.take_rows([i]).take_cols([j]))
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
+        det = det - term if inversions % 2 else det + term
     coeffs = " ".join(str(int(c)) for c in det.entry(0, 0).coeffs)
     assert captured.out == f"det p=3 coeffs {coeffs}\n"
     assert "interpolating instead" not in captured.err

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -212,7 +213,8 @@ def test_adjugate_rows_are_the_minimal_kernel_rows(p):
             coeffs[top, 0] = rng.integers(1, p, 2)
             coeffs[bottom, 1] = rng.integers(1, p, 2)
             block = PolyMatrix(fld, coeffs)
-            rows = solvers._adjugate_rows([block])
+            [adj] = solvers._adjugates([block])
+            rows = [adj.take_rows([0]), adj.take_rows([1])]
             for row, half in zip(rows, (block.take_cols([1]), block.take_cols([0]))):
                 minimal = minimal_vectors_up_to(half, 8)
                 excess = gcd_degree(half.coeffs[:, 0, 0], half.coeffs[:, 1, 0], p)
@@ -230,37 +232,85 @@ def planted_common_factor(fld, rng):
     while True:
         block = pk.rand_instance(2, 2, 2, int(rng.integers(0, 2**31)), field=fld)
         block = PolyMatrix.hstack([block.take_cols([0]), pm_mul(block.take_cols([1]), factor)])
-        if not det2(block).is_zero():
+        if not leibniz_det(block).is_zero():
             return block
 
 
-def det2(a):
-    """a00 a11 - a01 a10 by the quadratic reference product, as a 1 x 1 matrix."""
-    def e(i, j):
-        return a.take_rows([i]).take_cols([j])
-    return naive_mul(e(0, 0), e(1, 1)) - naive_mul(e(0, 1), e(1, 0))
+def leibniz_det(a):
+    """det A by the Leibniz formula and the quadratic reference product, as a 1 x 1 matrix."""
+    total = PolyMatrix.zero(a.field, 1, 1)
+    for perm in itertools.permutations(range(a.rows)):
+        term = PolyMatrix.identity(a.field, 1)
+        for i, j in enumerate(perm):
+            term = naive_mul(term, a.take_rows([i]).take_cols([j]))
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(a.rows), 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def assert_det_multiples(a, rep):
+    """Every diagonal entry of the representation is a nonzero constant times det A."""
+    det = leibniz_det(a).entry(0, 0)
+    for i in range(a.rows):
+        entry = rep.diagonal.entry(i, i)
+        ratio = int(entry.coeffs[-1]) * pow(int(det.coeffs[-1]), -1, a.field.p)
+        assert entry == det * ratio
 
 
 @pytest.mark.parametrize("p", [2, 3, 97])
 def test_inverse_with_a_common_factor_in_a_2x2_column(p):
-    # a diagonal entry exceeds the minimal recursion's by the degree of its column's gcd,
-    # at least 1 for the planted right columns; U A = B still certifies the result
+    # n = 2: a diagonal entry exceeds the minimal recursion's by the degree of its column's gcd,
+    # at least 1 for the planted right column; U A = B still certifies the result
     fld, rng = pk.get_field(p), np.random.default_rng(p)
-    for count in (1, 2):
-        blocks = [planted_common_factor(fld, rng) for _ in range(count)]
-        a = solvers._block_diag(blocks)
+    a = planted_common_factor(fld, rng)
+    rep = generic_inverse(a, 0)
+    assert_diagonalized(a, rep)
+    excess = [gcd_degree(a.coeffs[:, 0, c], a.coeffs[:, 1, c], p) for c in (1, 0)]
+    assert excess[0]
+    _, minimal_diagonal = per_half_inverse(a)
+    assert row_degrees(rep.diagonal) == [
+        deg + extra for deg, extra in zip(row_degrees(minimal_diagonal), excess)]
+    # n = 4: diag(B1, B2) is one 4 x 4 base block, whose adjugate rows make every diagonal
+    # entry a constant times det A = det B1 det B2, above the minimal degree per 2 x 2 gcd
+    a = solvers._block_diag([planted_common_factor(fld, rng) for _ in range(2)])
+    rep = generic_inverse(a, 0)
+    assert_diagonalized(a, rep)
+    assert_det_multiples(a, rep)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_inverse_with_a_common_factor_in_a_4x4_column(p):
+    # x + 1 divides column 2, so the 3 x 3 minors that keep it share that factor
+    fld, rng = pk.get_field(p), np.random.default_rng(p)
+    factor = PolyMatrix.from_lists(fld, [[[1, 1]]])
+    checked = 0
+    while checked < 4:
+        a = pk.rand_instance(4, 4, 2, int(rng.integers(0, 2**31)), field=fld)
+        a = PolyMatrix.hstack([a.take_cols([0, 1]), pm_mul(a.take_cols([2]), factor),
+                               a.take_cols([3])])
+        if leibniz_det(a).is_zero():
+            continue
         rep = generic_inverse(a, 0)
         assert_diagonalized(a, rep)
-        excess = [gcd_degree(b.coeffs[:, 0, c], b.coeffs[:, 1, c], p) for b in blocks for c in (1, 0)]
-        assert all(excess[0::2])
-        _, minimal_diagonal = per_half_inverse(a)
-        assert row_degrees(rep.diagonal) == [
-            deg + extra for deg, extra in zip(row_degrees(minimal_diagonal), excess)]
+        assert_det_multiples(a, rep)
+        checked += 1
 
 
-@pytest.mark.parametrize("n, d", [(n, d) for n in (2, 4, 8) for d in (1, 3)])
+@pytest.mark.parametrize("p, n", [(p, n) for p in (65537, 2013265921) for n in (4, 8)])
+def test_4x4_base_case_matches_per_half_calls(p, n):
+    # on generic input each scaled adjugate row is the minimal recursion's transform row
+    fld, rng = pk.get_field(p), np.random.default_rng(n)
+    for d in (1, 2, 4):
+        a = nonsingular_at_zero(fld, n, d, rng)
+        transform, diagonal = per_half_inverse(a)
+        rep = generic_inverse(a, 0)
+        assert rep.transform == transform and rep.diagonal == diagonal
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (2, 4, 8, 16) for d in (1, 3)])
 def test_2x2_level_needs_no_order_basis(fd, rng, n, d, monkeypatch):
-    # the 2 x 2 blocks take their kernel rows in closed form: no kernel problem has 2 rows
+    # blocks of at most 4 x 4 take their transform rows in closed form: no kernel problem
+    # has 4 rows or fewer
     rows = []
 
     def spy(a, delta, inner=minimal_vectors_up_to):
@@ -272,8 +322,8 @@ def test_2x2_level_needs_no_order_basis(fd, rng, n, d, monkeypatch):
     a = nonsingular_at_zero(fd, n, d, rng)
     generic_inverse(a, 0)
     generic_det(a, 0)
-    assert 2 not in rows
-    assert bool(rows) == (n > 2)
+    assert all(r > 4 for r in rows)
+    assert bool(rows) == (n > 4)
 
 
 # -- generic determinant -----------------------------------------------------
@@ -292,11 +342,7 @@ def test_det_random_matches_oracle(fd, rng):
         for d in (1, 2, 3):
             for _ in range(3):
                 a = nonsingular_at_zero(fd, n, d, rng)
-                try:
-                    got = generic_det(a, int(rng.integers(0, 2**31)))
-                except GenericityFailure:
-                    continue
-                assert got == det_by_interpolation(a)
+                assert generic_det(a, int(rng.integers(0, 2**31))) == det_by_interpolation(a)
 
 
 def test_det_point_check_rejects_a_wrong_b11(fd, rng, monkeypatch):
@@ -315,16 +361,26 @@ def test_det_point_check_rejects_a_wrong_b11(fd, rng, monkeypatch):
 
 
 
-@pytest.mark.parametrize("p", [2, 3, 97])
-def test_det_2x2_has_no_genericity_condition(p):
+def assert_det_needs_only_det_a0(p, n):
+    """generic_det is the Leibniz determinant on 200 seeded n x n inputs with det A(0) != 0."""
     fld, rng = pk.get_field(p), np.random.default_rng(p)
     checked = 0
     while checked < 200:
-        a = pk.rand_instance(2, 2, int(rng.integers(1, 4)), int(rng.integers(0, 2**31)), field=fld)
+        a = pk.rand_instance(n, n, int(rng.integers(1, 4)), int(rng.integers(0, 2**31)), field=fld)
         if const_det(pm_eval(a, 0), p) == 0:
             continue
-        assert generic_det(a, int(rng.integers(0, 2**31))) == det2(a).entry(0, 0)
+        assert generic_det(a, int(rng.integers(0, 2**31))) == leibniz_det(a).entry(0, 0)
         checked += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_det_2x2_has_no_genericity_condition(p):
+    assert_det_needs_only_det_a0(p, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_det_4x4_has_no_genericity_condition(p):
+    assert_det_needs_only_det_a0(p, 4)
 
 
 def test_det_singular_at_zero(fd):
