@@ -5,10 +5,11 @@ First half: plant a rank deficiency, then recover the minimal left nullspace
 vectors -- the number of them is n - rank, and their degrees (the left
 Kronecker indices) come out of the order basis for free.
 
-Second half: for a non-singular square A of power-of-two size, repeatedly
-annihilate half the columns of every diagonal block; log2(n) rounds later A
-has been transformed to a diagonal matrix, and the determinant falls out of
-one branch of the same recursion.
+Second half: for a non-singular square A, repeatedly annihilate half the
+columns of every diagonal block; log2(n) rounds later A has been transformed
+to a diagonal matrix, and the determinant falls out of one branch of the
+same recursion. A size that is not a power of two, such as 6, runs on
+diag(A, I) of size 8, and U and B are its top-left blocks.
 """
 
 import numpy as np
@@ -60,3 +61,11 @@ print("  (first row of A^{-1}(x0)) * A(x0) == e_1:",
       bool((row_times_a == np.eye(n, dtype=np.int64)[0]).all()))
 print("  first row of A^{-1}(x0) recovered from the representation:",
       inv_at_x0[:2], "...")
+
+# --- a size that is not a power of two ---------------------------------------
+c = pk.rand_instance(6, 6, 2, seed=11)
+rep6 = pk.generic_inverse(c, seed=4)
+print("generic inverse of a 6 x 6 degree-2 matrix (run on diag(A, I_2), 8 x 8):")
+print("  product check U*A == B:", pk.pm_mul(rep6.transform, c) == rep6.diagonal,
+      "with diagonal degrees", [rep6.diagonal.entry(i, i).degree for i in range(6)])
+print("  generic_det == interpolated det:", pk.generic_det(c, seed=4) == det_by_interpolation(c))

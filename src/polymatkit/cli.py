@@ -4,11 +4,11 @@ Every solver verb verifies its result (product / residual checks) before
 printing anything, so the Las Vegas contract is visible at the process
 boundary; ``rowreduce`` checks the certificate T A = R, W R = A that
 ``row_reduce`` returns. The brute-force oracles run only under --oracle,
-apart from ``det``'s interpolation fallback: when ``generic_det`` fails
-(n not a power of two, det A(0) = 0, or a genericity check), ``det`` prints
-the reason on stderr and interpolates. Exit codes: 0 success and verified,
-2 verification failure (the CLI's checks or the library's own,
-SelfCheckFailure), 3 precondition error, 4 parse error.
+apart from ``det``'s interpolation fallback: on GenericityFailure from
+``generic_det``, ``det`` prints the reason on stderr and interpolates.
+Exit codes: 0 success and verified, 2 verification failure (the CLI's
+checks or the library's own, SelfCheckFailure), 3 precondition error (an
+out-of-range size, --rank or --reps too), 4 parse error (a bad --grid too).
 
 Setting the environment variable POLYMATKIT_CORRUPT to a non-empty value
 corrupts each computed result before its verification step; this exists so
@@ -28,8 +28,7 @@ import numpy as np
 from . import io as pmio
 from .approxbasis import pmbasis, series_product
 from .bench import BENCH_OPS, bench
-from .errors import (GenericityFailure, NotPowerOfTwo, ParseError, PolymatError, SelfCheckFailure,
-                     SingularAtZero)
+from .errors import GenericityFailure, ParseError, PolymatError, SelfCheckFailure
 from .field import get_field
 from .fraction import expansion_slice
 from .instances import PROFILES, rand_instance
@@ -162,7 +161,7 @@ def _cmd_det(args, rng):
     a = pmio.load(args.a)
     try:
         result = generic_det(a, int(rng.integers(0, 2**31)))
-    except (NotPowerOfTwo, SingularAtZero, GenericityFailure) as exc:
+    except GenericityFailure as exc:
         print(f"# generic_det failed ({exc}); interpolating instead", file=sys.stderr)
         result = det_by_interpolation(a)
     result = _corrupt_poly(result)
@@ -269,31 +268,38 @@ def _cmd_factor(args, rng):
 
 
 def _cmd_rand(args, rng):
+    if min(args.n, args.m, args.d) < 0:
+        raise PolymatError("--n, --m and --d must be non-negative")
     field = get_field(args.prime)
-    mat = rand_instance(
-        args.n, args.m, args.d, args.seed if args.seed is not None else 0,
-        profile=args.profile, field=field, rank=args.rank,
-    )
+    try:
+        mat = rand_instance(
+            args.n, args.m, args.d, args.seed if args.seed is not None else 0,
+            profile=args.profile, field=field, rank=args.rank,
+        )
+    except ValueError as exc:  # a --rank or --n the profile cannot take
+        raise PolymatError(str(exc)) from None
     _emit(mat, args.output)
 
 
 def _parse_grid(text: str):
-    points = []
-    for token in text.split(","):
-        token = token.strip()
-        if "x" in token:
-            n_s, d_s = token.split("x")
-            points.append((int(n_s), int(d_s)))
-        else:
-            points.append(int(token))
-    if points and isinstance(points[0], tuple):
+    try:
+        points = [tuple(int(v) for v in token.split("x")) for token in text.split(",")]
+    except ValueError:
+        points = []
+    if points and all(len(pt) == 2 for pt in points):
         return points
-    return [(n, d) for n in points for d in points]
+    if points and all(len(pt) == 1 for pt in points):
+        return [(n, d) for (n,) in points for (d,) in points]
+    raise ParseError(f"--grid {text!r} is neither '16,32' nor '16x8,32x8'")
 
 
 def _cmd_bench(args, rng):
     field = get_field(args.prime)
     grid = _parse_grid(args.grid)
+    if min(min(pt) for pt in grid) < 0:
+        raise PolymatError(f"--grid {args.grid!r} has a negative size")
+    if args.reps < 1:
+        raise PolymatError(f"--reps must be at least 1, got {args.reps}")
     report = bench(args.op, grid, args.reps, seed=args.seed, field=field)
     print(report.table())
     for record in report.records():

@@ -106,12 +106,8 @@ class CertificateFailure(ReconstructionFailure, SelfCheckFailure):
     """A reconstructed result failed its exact certificate check."""
 
 
-class NotPowerOfTwo(PolymatError):
-    """The generic inverse/determinant recursion needs n to be a power of two."""
-
-
 class GenericityFailure(PolymatError):
-    """A determinant recursion round did not show the generic degree pattern."""
+    """generic_det's b_11 is not a constant times det A: it failed a check at a random point."""
 
 
 # -- CLI / serialization -----------------------------------------------------

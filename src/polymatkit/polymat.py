@@ -500,6 +500,11 @@ def regular_point(a: PolyMatrix, rng=None) -> int:
     plus one have all been singular, A is singular (SingularInput). A field
     with fewer elements than that raises FieldTooSmall when it runs out.
     """
+    return regular_value(a, rng)[0]
+
+
+def regular_value(a: PolyMatrix, rng=None) -> tuple:
+    """(x0, det A(x0)) for the x0 that ``regular_point`` draws."""
     rng = np.random.default_rng(rng)
     n, d, p = a.rows, int_degree(a), a.field.p
     tried = set()
@@ -509,8 +514,9 @@ def regular_point(a: PolyMatrix, rng=None) -> int:
         if cand in tried:
             continue
         tried.add(cand)
-        if const_det(pm_eval(a, cand), p) != 0:
-            return cand
+        value = const_det(pm_eval(a, cand), p)
+        if value:
+            return cand, value
     if len(tried) > n * d:
         raise SingularInput("det A vanishes identically: A is singular")
     raise FieldTooSmall("no regular point found in the whole field")

@@ -1,20 +1,18 @@
 """The four applications: generic inverse, determinant, row reduction,
 and left factorization from a right one.
 
-Inverse and determinant run the block-elimination recursion on power-of-two
-dimensions: at each round the two halves of every diagonal block are
-annihilated by minimal nullspace bases. The inverse takes them from one
-kernel sweep per round and certifies U A = B. The determinant follows only
-the upper-left block, so it annihilates only right halves, whose indices
-must equal the expected degree (else GenericityFailure), and checks its
-result at a random point. Both stop at blocks of size s <= 4, which need no
-order basis: the transform rows of a block M are the rows of adj(M), each
-scaled as mbasis scales a minimal row, and adj(M) M = det(M) I. On generic
-input they are, row for row, those of the minimal recursion. Otherwise they
-can exceed the minimal degree, since at the 4 x 4 level each diagonal entry
-is a constant times det M whatever the block's columns share: on
-diag(B1, B2) every one is a multiple of det B1 det B2. U A = B still
-certifies the inverse.
+Inverse and determinant run the block-elimination recursion on diag(A, I)
+of power-of-two size: at each round the two halves of every diagonal block
+are annihilated by minimal nullspace bases from one kernel sweep. The
+inverse certifies U A = B. The determinant follows only the upper-left
+block and checks its result at a random point (else GenericityFailure).
+Both stop at blocks of size s <= 4, which need no order basis: the
+transform rows of a block M are the rows of adj(M), each scaled as mbasis
+scales a minimal row, and adj(M) M = det(M) I. On generic input they are,
+row for row, those of the minimal recursion. Otherwise they can exceed the
+minimal degree, since at the 4 x 4 level each diagonal entry is a constant
+times det M whatever the block's columns share: on diag(B1, B2) every one
+is a multiple of det B1 det B2. U A = B still certifies the inverse.
 Row reduction goes through expansion/reconstruction of the proper tail of
 A^{-1} and certifies its answer with the two transforms between A and R.
 """
@@ -26,17 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CertificateFailure, DimensionMismatch, FieldTooSmall, GenericityFailure, NotPowerOfTwo,
-    NotSquare, ReconstructionFailure, SelfCheckFailure, SingularAtZero, SingularInput,
-    WrongRowCount, ZeroRow,
+    CertificateFailure, DimensionMismatch, FieldTooSmall, GenericityFailure, NotSquare,
+    ReconstructionFailure, SelfCheckFailure, SingularAtZero, SingularInput, WrongRowCount, ZeroRow,
 )
 from .fraction import proper_tail, truncated_inverse
 from .linalg import det as const_det
-from .nullspace import _kernel_bases, minimal_vectors_up_to, rank
+from .nullspace import _kernel_bases, rank
 from .poly import Polynomial
 from .polymat import (
     PolyMatrix, entry_degrees, int_degree, is_row_reduced, pm_eval, pm_mul, pm_mul_batch,
-    pm_shift_var, pm_truncate, regular_point, row_degrees,
+    pm_shift_var, pm_truncate, regular_point, regular_value, row_degrees,
 )
 from .reconstruct import LeftFactorization, matfrac_rec
 
@@ -54,11 +51,6 @@ def _require_square(a: PolyMatrix):
         raise NotSquare(f"need a square matrix, got {a.rows} x {a.cols}")
 
 
-def _require_pow2(n: int):
-    if n < 1 or n & (n - 1):
-        raise NotPowerOfTwo(f"dimension {n} is not a power of two")
-
-
 def _block_diag(blocks) -> PolyMatrix:
     fld = blocks[0].field
     length = max(b.coeffs.shape[0] for b in blocks)
@@ -69,6 +61,12 @@ def _block_diag(blocks) -> PolyMatrix:
         out[: b.coeffs.shape[0], at: at + b.rows, at: at + b.cols] = b.coeffs
         at += b.rows
     return PolyMatrix(fld, out)
+
+
+def _padded(a: PolyMatrix) -> PolyMatrix:
+    """diag(A, I) of the next power-of-two size (1 for n = 0); A itself at a power of two."""
+    size = 1 << max(a.rows - 1, 0).bit_length()
+    return a if size == a.rows else _block_diag([a, PolyMatrix.identity(a.field, size - a.rows)])
 
 
 # The 4 x 4 cofactor table of a column pair: at row r, column j (r != j), the pair's 2 x 2
@@ -139,25 +137,27 @@ def _elimination_level(blocks, expected_deg: int) -> tuple:
 
 
 def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
-    """Diagonalizing transform for a non-singular A with power-of-two dimension.
+    """Diagonalizing transform for a non-singular A of any dimension n.
 
-    Each round makes one kernel sweep for both halves of every block, one
-    batched product for the new blocks and one for the transform, each
-    block's rows by its own round transform. The last round, on blocks M of
-    size s <= 4, takes the scaled rows of adj(M) instead of a sweep, and
-    leaves each diagonal entry a constant times det M. On non-generic input
-    those rows and entries can have a larger degree than the minimal ones.
+    Runs on diag(A, I) of the next power-of-two size and keeps the top-left
+    n x n blocks: U diag(A, I) diagonal forces U_21 A = 0, so U_21 = 0 and
+    U_11 A = B_11. Each round makes one kernel sweep for both halves of
+    every block, one batched product for the new blocks and one for the
+    transform, each block's rows by its own round transform. The last round,
+    on blocks M of size s <= 4, takes the scaled rows of adj(M) instead of a
+    sweep, and leaves each diagonal entry a constant times det M. On
+    non-generic input those rows and entries can have a larger degree than
+    the minimal ones.
     Genericity only lets a sweep stop at its first degree cap; U A = B
     certifies the result. A singular A raises SingularInput, from a half
     with too many kernel rows or a zero diagonal entry. ``seed`` is unused:
     nothing is drawn at random.
     """
     _require_square(a)
-    n = a.rows
-    _require_pow2(n)
+    n, padded = a.rows, _padded(a)
     d = int_degree(a)
-    transform = PolyMatrix.identity(a.field, n)
-    blocks = [a]
+    transform = PolyMatrix.identity(a.field, padded.rows)
+    blocks = [padded]
     step = 1
     while blocks[0].rows > 1:
         s = blocks[0].rows
@@ -167,7 +167,8 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
         transform = PolyMatrix.vstack(pm_mul_batch(rounds, own_rows))
         step += 1
 
-    diagonal = _block_diag(blocks)
+    transform, diagonal = (PolyMatrix._canonical(a.field, m.coeffs[:, :n, :n])  # views
+                           for m in (transform, _block_diag(blocks)))
     if pm_mul(transform, a) != diagonal:
         raise SelfCheckFailure("diagonalization product check failed")
     for i in range(n):
@@ -177,45 +178,34 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
 
 
 def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
-    """det(A) via the upper-left branch of the elimination recursion.
+    """det(A) via the upper-left branch of the recursion on diag(A, I).
 
-    Each level computes only the nullspace basis of the right column half:
-    s/2 rows of the expected degree D, else GenericityFailure. Their degree
-    sum (s/2) D is the half's top-minor degree less that of the minors'
-    common factor (Forney), so the last block M, of size s <= 4, has a
-    constant times det A as its determinant. The first row of adj(M),
-    scaled, makes b_11 a constant times det M, with no degree condition at
-    that level; so for n <= 4 only det A(0) != 0 is required.
-    Rescaled, b_11 is checked against det A(x0) at one random point x0 drawn
-    from ``seed``; a mismatch raises GenericityFailure.
+    ``seed`` draws x0 = regular_point(A) (a singular A gives 0) and a check
+    point x1. Each level takes the right column half's s/2 kernel rows from
+    the inverse's sweep; the next block's determinant is the block's over
+    that of the half's column basis (Forney), a constant on generic input.
+    So b_11, from the first scaled row of adj(M) for the last block M, is a
+    constant times det A, always for n <= 4. It is rescaled to det A(x0) and
+    checked at x1; a mismatch raises GenericityFailure.
     """
     _require_square(a)
-    n = a.rows
-    _require_pow2(n)
-    d = int_degree(a)
-    p = a.field.p
-    det_a0 = const_det(pm_eval(a, 0), p)
-    if det_a0 == 0:
-        raise SingularAtZero("det A(0) = 0; shift before the generic recursion")
-    block = a
+    p, rng = a.field.p, np.random.default_rng(seed)
+    try:
+        x0, det_x0 = regular_value(a, rng)
+    except SingularInput:
+        return Polynomial.zero(a.field)
+    block = _padded(a)
+    size, d = block.rows, int_degree(a)
     while block.rows > 4:
         s = block.rows
-        expected = n // s * d
-        found = minimal_vectors_up_to(block.take_cols(range(s // 2, s)), expected)
-        if found.row_count != s // 2 or any(k != expected for k in found.kronecker_degrees):
-            raise GenericityFailure(
-                f"expected {s // 2} nullspace rows of degree {expected}, "
-                f"got {found.row_count} with degrees {found.kronecker_degrees}"
-            )
-        block = pm_mul(found.matrix, block.take_cols(range(s // 2)))
+        [kernel] = _kernel_bases([block.take_cols(range(s // 2, s))], [s // 2], size // s * d)
+        block = pm_mul(kernel.matrix, block.take_cols(range(s // 2)))
     b11 = pm_mul(_adjugates([block])[0].take_rows([0]), block.take_cols([0])).entry(0, 0)
-    b11_at_0 = b11.coeff(0)
-    if b11_at_0 == 0:
-        raise GenericityFailure("b_{1,1}(0) vanished; cannot rescale")
-    det = b11 * (det_a0 * pow(b11_at_0, -1, p) % p)
-    x0 = int(np.random.default_rng(seed).integers(0, p))
-    if int(det(x0)) != const_det(pm_eval(a, x0), p):
-        raise GenericityFailure(f"det check at x0 = {x0} failed")
+    b11_x0 = int(b11(x0))
+    det = b11 * (det_x0 * pow(b11_x0, -1, p) % p) if b11_x0 else b11
+    x1 = int(rng.integers(0, p))
+    if not b11_x0 or int(det(x1)) != const_det(pm_eval(a, x1), p):
+        raise GenericityFailure(f"det check at x0 = {x0}, x1 = {x1} failed")
     return det
 
 

@@ -7,7 +7,7 @@ import pytest
 import polymatkit as pk
 from polymatkit import cli, io as pmio
 from polymatkit.cli import main
-from polymatkit.errors import NotPowerOfTwo, ParseError, PrimeMismatch
+from polymatkit.errors import ParseError, PrimeMismatch
 from polymatkit.oracle import naive_mul
 from polymatkit.polymat import PolyMatrix
 
@@ -123,11 +123,27 @@ def test_cli_oversized_input_exits_4(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
-def test_cli_precondition_exits_3(tmp_path, fd):
-    a = pk.rand_instance(3, 3, 1, 9, field=fd)  # 3 is not a power of two
+def test_cli_precondition_exits_3(tmp_path, fd, capsys):
+    a = pk.rand_instance(3, 3, 1, 9, profile="planted-rank", rank=2, field=fd)
     p = tmp_path / "a.pm"
     pmio.save(p, a)
     assert main(["--seed", "1", "inverse", str(p)]) == 3
+    assert "singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bench", "--op", "mul", "--grid", "8xq"], 4),
+    (["bench", "--op", "mul", "--grid", "8x4,2"], 4),
+    (["bench", "--op", "mul", "--grid", "8x4", "--reps", "0"], 3),
+    (["bench", "--op", "mul", "--grid=-1x4"], 3),
+    (["rand", "--n", "-1", "--m", "2", "--d", "1"], 3),
+    (["rand", "--n", "2", "--m", "2", "--d", "-1"], 3),
+    (["rand", "--n", "2", "--m", "2", "--d", "1", "--profile", "planted-rank", "--rank", "5"], 3),
+])
+def test_cli_bad_numeric_argument_exits_without_traceback(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("parse error" if code == 4 else "error")
 
 
 @pytest.mark.parametrize("verb", ["det", "rowreduce", "inverse"])
@@ -246,28 +262,38 @@ def test_cli_det_reproducible(files, capsys):
     assert capsys.readouterr().out == first
 
 
+def right_half_times_x(fd, seed):
+    """An 8 x 8 A whose right four columns are multiplied by x: the right half's column
+    basis has determinant x^4, so b_11 is not a constant times det A."""
+    a = pk.rand_instance(8, 8, 2, seed, field=fd)
+    return PolyMatrix.hstack([a.take_cols(range(4)), a.take_cols(range(4, 8)).shift(1)])
+
+
 def test_cli_det_falls_back_with_reason(tmp_path, fd, capsys):
-    xi2 = PolyMatrix.from_lists(fd, [[[0, 1], [0]], [[0], [0, 1]]])  # x I_2: det A(0) = 0
-    pa = tmp_path / "xi2.pm"
-    pmio.save(pa, xi2)
-    assert main(["--seed", "2", "det", str(pa)]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == f"det p={fd.p} coeffs 0 0 1\n"
-    assert "det A(0) = 0" in captured.err
-
-
-def test_cli_det_not_power_of_two_gives_reason(tmp_path, fd, capsys):
     from polymatkit.oracle import det_by_interpolation
 
-    a = pk.rand_instance(6, 6, 2, 21, field=fd)
-    pa = tmp_path / "a6.pm"
+    a = right_half_times_x(fd, 21)
+    pa = tmp_path / "a.pm"
     pmio.save(pa, a)
     assert main(["--seed", "2", "det", str(pa)]) == 0
     captured = capsys.readouterr()
     coeffs = " ".join(str(int(c)) for c in det_by_interpolation(a).coeffs)
     assert captured.out == f"det p={fd.p} coeffs {coeffs}\n"
-    assert captured.err == (
-        "# generic_det failed (dimension 6 is not a power of two); interpolating instead\n")
+    assert captured.err.startswith("# generic_det failed (det check at x0 = ")
+    assert captured.err.endswith("; interpolating instead\n")
+
+
+def test_cli_det_not_power_of_two_needs_no_fallback(tmp_path, fd, capsys):
+    from polymatkit.oracle import det_by_interpolation
+
+    xi2 = PolyMatrix.from_lists(fd, [[[0, 1], [0]], [[0], [0, 1]]])  # x I_2: det A(0) = 0
+    a6 = pk.rand_instance(6, 6, 2, 21, field=fd)
+    a6_det = " ".join(str(int(c)) for c in det_by_interpolation(a6).coeffs)
+    for a, want in ((xi2, "0 0 1"), (a6, a6_det)):
+        pa = tmp_path / "a.pm"
+        pmio.save(pa, a)
+        assert main(["--seed", "2", "det", str(pa)]) == 0
+        assert capsys.readouterr() == (f"det p={fd.p} coeffs {want}\n", "")
 
 
 def test_cli_det_2x2_over_gf3_needs_no_fallback(tmp_path, capsys):
@@ -440,24 +466,21 @@ def test_cli_bench_single_point(capsys):
     assert "ratio" not in out  # single point: no doubling ratios
 
 
-def test_bench_det_needs_power_of_two(capsys):
-    with pytest.raises(NotPowerOfTwo):
-        pk.bench("det", [(3, 2)], reps=1, seed=1)
-    assert main(["bench", "--op", "det", "--grid", "3x2", "--reps", "1"]) == 3
-    assert "not a power of two" in capsys.readouterr().err
+def test_bench_det_at_any_n(capsys):
+    assert [pt["n"] for pt in pk.bench("det", [(3, 2), (6, 2)], reps=1, seed=1).points] == [3, 6]
+    assert main(["bench", "--op", "det", "--grid", "3x2", "--reps", "1"]) == 0
+    assert "bench det" in capsys.readouterr().out
 
 
 def test_bench_inverse_times_generic_inverse(capsys, monkeypatch):
-    with pytest.raises(NotPowerOfTwo):
-        pk.bench("inverse", [(3, 2)], reps=1, seed=1)
-    assert main(["bench", "--op", "inverse", "--grid", "3x2", "--reps", "1"]) == 3
-    assert "not a power of two" in capsys.readouterr().err
+    assert main(["bench", "--op", "inverse", "--grid", "3x2", "--reps", "1"]) == 0
+    assert "bench inverse" in capsys.readouterr().out
     bench_mod = importlib.import_module("polymatkit.bench")  # pk.bench is the function
     timed = []
     real = bench_mod.generic_inverse
     monkeypatch.setattr(bench_mod, "generic_inverse", lambda a, seed: timed.append(a.rows) or real(a, seed))
-    pk.bench("inverse", [(4, 2)], reps=2, seed=1)
-    assert timed == [4, 4, 4]  # the warm-up call and two timed ones
+    pk.bench("inverse", [(3, 2)], reps=2, seed=1)
+    assert timed == [3, 3, 3]  # the warm-up call and two timed ones
 
 
 class OracleCalled(Exception):
@@ -481,6 +504,7 @@ def test_cli_default_paths_call_no_oracle(tmp_path, fd, monkeypatch):
         return str(path)
 
     a = write("a.pm", pk.rand_instance(4, 4, 2, 51, field=fd))
+    a6 = write("a6.pm", pk.rand_instance(6, 6, 2, 56, field=fd))
     b = write("b.pm", pk.rand_instance(2, 4, 2, 52, field=fd))
     planted = write("pl.pm", pk.rand_instance(4, 4, 2, 53, profile="planted-rank", rank=3,
                                               field=fd))
@@ -494,7 +518,9 @@ def test_cli_default_paths_call_no_oracle(tmp_path, fd, monkeypatch):
         ["nullspace", planted, "-o", out],
         ["nullspace", planted, "--delta", "4", "-o", out],
         ["det", a],
+        ["det", a6],
         ["inverse", a, "-o", out],
+        ["inverse", a6, "-o", out],
         ["rowreduce", a, "-o", out],
         ["reconstruct", tail, "--dl", "1", "--dr", "1", "-o", out],
         ["expand", a, "--h", "30", "--delta", "3", "-o", out],
@@ -504,9 +530,9 @@ def test_cli_default_paths_call_no_oracle(tmp_path, fd, monkeypatch):
     ]
     for argv in runs:
         assert main(["--seed", "5", *argv]) == 0, argv
-    # the documented fallback: det interpolates when n is not a power of two
+    # the documented fallback: det interpolates when generic_det fails its point check
     with pytest.raises(OracleCalled):
-        main(["--seed", "5", "det", write("a3.pm", pk.rand_instance(3, 3, 2, 55, field=fd))])
+        main(["--seed", "5", "det", write("x.pm", right_half_times_x(fd, 55))])
 
 
 def test_cli_calls_share_no_state(tmp_path, fd, files, capsys):

@@ -11,17 +11,15 @@ from polymatkit.errors import (
     DimensionMismatch,
     FieldTooSmall,
     GenericityFailure,
-    NotPowerOfTwo,
     NotSquare,
     PrimeMismatch,
     ReconstructionFailure,
     SelfCheckFailure,
-    SingularAtZero,
     SingularInput,
 )
 from polymatkit.linalg import det as const_det, rank as crank
 from polymatkit.oracle import det_by_interpolation, naive_mul, unimodular_equiv_check
-from polymatkit.nullspace import _kernel_bases, minimal_vectors_up_to
+from polymatkit.nullspace import _kernel_bases, minimal_vectors_up_to, rank
 from polymatkit.polymat import PolyMatrix, int_degree, pm_eval, pm_mul, row_degrees
 from polymatkit.reconstruct import LeftFactorization, matfrac_rec
 from polymatkit.solvers import (
@@ -67,8 +65,17 @@ def test_inverse_anchor(fd):
 
 
 def test_inverse_not_power_of_two(fd):
-    with pytest.raises(NotPowerOfTwo):
-        generic_inverse(pk.rand_instance(3, 3, 1, 1, field=fd), 0)
+    # the recursion runs on diag(A, 1); U and B are its top-left 3 x 3 blocks
+    a = pk.rand_instance(3, 3, 1, 1, field=fd)
+    rep = generic_inverse(a, 0)
+    assert_diagonalized(a, rep)
+    assert [rep.diagonal.entry(i, i).degree for i in range(3)] == [3, 3, 3]
+
+
+def test_inverse_of_the_empty_matrix(fd):
+    empty = PolyMatrix.zero(fd, 0, 0)
+    rep = generic_inverse(empty, 0)
+    assert rep.transform == empty and rep.diagonal == empty
 
 
 def test_inverse_random_degrees(fd, rng):
@@ -128,7 +135,7 @@ def test_batched_levels_match_per_half_calls(fd, rng, n, d):
     transform, diagonal = per_half_inverse(a)
     rep = generic_inverse(a, 0)
     assert rep.transform == transform and rep.diagonal == diagonal
-    # generic_det follows the upper-left branch: b_11 rescaled to det A(0) at x = 0
+    # generic_det follows the upper-left branch: b_11 rescaled to det A; x = 0 is a regular point
     b11 = diagonal.entry(0, 0)
     scale = const_det(pm_eval(a, 0), fd.p) * pow(int(b11.coeff(0)), -1, fd.p) % fd.p
     assert generic_det(a, 0) == b11 * scale
@@ -137,7 +144,9 @@ def test_batched_levels_match_per_half_calls(fd, rng, n, d):
 def test_inverse_singular_input_names_singularity(fd, f97):
     planted = pk.rand_instance(4, 4, 2, 11, profile="planted-rank", rank=2, field=fd)
     zero_column = PolyMatrix.from_lists(f97, [[[1, 1], [0]], [[0, 1], [0]]])
-    for a in (PolyMatrix.zero(f97, 4, 4), planted, zero_column, zero_column.transpose()):
+    planted6 = pk.rand_instance(6, 6, 2, 12, profile="planted-rank", rank=5, field=f97)
+    for a in (PolyMatrix.zero(f97, 4, 4), planted, zero_column, zero_column.transpose(),
+              planted6):
         with pytest.raises(SingularInput):
             generic_inverse(a, 3)
 
@@ -317,8 +326,7 @@ def test_2x2_level_needs_no_order_basis(fd, rng, n, d, monkeypatch):
         rows.extend(m.rows for m in ([a] if isinstance(a, PolyMatrix) else a))
         return inner(a, delta)
 
-    monkeypatch.setattr(nullspace, "minimal_vectors_up_to", spy)
-    monkeypatch.setattr(solvers, "minimal_vectors_up_to", spy)
+    monkeypatch.setattr(nullspace, "minimal_vectors_up_to", spy)  # both recursions' sweep
     a = nonsingular_at_zero(fd, n, d, rng)
     generic_inverse(a, 0)
     generic_det(a, 0)
@@ -361,32 +369,63 @@ def test_det_point_check_rejects_a_wrong_b11(fd, rng, monkeypatch):
 
 
 
-def assert_det_needs_only_det_a0(p, n):
-    """generic_det is the Leibniz determinant on 200 seeded n x n inputs with det A(0) != 0."""
+def assert_det_needs_no_genericity(p, n):
+    """generic_det is the Leibniz determinant on 200 seeded n x n inputs, or FieldTooSmall
+    where det A vanishes on all of GF(p) and GF(p) has at most n deg A points."""
     fld, rng = pk.get_field(p), np.random.default_rng(p)
-    checked = 0
-    while checked < 200:
+    for _ in range(200):
         a = pk.rand_instance(n, n, int(rng.integers(1, 4)), int(rng.integers(0, 2**31)), field=fld)
-        if const_det(pm_eval(a, 0), p) == 0:
-            continue
-        assert generic_det(a, int(rng.integers(0, 2**31))) == leibniz_det(a).entry(0, 0)
-        checked += 1
+        det, seed = leibniz_det(a).entry(0, 0), int(rng.integers(0, 2**31))
+        if p <= n * int_degree(a) and all(int(det(x)) == 0 for x in range(p)):
+            with pytest.raises(FieldTooSmall):
+                generic_det(a, seed)
+        else:
+            assert generic_det(a, seed) == det
 
 
 @pytest.mark.parametrize("p", [2, 3, 97])
 def test_det_2x2_has_no_genericity_condition(p):
-    assert_det_needs_only_det_a0(p, 2)
+    assert_det_needs_no_genericity(p, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 97])
 def test_det_4x4_has_no_genericity_condition(p):
-    assert_det_needs_only_det_a0(p, 4)
+    assert_det_needs_no_genericity(p, 4)
 
 
 def test_det_singular_at_zero(fd):
     a = PolyMatrix.from_lists(fd, [[[0, 1], [0]], [[0], [0, 1]]])  # x I
-    with pytest.raises(SingularAtZero):
-        generic_det(a, 0)
+    assert generic_det(a, 0) == pk.Polynomial(fd, [0, 0, 1])
+
+
+def test_det_of_the_empty_matrix(fd):
+    assert generic_det(PolyMatrix.zero(fd, 0, 0), 0) == pk.Polynomial(fd, [1])
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_det_of_a_singular_input_is_zero(fd, n):
+    a = pk.rand_instance(n, n, 2, 11, profile="planted-rank", rank=n - 1, field=fd)
+    assert generic_det(a, 0).is_zero()
+
+
+# -- every n: the recursions on diag(A, I) ------------------------------------
+
+@pytest.mark.parametrize("p", [3, 97, 2**31 - 1])
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 12])
+def test_inverse_at_any_n(p, n):
+    fld = pk.get_field(p)
+    for a in (pk.rand_instance(n, n, 2, n, field=fld), one_high_row_square(fld, n, 1, 6, n)):
+        assert rank(a, 0) == n
+        assert_diagonalized(a, generic_inverse(a, 0))
+
+
+@pytest.mark.parametrize("p", [97, 2**31 - 1])
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 12])
+def test_det_at_any_n(p, n):
+    # GF(3) holds too few points to interpolate these determinants
+    fld = pk.get_field(p)
+    for a in (pk.rand_instance(n, n, 2, n, field=fld), one_high_row_square(fld, n, 1, 6, n)):
+        assert generic_det(a, n) == det_by_interpolation(a)
 
 
 # -- row reduction -----------------------------------------------------------
