@@ -272,10 +272,8 @@ def _cmd_rand(args, rng):
         raise PolymatError("--n, --m and --d must be non-negative")
     field = get_field(args.prime)
     try:
-        mat = rand_instance(
-            args.n, args.m, args.d, args.seed if args.seed is not None else 0,
-            profile=args.profile, field=field, rank=args.rank,
-        )
+        mat = rand_instance(args.n, args.m, args.d, args.seed or 0, profile=args.profile,
+                            field=field, rank=args.rank)
     except ValueError as exc:  # a --rank or --n the profile cannot take
         raise PolymatError(str(exc)) from None
     _emit(mat, args.output)
@@ -296,10 +294,8 @@ def _parse_grid(text: str):
 def _cmd_bench(args, rng):
     field = get_field(args.prime)
     grid = _parse_grid(args.grid)
-    if min(min(pt) for pt in grid) < 0:
-        raise PolymatError(f"--grid {args.grid!r} has a negative size")
-    if args.reps < 1:
-        raise PolymatError(f"--reps must be at least 1, got {args.reps}")
+    if args.reps < 1 or min(min(pt) for pt in grid) < 0:
+        raise PolymatError(f"need --reps >= 1 and --grid sizes >= 0: {args.reps}, {args.grid!r}")
     report = bench(args.op, grid, args.reps, seed=args.seed, field=field)
     print(report.table())
     for record in report.records():

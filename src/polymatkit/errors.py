@@ -107,7 +107,7 @@ class CertificateFailure(ReconstructionFailure, SelfCheckFailure):
 
 
 class GenericityFailure(PolymatError):
-    """generic_det's b_11 is not a constant times det A: it failed a check at a random point."""
+    """generic_det's kernel degrees fall short of a bound: b_11 / det A may not be a constant."""
 
 
 # -- CLI / serialization -----------------------------------------------------

@@ -514,8 +514,7 @@ def regular_value(a: PolyMatrix, rng=None) -> tuple:
         if cand in tried:
             continue
         tried.add(cand)
-        value = const_det(pm_eval(a, cand), p)
-        if value:
+        if value := const_det(pm_eval(a, cand), p):
             return cand, value
     if len(tried) > n * d:
         raise SingularInput("det A vanishes identically: A is singular")

@@ -5,14 +5,15 @@ Inverse and determinant run the block-elimination recursion on diag(A, I)
 of power-of-two size: at each round the two halves of every diagonal block
 are annihilated by minimal nullspace bases from one kernel sweep. The
 inverse certifies U A = B. The determinant follows only the upper-left
-block and checks its result at a random point (else GenericityFailure).
-Both stop at blocks of size s <= 4, which need no order basis: the
-transform rows of a block M are the rows of adj(M), each scaled as mbasis
-scales a minimal row, and adj(M) M = det(M) I. On generic input they are,
-row for row, those of the minimal recursion. Otherwise they can exceed the
-minimal degree, since at the 4 x 4 level each diagonal entry is a constant
-times det M whatever the block's columns share: on diag(B1, B2) every one
-is a multiple of det B1 det B2. U A = B still certifies the inverse.
+block, bounds each level's kernel degrees from below (else
+GenericityFailure) and checks its result at a random point. Both stop at
+blocks of size s <= 4, which need no order basis: the transform rows of a
+block M are the rows of adj(M), each scaled as mbasis scales a minimal
+row, and adj(M) M = det(M) I. On generic input they are, row for row,
+those of the minimal recursion. Otherwise they can exceed the minimal
+degree, since at the 4 x 4 level each diagonal entry is a constant times
+det M whatever the block's columns share: on diag(B1, B2) every one is a
+multiple of det B1 det B2. U A = B still certifies the inverse.
 Row reduction goes through expansion/reconstruction of the proper tail of
 A^{-1} and certifies its answer with the two transforms between A and R.
 """
@@ -139,15 +140,13 @@ def _elimination_level(blocks, expected_deg: int) -> tuple:
 def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
     """Diagonalizing transform for a non-singular A of any dimension n.
 
-    Runs on diag(A, I) of the next power-of-two size and keeps the top-left
-    n x n blocks: U diag(A, I) diagonal forces U_21 A = 0, so U_21 = 0 and
-    U_11 A = B_11. Each round makes one kernel sweep for both halves of
-    every block, one batched product for the new blocks and one for the
-    transform, each block's rows by its own round transform. The last round,
-    on blocks M of size s <= 4, takes the scaled rows of adj(M) instead of a
-    sweep, and leaves each diagonal entry a constant times det M. On
-    non-generic input those rows and entries can have a larger degree than
-    the minimal ones.
+    Runs on diag(A, I) of power-of-two size and keeps the top-left n x n
+    blocks (U diag(A, I) diagonal forces U_21 A = 0, so U_21 = 0). Each
+    round makes one kernel sweep for both halves of every block, one batched
+    product for the new blocks and one for the transform. The last round, on
+    blocks M of size s <= 4, takes the scaled rows of adj(M) instead, and
+    leaves each diagonal entry a constant times det M; on non-generic input
+    these can exceed the minimal degrees.
     Genericity only lets a sweep stop at its first degree cap; U A = B
     certifies the result. A singular A raises SingularInput, from a half
     with too many kernel rows or a zero diagonal entry. ``seed`` is unused:
@@ -180,13 +179,14 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
 def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     """det(A) via the upper-left branch of the recursion on diag(A, I).
 
-    ``seed`` draws x0 = regular_point(A) (a singular A gives 0) and a check
-    point x1. Each level takes the right column half's s/2 kernel rows from
-    the inverse's sweep; the next block's determinant is the block's over
-    that of the half's column basis (Forney), a constant on generic input.
-    So b_11, from the first scaled row of adj(M) for the last block M, is a
-    constant times det A, always for n <= 4. It is rescaled to det A(x0) and
-    checked at x1; a mismatch raises GenericityFailure.
+    Each level takes the right half's kernel from the inverse's sweep. By
+    Forney its degree sum is the half's maximal-minor degree less that of
+    the minors' gcd g, and the next block's det is the block's over g, times
+    a constant. A sum below the smaller of the half's column degree sum and
+    its s/2 largest row degrees raises GenericityFailure; else g is a
+    constant, and so is b_11 / det A. ``seed`` draws x0 = regular_point(A),
+    where b_11 is rescaled (a singular A gives 0), and x1 != x0, where it is
+    checked (else SelfCheckFailure).
     """
     _require_square(a)
     p, rng = a.field.p, np.random.default_rng(seed)
@@ -195,17 +195,22 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     except SingularInput:
         return Polynomial.zero(a.field)
     block = _padded(a)
-    size, d = block.rows, int_degree(a)
+    n, size, d = a.rows, block.rows, int_degree(a)
     while block.rows > 4:
-        s = block.rows
-        [kernel] = _kernel_bases([block.take_cols(range(s // 2, s))], [s // 2], size // s * d)
+        s, right = block.rows, block.take_cols(range(block.rows // 2, block.rows))
+        [kernel] = _kernel_bases([right], [s // 2], size // s * d)
+        # at the top, the half is diag(A's last n - s/2 columns, I): bound those columns' minors
+        degs = entry_degrees(right)[:n, :n - s // 2]
+        bound = min(degs.max(axis=0).sum(), np.sort(degs.max(axis=1))[-degs.shape[1]:].sum())
+        if sum(kernel.kronecker_degrees) != bound:
+            raise GenericityFailure(f"at size {s} the right half's kernel degrees "
+                                    f"{kernel.kronecker_degrees} sum below their bound {bound}")
         block = pm_mul(kernel.matrix, block.take_cols(range(s // 2)))
     b11 = pm_mul(_adjugates([block])[0].take_rows([0]), block.take_cols([0])).entry(0, 0)
-    b11_x0 = int(b11(x0))
+    b11_x0, x1 = int(b11(x0)), (x0 + 1 + int(rng.integers(0, p - 1))) % p
     det = b11 * (det_x0 * pow(b11_x0, -1, p) % p) if b11_x0 else b11
-    x1 = int(rng.integers(0, p))
     if not b11_x0 or int(det(x1)) != const_det(pm_eval(a, x1), p):
-        raise GenericityFailure(f"det check at x0 = {x0}, x1 = {x1} failed")
+        raise SelfCheckFailure(f"det check at x0 = {x0}, x1 = {x1} failed")
     return det
 
 

@@ -263,8 +263,8 @@ def test_cli_det_reproducible(files, capsys):
 
 
 def right_half_times_x(fd, seed):
-    """An 8 x 8 A whose right four columns are multiplied by x: the right half's column
-    basis has determinant x^4, so b_11 is not a constant times det A."""
+    """An 8 x 8 A whose right four columns are multiplied by x: the right half's maximal
+    minors share x^4, so its kernel degrees sum below their bound (GenericityFailure)."""
     a = pk.rand_instance(8, 8, 2, seed, field=fd)
     return PolyMatrix.hstack([a.take_cols(range(4)), a.take_cols(range(4, 8)).shift(1)])
 
@@ -279,7 +279,7 @@ def test_cli_det_falls_back_with_reason(tmp_path, fd, capsys):
     captured = capsys.readouterr()
     coeffs = " ".join(str(int(c)) for c in det_by_interpolation(a).coeffs)
     assert captured.out == f"det p={fd.p} coeffs {coeffs}\n"
-    assert captured.err.startswith("# generic_det failed (det check at x0 = ")
+    assert captured.err.startswith("# generic_det failed (at size 8 the right half's kernel ")
     assert captured.err.endswith("; interpolating instead\n")
 
 
@@ -530,7 +530,7 @@ def test_cli_default_paths_call_no_oracle(tmp_path, fd, monkeypatch):
     ]
     for argv in runs:
         assert main(["--seed", "5", *argv]) == 0, argv
-    # the documented fallback: det interpolates when generic_det fails its point check
+    # the documented fallback: det interpolates when generic_det fails its degree check
     with pytest.raises(OracleCalled):
         main(["--seed", "5", "det", write("x.pm", right_half_times_x(fd, 55))])
 

@@ -241,25 +241,28 @@ def planted_common_factor(fld, rng):
     while True:
         block = pk.rand_instance(2, 2, 2, int(rng.integers(0, 2**31)), field=fld)
         block = PolyMatrix.hstack([block.take_cols([0]), pm_mul(block.take_cols([1]), factor)])
-        if not leibniz_det(block).is_zero():
+        if not laplace_det(block).is_zero():
             return block
 
 
-def leibniz_det(a):
-    """det A by the Leibniz formula and the quadratic reference product, as a 1 x 1 matrix."""
-    total = PolyMatrix.zero(a.field, 1, 1)
-    for perm in itertools.permutations(range(a.rows)):
-        term = PolyMatrix.identity(a.field, 1)
-        for i, j in enumerate(perm):
-            term = naive_mul(term, a.take_rows([i]).take_cols([j]))
-        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(a.rows), 2))
-        total = total - term if inversions % 2 else total + term
-    return total
+def laplace_det(a):
+    """det A by Laplace expansion along the rows, one minor per column subset, with the
+    quadratic reference product, as a 1 x 1 matrix."""
+    entry = [[a.take_rows([i]).take_cols([j]) for j in range(a.rows)] for i in range(a.rows)]
+    minors = {(): PolyMatrix.identity(a.field, 1)}  # rows 0 .. k-1 on the columns of the key
+    for k in range(1, a.rows + 1):
+        for cols in itertools.combinations(range(a.rows), k):
+            total = PolyMatrix.zero(a.field, 1, 1)
+            for t, j in enumerate(cols):
+                term = naive_mul(entry[k - 1][j], minors[cols[:t] + cols[t + 1:]])
+                total = total - term if (k - 1 - t) % 2 else total + term
+            minors[cols] = total
+    return minors[tuple(range(a.rows))]
 
 
 def assert_det_multiples(a, rep):
     """Every diagonal entry of the representation is a nonzero constant times det A."""
-    det = leibniz_det(a).entry(0, 0)
+    det = laplace_det(a).entry(0, 0)
     for i in range(a.rows):
         entry = rep.diagonal.entry(i, i)
         ratio = int(entry.coeffs[-1]) * pow(int(det.coeffs[-1]), -1, a.field.p)
@@ -297,7 +300,7 @@ def test_inverse_with_a_common_factor_in_a_4x4_column(p):
         a = pk.rand_instance(4, 4, 2, int(rng.integers(0, 2**31)), field=fld)
         a = PolyMatrix.hstack([a.take_cols([0, 1]), pm_mul(a.take_cols([2]), factor),
                                a.take_cols([3])])
-        if leibniz_det(a).is_zero():
+        if laplace_det(a).is_zero():
             continue
         rep = generic_inverse(a, 0)
         assert_diagonalized(a, rep)
@@ -354,7 +357,8 @@ def test_det_random_matches_oracle(fd, rng):
 
 
 def test_det_point_check_rejects_a_wrong_b11(fd, rng, monkeypatch):
-    # b_11 + x^(deg + 1) keeps b_11(0), so only the check at a random point can see it
+    # b_11 + x^(deg + 1) is no constant times det A, and a 4 x 4 input takes no kernel, so no
+    # degree check sees it: only the check at x1 != x0, after the rescaling at x0, does
     a = nonsingular_at_zero(fd, 4, 2, rng)
     mul = solvers.pm_mul
 
@@ -364,18 +368,62 @@ def test_det_point_check_rejects_a_wrong_b11(fd, rng, monkeypatch):
 
     assert generic_det(a, 0) == det_by_interpolation(a)
     monkeypatch.setattr(solvers, "pm_mul", corrupt)
-    with pytest.raises(GenericityFailure, match="det check"):
+    with pytest.raises(SelfCheckFailure, match="det check"):
         generic_det(a, 0)
 
 
+def right_half_times_x(fld, seed):
+    """An 8 x 8 A whose right four columns are multiplied by x, so the right half's maximal
+    minors share x^4: b_11 would be det A / x^4 times a constant."""
+    a = pk.rand_instance(8, 8, 2, seed, field=fld)
+    return PolyMatrix.hstack([a.take_cols(range(4)), a.take_cols(range(4, 8)).shift(1)])
+
+
+@pytest.mark.parametrize("p", [2, 97])
+def test_det_degree_check_rejects_a_shared_factor(p):
+    # whatever x0 and x1 the seed draws, the right half's kernel degrees sum at least 4 below
+    # their bound; a singular A gives 0, and over GF(2) det A can vanish on the whole field
+    fld = pk.get_field(p)
+    for seed in range(20):
+        a = right_half_times_x(fld, seed)
+        det = laplace_det(a).entry(0, 0)
+        if p <= 8 * int_degree(a) and all(int(det(x)) == 0 for x in range(p)):
+            with pytest.raises(FieldTooSmall):
+                generic_det(a, seed)
+        elif det.is_zero():
+            assert generic_det(a, seed).is_zero()
+        else:
+            with pytest.raises(GenericityFailure, match="at size 8"):
+                generic_det(a, seed)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_det_at_any_n_over_a_small_field(p, n):
+    # a small field shows non-generic degrees often: the degree check rejects what it cannot
+    # certify, and whatever returns is the exact determinant
+    fld, returned = pk.get_field(p), 0
+    for seed in range(12):
+        a = pk.rand_instance(n, n, 2, seed, field=fld)
+        det = laplace_det(a).entry(0, 0)
+        try:
+            got = generic_det(a, seed)
+        except (GenericityFailure, FieldTooSmall) as exc:
+            vanishes = all(int(det(x)) == 0 for x in range(p))
+            assert isinstance(exc, FieldTooSmall) == (vanishes and p <= n * int_degree(a))
+            continue
+        assert got == det
+        returned += 1
+    assert returned
+
 
 def assert_det_needs_no_genericity(p, n):
-    """generic_det is the Leibniz determinant on 200 seeded n x n inputs, or FieldTooSmall
+    """generic_det is the Laplace determinant on 200 seeded n x n inputs, or FieldTooSmall
     where det A vanishes on all of GF(p) and GF(p) has at most n deg A points."""
     fld, rng = pk.get_field(p), np.random.default_rng(p)
     for _ in range(200):
         a = pk.rand_instance(n, n, int(rng.integers(1, 4)), int(rng.integers(0, 2**31)), field=fld)
-        det, seed = leibniz_det(a).entry(0, 0), int(rng.integers(0, 2**31))
+        det, seed = laplace_det(a).entry(0, 0), int(rng.integers(0, 2**31))
         if p <= n * int_degree(a) and all(int(det(x)) == 0 for x in range(p)):
             with pytest.raises(FieldTooSmall):
                 generic_det(a, seed)
