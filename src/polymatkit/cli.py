@@ -8,7 +8,7 @@ apart from ``det``'s interpolation fallback: on GenericityFailure from
 ``generic_det``, ``det`` prints the reason on stderr and interpolates.
 Exit codes: 0 success and verified, 2 verification failure (the CLI's
 checks or the library's own, SelfCheckFailure), 3 precondition error (an
-out-of-range size, --rank or --reps too), 4 parse error (a bad --grid too).
+out-of-range size, --rank or --reps too), 4 parse error (bad arguments too).
 
 Setting the environment variable POLYMATKIT_CORRUPT to a non-empty value
 corrupts each computed result before its verification step; this exists so
@@ -304,10 +304,18 @@ def _cmd_bench(args, rng):
 
 # -- argument parsing --------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_PARSE, not 2 (a verification failure); subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args fills a fresh Namespace on every call
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polymatkit",
         description="Exact polynomial matrix toolkit over a prime field.",
     )

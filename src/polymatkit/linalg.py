@@ -9,7 +9,7 @@ chunks' exact results in int64, each below 2**53, so an int64 cell holds
 up to ``TERMS`` of them before it must be reduced, and ``mod_matmul``
 reduces each output cell once. Elimination stays in int64 and runs in one
 loop, ``rref``: a pivot step is one ``nonzero`` and one broadcast update of
-the other rows. ``rank``, ``det``, ``inv`` and ``left_kernel`` read its result.
+the other rows. ``rank``, ``det`` and ``inv`` read its result.
 """
 
 from __future__ import annotations
@@ -141,13 +141,3 @@ def inv(mat: np.ndarray, p: int) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise SingularInput("matrix is singular over GF(p)")
     return r[:, n:]
-
-
-def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as rows) of {v : v M = 0} over GF(p)."""
-    rows = mat.shape[0]
-    r, pivots, _ = rref(mat.T, p)
-    free = [j for j in range(rows) if j not in pivots]
-    basis = np.eye(rows, dtype=np.int64)[free]
-    basis[:, pivots] = -r[:len(pivots), free].T % p
-    return basis

@@ -13,7 +13,7 @@ import numpy as np
 from .approxbasis import ApproximantBasis
 from .errors import CapTooSmall, DimensionMismatch, FieldTooSmall, NotSquare, OracleTooLarge
 from .fraction import truncated_inverse
-from .linalg import left_kernel, det as const_det, rank as const_rank
+from .linalg import det as const_det, rank as const_rank, rref
 from .nullspace import NullspaceBasis
 from .poly import Polynomial, poly_interpolate
 from .polymat import (
@@ -24,7 +24,7 @@ from .polymat import (
     pm_mul,
     pm_shift_var,
     pm_truncate,
-    regular_point,
+    regular_value,
     row_degrees,
 )
 
@@ -61,6 +61,16 @@ def det_by_interpolation(a: PolyMatrix) -> Polynomial:
 
 
 # -- degree-bounded K-linear solvers -----------------------------------------
+
+def left_kernel(mat: np.ndarray, p: int) -> np.ndarray:
+    """Basis (as rows) of {v : v M = 0} over GF(p)."""
+    rows = mat.shape[0]
+    r, pivots, _ = rref(mat.T, p)
+    free = [j for j in range(rows) if j not in pivots]
+    basis = np.eye(rows, dtype=np.int64)[free]
+    basis[:, pivots] = -r[:len(pivots), free].T % p
+    return basis
+
 
 def _degree_bounded_solutions(eq_builder, n: int, t: int, p: int) -> np.ndarray:
     """Kernel rows (flattened degree-<=t row vectors) of a coefficient system.
@@ -226,7 +236,7 @@ def nullspace_bruteforce(a: PolyMatrix, degree_cap: int) -> NullspaceBasis:
 def unimodular_equiv_check(a: PolyMatrix, r: PolyMatrix, seed=None) -> bool:
     """True iff r = u a for a unimodular u (series division + Cramer bound).
 
-    A singular reference raises SingularInput from ``regular_point``.
+    A singular reference raises SingularInput from ``regular_value``.
     """
     if (a.rows, a.cols) != (r.rows, r.cols) or not a.is_square():
         raise DimensionMismatch("equivalence check needs same-size square matrices")
@@ -235,7 +245,7 @@ def unimodular_equiv_check(a: PolyMatrix, r: PolyMatrix, seed=None) -> bool:
     dr = int_degree(r)
     bound = (n - 1) * da + dr  # deg(R * adj(A)) upper bound, before det division
     order = bound + da + 2
-    x0 = regular_point(a, seed)
+    x0 = regular_value(a, seed)[0]
     a_sh = pm_shift_var(a, x0)
     r_sh = pm_shift_var(r, x0)
     series = pm_truncate(pm_mul(r_sh, truncated_inverse(a_sh, order).to_polymat()), order)

@@ -19,10 +19,10 @@ from .poly import MINUS_INFINITY, Polynomial
 
 
 def _normalize(arr: np.ndarray) -> np.ndarray:
-    """Trim trailing all-zero slices, keeping at least one."""
+    """Trim trailing all-zero slices along the first axis, keeping at least one."""
     if arr.shape[0] <= 1 or arr[-1].any():
         return arr
-    live = np.flatnonzero(arr.reshape(arr.shape[0], arr.shape[1] * arr.shape[2]).any(axis=1))
+    live = np.flatnonzero(arr.reshape(arr.shape[0], arr[0].size).any(axis=1))
     return arr[: live[-1] + 1 if live.size else 1]
 
 
@@ -167,18 +167,18 @@ class PolyMatrix:
         if self.is_zero() or k == 0:
             return self
         pad = np.zeros((k, self.rows, self.cols), dtype=np.int64)
-        return PolyMatrix(self.field, np.concatenate([pad, self.coeffs]))
+        return PolyMatrix._canonical(self.field, np.concatenate([pad, self.coeffs]))
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.field, self.coeffs.transpose(0, 2, 1))
+        return PolyMatrix._canonical(self.field, self.coeffs.transpose(0, 2, 1))
 
-    # -- block operations --
+    # -- block operations: they rearrange residues, so none is reduced again --
 
     def take_rows(self, idx) -> "PolyMatrix":
-        return PolyMatrix(self.field, self.coeffs[:, np.asarray(idx, dtype=np.intp), :])
+        return PolyMatrix._canonical(self.field, self.coeffs[:, np.asarray(idx, dtype=np.intp), :])
 
     def take_cols(self, idx) -> "PolyMatrix":
-        return PolyMatrix(self.field, self.coeffs[:, :, np.asarray(idx, dtype=np.intp)])
+        return PolyMatrix._canonical(self.field, self.coeffs[:, :, np.asarray(idx, dtype=np.intp)])
 
     @staticmethod
     def vstack(blocks) -> "PolyMatrix":
@@ -195,7 +195,7 @@ class PolyMatrix:
                 raise DimensionMismatch("vstack column mismatch")
             out[: b.coeffs.shape[0], r: r + b.rows, :] = b.coeffs
             r += b.rows
-        return PolyMatrix(field, out)
+        return PolyMatrix._canonical(field, out)
 
     @staticmethod
     def hstack(blocks) -> "PolyMatrix":
@@ -212,7 +212,7 @@ class PolyMatrix:
                 raise DimensionMismatch("hstack row mismatch")
             out[: b.coeffs.shape[0], :, c: c + b.cols] = b.coeffs
             c += b.cols
-        return PolyMatrix(field, out)
+        return PolyMatrix._canonical(field, out)
 
     def to_series(self, order: int) -> "SeriesMatrix":
         arr = np.zeros((order, self.rows, self.cols), dtype=np.int64)
@@ -356,6 +356,16 @@ def _stack(arrays: list) -> np.ndarray:
 _BLOCK_SLICES = 16
 
 
+def _mul_stacked(sa: np.ndarray, sb: np.ndarray, field: PrimeField) -> np.ndarray:
+    """Pair by pair, (L, B, n, k) by (L', B, k, m) residue arrays: the (L'', B, n, m)
+    products, trimmed, from one kernel call."""
+    out_len = sa.shape[0] + sb.shape[0] - 1
+    length = min(sa.shape[0], sb.shape[0]) > _BLOCK_SLICES and ntt.transform_length(field, out_len)
+    if length:
+        return _normalize(_mul_ntt(sa, sb, field, length, out_len))
+    return _normalize(_mul_blocks(sa, sb, field.p, out_len))
+
+
 def _products(a: list, b: list) -> list:
     """a[i] * b[i] for each i, all from one kernel call; the body of pm_mul and pm_mul_batch."""
     if len(a) != len(b):
@@ -378,14 +388,8 @@ def _products(a: list, b: list) -> list:
     out = [None if len(live) == len(a) else PolyMatrix.zero(field, n, m)] * len(a)
     if not live:
         return out
-    sa, sb = _stack([a[i].coeffs for i in live]), _stack([b[i].coeffs for i in live])
-    out_len = sa.shape[0] + sb.shape[0] - 1
-    length = (ntt.transform_length(field, out_len)
-              if min(sa.shape[0], sb.shape[0]) > _BLOCK_SLICES else None)
-    if length is not None:
-        prod = _mul_ntt(sa, sb, field, length, out_len)
-    else:
-        prod = _mul_blocks(sa, sb, field.p, out_len)
+    prod = _mul_stacked(_stack([a[i].coeffs for i in live]), _stack([b[i].coeffs for i in live]),
+                        field)
     for j, i in enumerate(live):
         out[i] = PolyMatrix._canonical(field, np.ascontiguousarray(prod[:, j]))
     return out
@@ -493,18 +497,13 @@ def is_row_reduced(a: PolyMatrix) -> bool:
     return const_rank(leading_row_matrix(a), a.field.p) == a.rows
 
 
-def regular_point(a: PolyMatrix, rng=None) -> int:
-    """A random x0 with det A(x0) != 0, which certifies that A is non-singular.
+def regular_value(a: PolyMatrix, rng=None) -> tuple:
+    """(x0, det A(x0)) for a random x0 with det A(x0) != 0, which certifies A non-singular.
 
     Draws distinct points; det A has degree <= n deg(A), so once that many
     plus one have all been singular, A is singular (SingularInput). A field
     with fewer elements than that raises FieldTooSmall when it runs out.
     """
-    return regular_value(a, rng)[0]
-
-
-def regular_value(a: PolyMatrix, rng=None) -> tuple:
-    """(x0, det A(x0)) for the x0 that ``regular_point`` draws."""
     rng = np.random.default_rng(rng)
     n, d, p = a.rows, int_degree(a), a.field.p
     tried = set()

@@ -2,19 +2,19 @@
 and left factorization from a right one.
 
 Inverse and determinant run the block-elimination recursion on diag(A, I)
-of power-of-two size: at each round the two halves of every diagonal block
-are annihilated by minimal nullspace bases from one kernel sweep. The
-inverse certifies U A = B. The determinant follows only the upper-left
-block, bounds each level's kernel degrees from below (else
-GenericityFailure) and checks its result at a random point. Both stop at
-blocks of size s <= 4, which need no order basis: the transform rows of a
-block M are the rows of adj(M), each scaled as mbasis scales a minimal
-row, and adj(M) M = det(M) I. On generic input they are, row for row,
-those of the minimal recursion. Otherwise they can exceed the minimal
-degree, since at the 4 x 4 level each diagonal entry is a constant times
-det M whatever the block's columns share: on diag(B1, B2) every one is a
-multiple of det B1 det B2. U A = B still certifies the inverse.
-Row reduction goes through expansion/reconstruction of the proper tail of
+of power-of-two size. A level keeps its B diagonal blocks of size s in one
+(L, B, s, s) residue array, and the inverse its transform in one array, so
+halves are slices and each product of a round is one stacked kernel call;
+the round's one kernel sweep annihilates both halves of every block by
+minimal nullspace bases. The inverse certifies U A = B. The determinant
+follows only the upper-left block, bounds each level's kernel degrees
+from below (else GenericityFailure) and checks its result at a random
+point. Both stop at blocks of size s <= 4, which need no order basis: the
+transform rows of a block M are the rows of adj(M), each scaled as mbasis
+scales a minimal row, and adj(M) M = det(M) I. On generic input they are,
+row for row, those of the minimal recursion; otherwise they can exceed
+the minimal degree, and U A = B still certifies the inverse. Row
+reduction goes through expansion/reconstruction of the proper tail of
 A^{-1} and certifies its answer with the two transforms between A and R.
 """
 
@@ -33,8 +33,8 @@ from .linalg import det as const_det
 from .nullspace import _kernel_bases, rank
 from .poly import Polynomial
 from .polymat import (
-    PolyMatrix, entry_degrees, int_degree, is_row_reduced, pm_eval, pm_mul, pm_mul_batch,
-    pm_shift_var, pm_truncate, regular_point, regular_value, row_degrees,
+    PolyMatrix, _mul_stacked, _normalize, _stack, entry_degrees, int_degree, is_row_reduced,
+    pm_eval, pm_mul, pm_shift_var, pm_truncate, regular_value, row_degrees,
 )
 from .reconstruct import LeftFactorization, matfrac_rec
 
@@ -52,22 +52,13 @@ def _require_square(a: PolyMatrix):
         raise NotSquare(f"need a square matrix, got {a.rows} x {a.cols}")
 
 
-def _block_diag(blocks) -> PolyMatrix:
-    fld = blocks[0].field
-    length = max(b.coeffs.shape[0] for b in blocks)
-    n = sum(b.rows for b in blocks)
-    out = np.zeros((length, n, n), dtype=np.int64)
-    at = 0
-    for b in blocks:
-        out[: b.coeffs.shape[0], at: at + b.rows, at: at + b.cols] = b.coeffs
-        at += b.rows
-    return PolyMatrix(fld, out)
-
-
-def _padded(a: PolyMatrix) -> PolyMatrix:
-    """diag(A, I) of the next power-of-two size (1 for n = 0); A itself at a power of two."""
-    size = 1 << max(a.rows - 1, 0).bit_length()
-    return a if size == a.rows else _block_diag([a, PolyMatrix.identity(a.field, size - a.rows)])
+def _padded(a: PolyMatrix) -> np.ndarray:
+    """diag(A, I) of the next power-of-two size (1 for n = 0), as an (L, size, size) array."""
+    n, size = a.rows, 1 << max(a.rows - 1, 0).bit_length()
+    out = np.zeros((a.coeffs.shape[0], size, size), dtype=np.int64)
+    out[:, :n, :n] = a.coeffs
+    out[0, range(n, size), range(n, size)] = 1
+    return out
 
 
 # The 4 x 4 cofactor table of a column pair: at row r, column j (r != j), the pair's 2 x 2
@@ -79,62 +70,62 @@ _SIGN = np.array([[(-1) ** (j + r - (r > j)) if r != j else 0 for j in range(4)]
                   for r in range(4)])
 
 
-def _adjugates(blocks) -> list:
-    """Per s x s block M (s <= 4), adj(M) with each row scaled so that its
-    last entry of largest degree is monic, as mbasis normalizes a minimal
-    kernel row; a zero row stays zero. Row i of adj(M) annihilates every
-    column of M but column i. A smaller block is padded to diag(M, I),
-    whose adjugate is diag(adj M, det M I). The 4 x 4 ones take two batched
-    products: the 2 x 2 minors of the column pairs {0, 1} and {2, 3}, from
-    outer products, and the cofactors by Laplace expansion along the
-    columns of one pair, each with the other pair's minors.
+def _adjugates(blocks: np.ndarray, field) -> np.ndarray:
+    """Per s x s block M (s <= 4) of an (L, B, s, s) array, adj(M) with each
+    row scaled so that its last entry of largest degree is monic, as mbasis
+    normalizes a minimal kernel row; a zero row stays zero. Row i of adj(M)
+    annihilates every column of M but column i. A smaller block is padded to
+    diag(M, I), whose adjugate is diag(adj M, det M I). The 4 x 4 ones take
+    two batched products: the 2 x 2 minors of the column pairs {0, 1} and
+    {2, 3}, from outer products, and the cofactors by Laplace expansion
+    along the columns of one pair, each with the other pair's minors.
     """
-    fld, count, s = blocks[0].field, len(blocks), blocks[0].rows
-    stacked = PolyMatrix.vstack(blocks).coeffs
-    m = np.zeros((stacked.shape[0], count, 4, 4), dtype=np.int64)
-    m[:, :, :s, :s] = stacked.reshape(-1, count, s, s)
+    p, (length, count, s, _) = field.p, blocks.shape
+    m = np.zeros((length, count, 4, 4), dtype=np.int64)
+    m[:, :, :s, :s] = blocks
     m[0, :, range(s, 4), range(s, 4)] = 1
+    # per block and column pair c: M_c and M_{c+1} as (L, B, pair, row)
+    even, odd = (m[..., k::2].transpose(0, 1, 3, 2) for k in (0, 1))
     # P[r, t] = M[r, c] M[t, c + 1], so the pair's minor on rows u, v is P[u, v] - P[v, u]
-    pairs = [(j, c) for j in range(count) for c in (0, 2)]
-    outer = pm_mul_batch([PolyMatrix(fld, m[:, j, :, c: c + 1]) for j, c in pairs],
-                         [PolyMatrix(fld, m[:, j, None, :, c + 1]) for j, c in pairs])
-    tables = [PolyMatrix(fld, _SIGN * (q.coeffs[:, _U, _V] - q.coeffs[:, _V, _U])) for q in outer]
+    outer = _mul_stacked(even.reshape(length, 2 * count, 4, 1),
+                         odd.reshape(length, 2 * count, 1, 4), field)
+    tables = _SIGN * (outer[..., _U, _V] - outer[..., _V, _U]) % p
     # rows 0, 1 of adj M are (M_1, -M_0)^T times the {2, 3} table, rows 2, 3 (M_3, -M_2)^T
     # times the {0, 1} table
-    halves = pm_mul_batch(
-        [PolyMatrix(fld, np.stack([m[:, j, :, c + 1], -m[:, j, :, c]], axis=1)) for j, c in pairs],
-        [tables[k ^ 1] for k in range(2 * count)])
-    rows = PolyMatrix.vstack(halves).coeffs.reshape(-1, count, 4, 4)[:, :, :s, :s]
+    pairs = np.stack([odd, -even % p], axis=3).reshape(length, 2 * count, 2, 4)
+    swapped = tables.reshape(-1, count, 2, 4, 4)[:, :, ::-1].reshape(-1, 2 * count, 4, 4)
+    rows = _mul_stacked(pairs, swapped, field).reshape(-1, count, 4, 4)[:, :, :s, :s]
     rows = rows.reshape(-1, count * s, s)
-    degs = entry_degrees(PolyMatrix._canonical(fld, rows))
+    degs = entry_degrees(PolyMatrix._canonical(field, rows))
     at, piv = np.arange(count * s), s - 1 - np.argmax(degs[:, ::-1], axis=1)
     lead = rows[degs[at, piv], at, piv]
-    scale = np.array([pow(int(c), -1, fld.p) if c else 1 for c in lead], dtype=np.int64)
-    return [PolyMatrix(fld, rows[:, j * s: (j + 1) * s] * scale[None, j * s: (j + 1) * s, None])
-            for j in range(count)]
+    scale = np.array([pow(int(c), -1, p) if c else 1 for c in lead], dtype=np.int64)
+    return _normalize(rows * scale[:, None] % p).reshape(-1, count, s, s)
 
 
-def _elimination_level(blocks, expected_deg: int) -> tuple:
-    """One round on s x s blocks: per block its s x s round transform, and
-    the blocks that the transforms leave. Blocks of s <= 4 take their scaled
-    adjugate and leave the diagonal of its product with the block, s blocks
-    of 1 x 1. Larger ones take minimal nullspace bases of both column halves,
-    s/2 rows each, from one kernel sweep that starts at the expected degree,
-    and leave two s/2 x s/2 blocks."""
-    s = blocks[0].rows
+def _elimination_level(blocks: np.ndarray, field, expected_deg: int) -> tuple:
+    """One round on the (L, B, s, s) array of diagonal blocks: the (L', B, s, s)
+    round transforms, and the blocks that they leave. Blocks of s <= 4 take
+    their scaled adjugate and leave the diagonal of its product with the
+    block, B s blocks of 1 x 1. Larger ones take minimal nullspace bases of
+    both column halves, s/2 rows each, from one kernel sweep that starts at
+    the expected degree, and leave 2 B blocks of s/2 x s/2."""
+    length, count, s, _ = blocks.shape
     if s <= 4:
-        rounds = _adjugates(blocks)
-        return rounds, pm_mul_batch([r.take_rows([i]) for r in rounds for i in range(s)],
-                                    [b.take_cols([i]) for b in blocks for i in range(s)])
+        rounds = _adjugates(blocks, field)
+        cols = blocks.transpose(0, 1, 3, 2).reshape(length, count * s, s, 1)
+        return rounds, _mul_stacked(rounds.reshape(-1, count * s, 1, s), cols, field)
     half = s // 2
-    halves = [h for b in blocks for h in (b.take_cols(range(half, s)), b.take_cols(range(half)))]
-    bases = _kernel_bases(halves, [half] * len(halves), expected_deg)
+    # halves[:, 2 j] is the left column half of block j, halves[:, 2 j + 1] its right one
+    halves = blocks.reshape(length, count, s, 2, half).transpose(0, 1, 3, 2, 4)
+    halves = halves.reshape(length, 2 * count, s, half)
+    # kernel i annihilates half i ^ 1 and multiplies half i: the right half's kernel on top
+    views = [PolyMatrix._canonical(field, halves[:, i ^ 1]) for i in range(2 * count)]
+    bases = _kernel_bases(views, [half] * (2 * count), expected_deg)
     if any(basis.row_count > half for basis in bases):
         raise SingularInput(f"a column half has more than {half} kernel rows: A is singular")
-    kernels = [basis.matrix for basis in bases]
-    # the kernel of the right half (top) keeps the left half, and the other way round
-    rounds = [PolyMatrix.vstack(kernels[i: i + 2]) for i in range(0, len(kernels), 2)]
-    return rounds, pm_mul_batch(kernels, [halves[i ^ 1] for i in range(len(halves))])
+    kernels = _stack([basis.matrix.coeffs for basis in bases])
+    return kernels.reshape(-1, count, s, s), _mul_stacked(kernels, halves, field)
 
 
 def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
@@ -153,21 +144,20 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
     nothing is drawn at random.
     """
     _require_square(a)
-    n, padded = a.rows, _padded(a)
-    d = int_degree(a)
-    transform = PolyMatrix.identity(a.field, padded.rows)
-    blocks = [padded]
-    step = 1
-    while blocks[0].rows > 1:
-        s = blocks[0].rows
-        rounds, blocks = _elimination_level(blocks, 2 ** (step - 1) * d)
+    n, field, d = a.rows, a.field, int_degree(a)
+    blocks = _padded(a)[:, None]
+    size = blocks.shape[2]
+    transform = np.eye(size, dtype=np.int64)[None]
+    while blocks.shape[2] > 1:
+        s = blocks.shape[2]
+        rounds, blocks = _elimination_level(blocks, field, size // s * d)
         # the round's transform is block diagonal: block j multiplies rows j s .. j s + s - 1
-        own_rows = [transform.take_rows(range(j * s, (j + 1) * s)) for j in range(len(rounds))]
-        transform = PolyMatrix.vstack(pm_mul_batch(rounds, own_rows))
-        step += 1
+        transform = _mul_stacked(rounds, transform.reshape(-1, size // s, s, size), field)
 
-    transform, diagonal = (PolyMatrix._canonical(a.field, m.coeffs[:, :n, :n])  # views
-                           for m in (transform, _block_diag(blocks)))
+    diagonal = np.zeros((blocks.shape[0], size, size), dtype=np.int64)
+    diagonal[:, range(size), range(size)] = blocks[:, :, 0, 0]
+    transform, diagonal = (PolyMatrix._canonical(field, m[:, :n, :n])  # views
+                           for m in (transform.reshape(-1, size, size), diagonal))
     if pm_mul(transform, a) != diagonal:
         raise SelfCheckFailure("diagonalization product check failed")
     for i in range(n):
@@ -184,7 +174,7 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     the minors' gcd g, and the next block's det is the block's over g, times
     a constant. A sum below the smaller of the half's column degree sum and
     its s/2 largest row degrees raises GenericityFailure; else g is a
-    constant, and so is b_11 / det A. ``seed`` draws x0 = regular_point(A),
+    constant, and so is b_11 / det A. ``seed`` draws x0 by regular_value(A),
     where b_11 is rescaled (a singular A gives 0), and x1 != x0, where it is
     checked (else SelfCheckFailure).
     """
@@ -195,9 +185,10 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     except SingularInput:
         return Polynomial.zero(a.field)
     block = _padded(a)
-    n, size, d = a.rows, block.rows, int_degree(a)
-    while block.rows > 4:
-        s, right = block.rows, block.take_cols(range(block.rows // 2, block.rows))
+    n, size, d = a.rows, block.shape[1], int_degree(a)
+    while block.shape[1] > 4:
+        s = block.shape[1]
+        right = PolyMatrix._canonical(a.field, block[:, :, s // 2:])
         [kernel] = _kernel_bases([right], [s // 2], size // s * d)
         # at the top, the half is diag(A's last n - s/2 columns, I): bound those columns' minors
         degs = entry_degrees(right)[:n, :n - s // 2]
@@ -205,8 +196,9 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
         if sum(kernel.kronecker_degrees) != bound:
             raise GenericityFailure(f"at size {s} the right half's kernel degrees "
                                     f"{kernel.kronecker_degrees} sum below their bound {bound}")
-        block = pm_mul(kernel.matrix, block.take_cols(range(s // 2)))
-    b11 = pm_mul(_adjugates([block])[0].take_rows([0]), block.take_cols([0])).entry(0, 0)
+        block = pm_mul(kernel.matrix, PolyMatrix._canonical(a.field, block[:, :, :s // 2])).coeffs
+    row0 = PolyMatrix._canonical(a.field, _adjugates(block[:, None], a.field)[:, 0, :1])
+    b11 = pm_mul(row0, PolyMatrix._canonical(a.field, block[:, :, :1])).entry(0, 0)
     b11_x0, x1 = int(b11(x0)), (x0 + 1 + int(rng.integers(0, p - 1))) % p
     det = b11 * (det_x0 * pow(b11_x0, -1, p) % p) if b11_x0 else b11
     if not b11_x0 or int(det(x1)) != const_det(pm_eval(a, x1), p):
@@ -246,7 +238,7 @@ def row_reduce(a: PolyMatrix, seed=None):
 
     Expands the proper tail of A^{-1} at order h = (n-1)d + 1 to 2d + 1
     coefficients and reconstructs it as R^{-1} S. The expansion point is a
-    random x0 = regular_point(A), so A(x0) is non-singular; the shift is
+    random x0 from regular_value(A), so A(x0) is non-singular; the shift is
     undone on the output, which preserves row degrees and the leading row
     matrix. A singular A raises SingularInput once det A vanishes at
     n deg(A) + 1 distinct points, or, in a field with fewer, once its exact
@@ -260,7 +252,7 @@ def row_reduce(a: PolyMatrix, seed=None):
     n = a.rows
     d = int_degree(a)
     try:
-        x0 = regular_point(a, seed)
+        x0 = regular_value(a, seed)[0]
     except FieldTooSmall:
         if rank(a, seed) < n:
             raise SingularInput("A has rank below its dimension: A is singular") from None

@@ -14,7 +14,7 @@ from polymatkit.approxbasis import (
 from polymatkit.errors import DimensionMismatch, OrderExceedsData
 from polymatkit.field import DEFAULT_PRIME
 from polymatkit.linalg import rank as const_rank
-from polymatkit.oracle import det_by_interpolation, minimal_basis_bruteforce
+from polymatkit.oracle import det_by_interpolation, left_kernel, minimal_basis_bruteforce
 from polymatkit.poly import MINUS_INFINITY
 from polymatkit.polymat import PolyMatrix, SeriesMatrix, int_degree
 
@@ -100,8 +100,6 @@ def test_pmbasis_deep_recursion(fd, rng):
 def test_completeness_random_approximants(f97, rng):
     # every approximant of degree <= sigma decomposes over the basis:
     # solve u N = v coefficient-wise and check the solution is polynomial
-    from polymatkit.linalg import left_kernel
-
     for _ in range(25):
         n, m, sigma = 3, 1, 4
         arr = rng.integers(0, 97, size=(sigma, n, m))

@@ -146,6 +146,16 @@ def test_cli_bad_numeric_argument_exits_without_traceback(argv, code, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("parse error" if code == 4 else "error")
 
 
+@pytest.mark.parametrize("argv", [["rand", "--n", "x", "--m", "2", "--d", "1"],
+                                  ["bench", "--op", "det", "--grid", "-1x2"]])
+def test_cli_usage_error_exits_4(argv, capsys):
+    # argparse's own exit code, 2, is the CLI's code for a verification failure
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 4
+    assert capsys.readouterr().err.startswith("usage: polymatkit")
+
+
 @pytest.mark.parametrize("verb", ["det", "rowreduce", "inverse"])
 def test_cli_non_square_exits_3(tmp_path, fd, verb, capsys):
     p = tmp_path / "a.pm"

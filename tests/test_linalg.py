@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from polymatkit.field import DEFAULT_PRIME
-from polymatkit.linalg import (det, left_kernel, mod_matmul, mul_unreduced, rank, rref,
-                               split_right)
+from polymatkit.linalg import det, mod_matmul, mul_unreduced, rank, rref, split_right
+from polymatkit.oracle import left_kernel
 
 
 def _rref_ref(rows, p):

@@ -12,7 +12,7 @@ from polymatkit.linalg import PRODUCT_MULTS
 from polymatkit.linalg import det as const_det
 from polymatkit.oracle import naive_mul
 from polymatkit.poly import MINUS_INFINITY
-from polymatkit.polymat import PolyMatrix, SeriesMatrix, regular_point
+from polymatkit.polymat import PolyMatrix, SeriesMatrix, regular_value
 
 
 def anchor(fd):
@@ -394,17 +394,19 @@ def test_is_row_reduced(fd):
 
 def test_regular_point(fd):
     x = PolyMatrix.from_lists(fd, [[[0, 1]]])  # [[x]]: singular at 0 only
-    assert regular_point(x, 3) != 0
+    x0, value = regular_value(x, 3)
+    assert x0 != 0 and value == x0
     a = anchor(fd)
-    assert const_det(pk.pm_eval(a, regular_point(a, 3)), fd.p) != 0
+    x0, value = regular_value(a, 3)
+    assert value == const_det(pk.pm_eval(a, x0), fd.p) != 0
     with pytest.raises(SingularInput):
-        regular_point(PolyMatrix.zero(fd, 1, 1), 3)
+        regular_value(PolyMatrix.zero(fd, 1, 1), 3)
     singular = PolyMatrix.from_lists(fd, [[[0, 1], [0, 0, 1]], [[1], [0, 1]]])
     with pytest.raises(SingularInput):  # det x^2 - x^2 vanishes identically
-        regular_point(singular, 3)
+        regular_value(singular, 3)
     f5 = pk.get_field(5)
     with pytest.raises(FieldTooSmall):  # det x^5 - x vanishes on all of GF(5)
-        regular_point(PolyMatrix.from_lists(f5, [[[0, 4, 0, 0, 0, 1]]]), 3)
+        regular_value(PolyMatrix.from_lists(f5, [[[0, 4, 0, 0, 0, 1]]]), 3)
 
 
 def test_truncate(fd, rng):

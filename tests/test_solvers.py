@@ -114,25 +114,48 @@ def test_inverse_diagonal_constant_multiple_of_det(fd, rng):
         assert len(ratios) == 1
 
 
+def block_diag(blocks):
+    """diag(blocks[0], blocks[1], ...), built here so that the reference recursion below
+    shares no code with the one under test."""
+    length = max(b.coeffs.shape[0] for b in blocks)
+    n = sum(b.rows for b in blocks)
+    out = np.zeros((length, n, n), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        out[: b.coeffs.shape[0], at: at + b.rows, at: at + b.cols] = b.coeffs
+        at += b.rows
+    return PolyMatrix(blocks[0].field, out)
+
+
 def per_half_inverse(a):
-    """The elimination recursion with one minimal_vectors_up_to call per column half."""
+    """The elimination recursion with minimal_vectors_up_to calls per column half, the cap
+    doubled from the expected degree until the half has s/2 kernel rows."""
+    def kernel(half, cap):
+        while (found := minimal_vectors_up_to(half, cap)).row_count < half.cols:
+            cap *= 2
+        return found
+
     d, transform, blocks, step = int_degree(a), PolyMatrix.identity(a.field, a.rows), [a], 1
     while blocks[0].rows > 1:
         expected, rounds, nxt = 2 ** (step - 1) * d, [], []
         for block in blocks:
             s = block.rows
             left, right = block.take_cols(range(s // 2)), block.take_cols(range(s // 2, s))
-            top, bottom = minimal_vectors_up_to(right, expected), minimal_vectors_up_to(left, expected)
+            top, bottom = kernel(right, expected), kernel(left, expected)
             rounds.append(PolyMatrix.vstack([top.matrix, bottom.matrix]))
             nxt += [pm_mul(top.matrix, left), pm_mul(bottom.matrix, right)]
-        transform, blocks, step = pm_mul(solvers._block_diag(rounds), transform), nxt, step + 1
-    return transform, solvers._block_diag(blocks)
+        transform, blocks, step = pm_mul(block_diag(rounds), transform), nxt, step + 1
+    return transform, block_diag(blocks)
 
 
-@pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (4, 2), (8, 2), (16, 1), (32, 1)])
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (3, 2), (4, 2), (6, 2), (8, 2), (12, 1), (16, 1),
+                                  (32, 1)])
 def test_batched_levels_match_per_half_calls(fd, rng, n, d):
+    # at any n the recursion runs on diag(A, I) of power-of-two size: compare its top-left blocks
     a = nonsingular_at_zero(fd, n, d, rng)
-    transform, diagonal = per_half_inverse(a)
+    size = 1 << max(n - 1, 0).bit_length()
+    transform, diagonal = (m.take_rows(range(n)).take_cols(range(n)) for m in
+                           per_half_inverse(block_diag([a, PolyMatrix.identity(fd, size - n)])))
     rep = generic_inverse(a, 0)
     assert rep.transform == transform and rep.diagonal == diagonal
     # generic_det follows the upper-left branch: b_11 rescaled to det A; x = 0 is a regular point
@@ -222,8 +245,8 @@ def test_adjugate_rows_are_the_minimal_kernel_rows(p):
             coeffs[top, 0] = rng.integers(1, p, 2)
             coeffs[bottom, 1] = rng.integers(1, p, 2)
             block = PolyMatrix(fld, coeffs)
-            [adj] = solvers._adjugates([block])
-            rows = [adj.take_rows([0]), adj.take_rows([1])]
+            adj = solvers._adjugates(block.coeffs[:, None], fld)[:, 0]
+            rows = [PolyMatrix(fld, adj[:, :1]), PolyMatrix(fld, adj[:, 1:])]
             for row, half in zip(rows, (block.take_cols([1]), block.take_cols([0]))):
                 minimal = minimal_vectors_up_to(half, 8)
                 excess = gcd_degree(half.coeffs[:, 0, 0], half.coeffs[:, 1, 0], p)
@@ -284,7 +307,7 @@ def test_inverse_with_a_common_factor_in_a_2x2_column(p):
         deg + extra for deg, extra in zip(row_degrees(minimal_diagonal), excess)]
     # n = 4: diag(B1, B2) is one 4 x 4 base block, whose adjugate rows make every diagonal
     # entry a constant times det A = det B1 det B2, above the minimal degree per 2 x 2 gcd
-    a = solvers._block_diag([planted_common_factor(fld, rng) for _ in range(2)])
+    a = block_diag([planted_common_factor(fld, rng) for _ in range(2)])
     rep = generic_inverse(a, 0)
     assert_diagonalized(a, rep)
     assert_det_multiples(a, rep)
