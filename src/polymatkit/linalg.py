@@ -8,8 +8,9 @@ delayed (Dumas, Giorgi & Pernet, ACM TOMS 2008): ``mul_unreduced`` adds the
 chunks' exact results in int64, each below 2**53, so an int64 cell holds
 up to ``TERMS`` of them before it must be reduced, and ``mod_matmul``
 reduces each output cell once. Elimination stays in int64 and runs in one
-loop, ``rref``: a pivot step is one ``nonzero`` and one broadcast update of
-the other rows. ``rank``, ``det`` and ``inv`` read its result.
+loop, ``rref``: a step clears an invertible 2×2 pivot block (Jeannerod,
+Pernet & Storjohann, JSC 2013), or else one pivot, with one int64 product
+and one ``% p``. ``rank``, ``det`` and ``inv`` read its result.
 """
 
 from __future__ import annotations
@@ -87,36 +88,47 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     """Reduced row echelon form over GF(p): (rref, pivot columns, d), where d
-    is the product of the pivots as met, negated once per row swap."""
+    is the product of the pivots as met, negated once per row swap.
+
+    When the 2×2 block B at rows r, r + 1 and columns c, c + 1 is invertible,
+    both columns pivot in those rows, one step clears them by B⁻¹, and d gains
+    det B: the two pivots times the sign of their swap within B. Otherwise
+    column c pivots at its first nonzero from row r on. Either way the output
+    is that of one pivot per step.
+    """
     m = np.array(mat, dtype=np.int64, order="C")  # row operations run faster on C order
     m %= p
     rows, cols = m.shape
     pivots: list[int] = []
     d = 1
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = m[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            pr = nz[0] + r
-            m[[r, pr]] = m[[pr, r]]
-            d = -d
-        row = m[r]
-        piv = int(row[c])
+    r = c = 0
+    while r < rows and c < cols:
+        blk = m[r:r + 2, c:c + 2].tolist()
+        (b00, b01), (b10, b11) = blk if r + 1 < rows and c + 1 < cols else ((0, 0), (0, 0))
+        piv = (b00 * b11 - b01 * b10) % p  # det B
+        if piv:  # columns c and c + 1 pivot in rows r and r + 1
+            t = pow(piv, -1, p)
+            b_inv = [[b11 * t % p, -b01 * t % p], [-b10 * t % p, b00 * t % p]]
+        else:
+            nz = m[r:, c].nonzero()[0]
+            if nz.size == 0:
+                c += 1
+                continue
+            if nz[0]:
+                m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+                d = -d
+            piv = int(m[r, c])
+            b_inv = [[pow(piv, -1, p)]]
         d = d * piv % p
-        row *= pow(piv, -1, p)
-        row %= p
-        # clear column c outside row r; a full-matrix update beats gathering
-        # the nonzero rows, and p < 2**31 keeps m - factors * row above -2**63
-        factors = m[:, c].copy()
-        factors[r] = 0
-        m -= factors[:, None] * row
+        k = len(b_inv)
+        new = np.array(b_inv, dtype=np.int64) @ m[r:r + k] % p
+        # clear the pivot columns in every row, then overwrite the pivot rows; a cell
+        # drops by at most k (p - 1)**2 < 2**63 for k <= 2, as p < 2**31
+        m -= m[:, c:c + k] @ new
         m %= p
-        pivots.append(c)
-        r += 1
+        m[r:r + k] = new
+        pivots.extend(range(c, c + k))
+        r, c = r + k, c + k
     return m, pivots, d
 
 

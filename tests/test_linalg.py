@@ -3,22 +3,27 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from polymatkit import linalg
 from polymatkit.field import DEFAULT_PRIME
 from polymatkit.linalg import det, mod_matmul, mul_unreduced, rank, rref, split_right
 from polymatkit.oracle import left_kernel
 
 
-def _rref_ref(rows, p):
-    """Gauss-Jordan on Python ints, the reference for the numpy version."""
-    m = [[int(v) % p for v in row] for row in rows]
-    pivots, r = [], 0
-    for c in range(len(m[0])):
+def _rref_ref(a, p):
+    """Gauss-Jordan on Python ints, one pivot at a time, the reference for the
+    numpy version: (rref rows, pivot columns, signed pivot product)."""
+    m = [[int(v) % p for v in row] for row in a.tolist()]
+    pivots, r, d = [], 0, 1
+    for c in range(a.shape[1]):
         if r == len(m):
             break
         k = next((i for i in range(r, len(m)) if m[i][c]), None)
         if k is None:
             continue
-        m[r], m[k] = m[k], m[r]
+        if k != r:
+            m[r], m[k] = m[k], m[r]
+            d = -d
+        d = d * m[r][c] % p
         inv = pow(m[r][c], -1, p)
         m[r] = [v * inv % p for v in m[r]]
         for i in range(len(m)):
@@ -27,21 +32,65 @@ def _rref_ref(rows, p):
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    return m, pivots
+    return m, pivots, d
 
 
-@pytest.mark.parametrize("p", [2, 97, 2**31 - 1, DEFAULT_PRIME])
+def _assert_rref_exact(a, p):
+    got, piv, d = rref(a, p)
+    want, want_piv, want_d = _rref_ref(a, p)
+    assert piv == want_piv
+    assert got.tolist() == want
+    assert d == want_d
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 2**31 - 1, DEFAULT_PRIME])
 def test_rref_matches_exact_reference(p, rng):
-    for rows, cols in ((8, 16), (16, 8), (5, 5), (1, 4)):
+    shapes = ((8, 16), (16, 8), (5, 5), (1, 4), (0, 4), (4, 0), (1, 1), (2, 2), (9, 3), (3, 9))
+    for rows, cols in shapes:
         a = rng.integers(0, p, size=(rows, cols))
+        _assert_rref_exact(a, p)
         a[rng.random((rows, cols)) < 0.2] = p - 1  # largest residues stress int64
-        a[:, 1] = 0                                # a zero column
+        if cols > 1:
+            a[:, 1] = 0                            # a zero column
         if rows > 2:
             a[2] = a[0]                            # a repeated row
-        got, piv, _ = rref(a, p)
-        want, want_piv = _rref_ref(a.tolist(), p)
-        assert piv == want_piv
-        assert got.tolist() == want
+        _assert_rref_exact(a, p)
+    # rref clears the 2 x 2 block at rows r, r + 1 and columns c, c + 1 in one
+    # step when it is invertible, else one pivot; each case below forces a branch
+    swap_in_block = np.array([[0, 1, 2, 5], [1, 3, 4, 6], [2, 5, 1, 1]])
+    # column 0 pivots at row 0, then the block at rows 1-2 is zero in column 1,
+    # which pivots from row 3
+    pivot_below_block = np.array([[1, 1, 2, 3], [1, 1, 5, 6], [1, 1, 7, 9], [0, 1, 4, 4]])
+    odd_rows = rng.integers(0, p, size=(5, 7))      # the last pivot is single
+    zero_col = rng.integers(0, p, size=(4, 6))
+    zero_col[:, 1] = 0                              # a zero column inside the first block
+    all_top = np.full((6, 7), p - 1)
+    # B = [[p-1, p-1], [p-1, p-2]] has det 1 and its rows' tails are B times an
+    # all-(p - 1) tail, so the pivot rows become all p - 1 beyond B, and every
+    # row below with p - 1 in both pivot columns drops by 2 (p - 1)**2, the
+    # bound of the block update
+    bound = np.full((5, 6), p - 1)
+    bound[1, 1] = p - 2
+    bound[:2, 2:] = np.array([[2], [3]]) % p
+    for a in (swap_in_block, pivot_below_block, odd_rows, zero_col, all_top, bound):
+        _assert_rref_exact(a % p, p)
+
+
+def test_rref_takes_two_pivots_per_step(monkeypatch, rng):
+    # one modular inverse per step: a generic matrix at the default prime
+    # takes its pivots two at a time
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(linalg, "pow", counting_pow, raising=False)
+    for shape, most in (((8, 16), 4), ((32, 64), 16)):
+        a = rng.integers(0, DEFAULT_PRIME, size=shape)
+        calls.clear()
+        _assert_rref_exact(a, DEFAULT_PRIME)
+        assert len(calls) <= most
 
 
 @pytest.mark.parametrize("p", [2, 97, 2**31 - 1])
@@ -51,7 +100,7 @@ def test_left_kernel_and_rank(p, rng):
         a[rng.random((rows, cols)) < 0.3] = 0
         if rows > 2:
             a[2] = a[0]                            # a repeated row
-        _, piv = _rref_ref(a.T.tolist(), p)
+        _, piv, _ = _rref_ref(a.T, p)
         free = [j for j in range(rows) if j not in piv]
         kern = left_kernel(a, p)
         # the one kernel basis that is the identity on the non-pivot rows
