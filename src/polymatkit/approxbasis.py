@@ -4,15 +4,18 @@
 & Villard (ISSAC 2003): one elimination gives the row rank profile of the
 shifted-degree-sorted constant residual, one product over the pivot rows'
 live slices makes the dependent rows kernel rows, and pivot rows are
-multiplied by x. ``pmbasis`` is its divide-and-conquer wrapper that halves
-the order, computes a residual, recurses, and multiplies the two partial
-bases together. Both return a basis N with N * F = 0 mod x**sigma whose
-sorted shifted row degrees are the minimal indices of the approximant module.
+multiplied by x. ``raise_order`` takes bases of one order to a higher one for
+the same series: it computes the residual, a second basis of the residual
+and one product. ``pmbasis`` is the divide-and-conquer wrapper that
+computes bases of half the order and raises them; the nullspace sweep
+raises each degree cap's bases to the next cap the same way. All return a
+basis N with N * F = 0 mod x**sigma whose sorted shifted row degrees are the
+minimal indices of the approximant module.
 
-Both also take a batch of B same-shape series (one level of the generic
+All also take a batch of B same-shape series (one level of the generic
 inverse or determinant), whose orders share one sort, one elimination on
 the block diagonal of the B residuals and one product, and whose
-``pmbasis`` glue makes one batched residual and one batched final product:
+``raise_order`` makes one batched residual and one batched final product:
 the Python work is paid once, not B times, and each basis is what its own
 call returns.
 """
@@ -164,21 +167,26 @@ def mbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis |
     return out[0] if isinstance(f, SeriesMatrix) else out
 
 
-def pmbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis | list:
-    """Divide-and-conquer order basis; same contract as mbasis.
+def raise_order(f: SeriesMatrix | list, firsts: ApproximantBasis | list,
+                sigma: int) -> ApproximantBasis | list:
+    """The bases of order sigma for f from its bases ``firsts`` of a lower order.
 
-    A batch runs in groups of at most sqrt(BATCH_CELLS / (n m)) problems;
-    the residuals and the final products of a group are one batched product each.
+    ``firsts`` share one order sigma1 <= sigma and carry their shifts. The
+    step is the second half of ``pmbasis``: the residual, slices [sigma1,
+    sigma) of N1 * F; the shifted row degrees of N1 as the new shift; the
+    order-(sigma - sigma1) basis N2 of the residual; and N2 * N1. An M-Basis
+    basis is shift-reduced, so N1's shifted row degrees are the counters that
+    ``mbasis`` sorts by, the raised run picks every pivot of the straight run,
+    and the result is what ``pmbasis(f, sigma, shift)`` returns, bit for bit.
+    A batch (lists f and firsts) makes one batched residual and one batched product.
     """
-    fs, shifts = _as_batch(f, sigma, shift)
-    group = max(1, math.isqrt(BATCH_CELLS // max(fs[0].rows * fs[0].cols, 1)))
-    if len(fs) > group:
-        return [basis for i in range(0, len(fs), group)
-                for basis in pmbasis(fs[i:i + group], sigma, shifts[i:i + group])]
-    if sigma <= PMBASIS_THRESHOLD:
-        return mbasis(f, sigma, shift)
-    half = (sigma + 1) // 2
-    firsts = pmbasis([g.slice(0, half) for g in fs], half, shifts)
+    single = isinstance(f, SeriesMatrix)
+    fs, firsts = ([f], [firsts]) if single else (list(f), list(firsts))
+    fs, shifts = _as_batch(fs, sigma, [first.shift for first in firsts])
+    half = firsts[0].order
+    if any(first.order != half for first in firsts) or half > sigma:
+        raise ValueError(f"bases of orders {[first.order for first in firsts]} "
+                         f"cannot be raised together to order {sigma}")
     # slices [half, sigma) of N * F need F only from half - deg N on
     los = [max(half - int_degree(first.basis), 0) for first in firsts]
     prods = pm_mul_batch([first.basis for first in firsts],
@@ -191,4 +199,24 @@ def pmbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis 
     seconds = pmbasis(resids, sigma - half, shifts2)
     mats = pm_mul_batch([second.basis for second in seconds], [first.basis for first in firsts])
     out = [ApproximantBasis(mat, sigma, row_degrees(mat), s) for mat, s in zip(mats, shifts)]
+    return out[0] if single else out
+
+
+def pmbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis | list:
+    """Divide-and-conquer order basis; same contract as mbasis.
+
+    Above PMBASIS_THRESHOLD it computes the bases of order ceil(sigma / 2)
+    and raises them to sigma with ``raise_order``. A batch runs in groups of
+    at most sqrt(BATCH_CELLS / (n m)) problems; the residuals and the final
+    products of a group are one batched product each.
+    """
+    fs, shifts = _as_batch(f, sigma, shift)
+    group = max(1, math.isqrt(BATCH_CELLS // max(fs[0].rows * fs[0].cols, 1)))
+    if len(fs) > group:
+        return [basis for i in range(0, len(fs), group)
+                for basis in pmbasis(fs[i:i + group], sigma, shifts[i:i + group])]
+    if sigma <= PMBASIS_THRESHOLD:
+        return mbasis(f, sigma, shift)
+    half = (sigma + 1) // 2
+    out = raise_order(fs, pmbasis([g.slice(0, half) for g in fs], half, shifts), sigma)
     return out[0] if isinstance(f, SeriesMatrix) else out

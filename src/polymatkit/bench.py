@@ -17,7 +17,7 @@ import numpy as np
 from .approxbasis import pmbasis
 from .field import PrimeField, default_field
 from .instances import rand_instance
-from .nullspace import minimal_vectors_up_to
+from .nullspace import general_nullspace
 from .polymat import SeriesMatrix, pm_mul
 from .solvers import generic_det, generic_inverse, row_reduce
 
@@ -72,9 +72,10 @@ def _setup(op: str, n: int, d: int, rng, fld: PrimeField):
         f = SeriesMatrix(fld, d, arr)
         return lambda: pmbasis(f, d)
     if op == "nullspace":
-        a = rand_instance(n, max(1, n - 1), d, seed, field=fld, profile="planted-rank",
-                          rank=max(1, n - 1))
-        return lambda: minimal_vectors_up_to(a, d)
+        # the whole kernel sweep on planted rank n - 1, whose one kernel row has a degree
+        # of order n d: the input of the nullspace's n-doubling ratio
+        a = rand_instance(n, n, d, seed, field=fld, profile="planted-rank", rank=max(n - 1, 0))
+        return lambda: general_nullspace(a, seed)
     if op == "det":
         a = rand_instance(n, n, d, seed, field=fld)
         return lambda: generic_det(a)

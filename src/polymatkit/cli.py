@@ -8,7 +8,9 @@ apart from ``det``'s interpolation fallback: on GenericityFailure from
 ``generic_det``, ``det`` prints the reason on stderr and interpolates.
 Exit codes: 0 success and verified, 2 verification failure (the CLI's
 checks or the library's own, SelfCheckFailure), 3 precondition error (an
-out-of-range size, --rank or --reps too), 4 parse error (bad arguments too).
+out-of-range size, --rank or --reps too, or a size argument whose series or
+output would exceed io.MAX_COEFFS coefficients), 4 parse error (bad
+arguments too).
 
 Setting the environment variable POLYMATKIT_CORRUPT to a non-empty value
 corrupts each computed result before its verification step; this exists so
@@ -28,7 +30,8 @@ import numpy as np
 from . import io as pmio
 from .approxbasis import pmbasis, series_product
 from .bench import BENCH_OPS, bench
-from .errors import GenericityFailure, ParseError, PolymatError, SelfCheckFailure
+from .errors import (GenericityFailure, ParseError, PolymatError, RequestTooLarge,
+                     SelfCheckFailure)
 from .field import get_field
 from .fraction import expansion_slice
 from .instances import PROFILES, rand_instance
@@ -90,6 +93,17 @@ def _check(cond: bool, message: str):
         raise SelfCheckFailure(message)
 
 
+def _bound_request(args: dict, coeffs: int):
+    """Refuse negative size arguments, and a series or output of more than
+    io.MAX_COEFFS coefficients, before anything is allocated."""
+    given = " ".join(f"{name} {value}" for name, value in args.items())
+    if min(args.values()) < 0:
+        raise PolymatError(f"{' and '.join(args)} must be non-negative, got {given}")
+    if coeffs > pmio.MAX_COEFFS:
+        raise RequestTooLarge(f"{given} asks for {coeffs} coefficients, "
+                              f"more than {pmio.MAX_COEFFS}")
+
+
 # -- verbs -------------------------------------------------------------------
 
 def _cmd_mul(args, rng):
@@ -111,6 +125,8 @@ def _cmd_mul(args, rng):
 def _cmd_mbasis(args, rng):
     f_mat = pmio.load(args.f)
     sigma = args.order
+    n, m = f_mat.rows, f_mat.cols
+    _bound_request({"--order": sigma}, max(sigma * n * m, (sigma + 1) * n * n))
     f = f_mat.to_series(sigma)
     shift = [int(s) for s in args.shift.split(",")] if args.shift else None
     basis = pmbasis(f, sigma, shift)
@@ -211,6 +227,9 @@ def _cmd_rowreduce(args, rng):
 def _cmd_reconstruct(args, rng):
     f_mat = pmio.load(args.f)
     sigma = args.dl + args.dr + 1
+    # the order basis of the stacked [-I; F] is (2 rows) x (2 rows) of length sigma + 1
+    _bound_request({"--dl": args.dl, "--dr": args.dr},
+                   max(sigma * f_mat.rows * f_mat.cols, (sigma + 1) * 4 * f_mat.rows ** 2))
     f = f_mat.to_series(max(sigma, f_mat.coeffs.shape[0]))
     fact = matfrac_rec(f, args.dl, args.dr)
     numer = _maybe_corrupt(fact.numerator)
@@ -235,6 +254,7 @@ def _cmd_expand(args, rng):
     h, delta = args.h, args.delta
     d = int_degree(a)
     h0 = max(0, h - d)
+    _bound_request({"--h": h, "--delta": delta}, (h - h0 + delta) * a.rows * b.cols)
     ext = expansion_slice(a, b, h0, (h - h0) + delta)
     coeffs = ext.coeffs.copy()
     if os.environ.get(CORRUPT_ENV) and coeffs.size:
@@ -243,7 +263,9 @@ def _cmd_expand(args, rng):
     # order d the product lacks the terms A_j F_t with t < h0, all zero iff h0 = 0
     start, length = (0 if h0 == 0 else d), coeffs.shape[0]
     got = pm_mul(a, PolyMatrix(a.field, coeffs)).to_series(length).coeffs[start:]
-    want = b.to_series(h0 + length).coeffs[h0 + start:]
+    want = np.zeros_like(got)  # B's orders [h0 + start, h0 + length), not all h of them
+    tail = b.coeffs[h0 + start:h0 + length]
+    want[:tail.shape[0]] = tail
     _check(np.array_equal(got, want), f"expansion recurrence fails at orders >= {h0 + start}")
     window = coeffs[h - h0:]
     out = PolyMatrix(a.field, window) if window.shape[0] else PolyMatrix.zero(

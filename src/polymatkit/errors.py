@@ -124,6 +124,11 @@ class ParseError(PolymatError):
         self.column = column
 
 
+class RequestTooLarge(PolymatError):
+    """A CLI size argument asks for a series or an output of more than io.MAX_COEFFS
+    coefficients, the bound the parser puts on input files."""
+
+
 class PrimeMismatch(PolymatError):
     """Operands over different primes: two input files, or two field elements,
     polynomials or matrices combined by one operation."""

@@ -6,7 +6,9 @@ contains exactly the minimal nullspace vectors of degree at most delta
 those rows and always verify v A = 0 exactly before returning (Las Vegas
 contract). One degree sweep, ``_kernel_bases``, serves ``general_nullspace``
 (and so the exact ``rank``) and the solvers' left factorization and inverse;
-it needs no random point, so it runs over any field, GF(2) and GF(3) too.
+at each doubled cap it raises every matrix's order basis from the previous
+cap's (``approxbasis.raise_order``) instead of recomputing it from order 0.
+It needs no random point, so it runs over any field, GF(2) and GF(3) too.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approxbasis import pmbasis
+from .approxbasis import pmbasis, raise_order
 from .errors import NullspaceCheckFailure, RankDeficient
 from .linalg import rank as const_rank
 from .polymat import PolyMatrix, int_degree, is_row_reduced, pm_eval, pm_mul_batch
@@ -62,26 +64,47 @@ def _select(mats: list, bases: list, delta: int) -> list:
             for a, (rows, degs) in zip(mats, picks)]
 
 
+def _kronecker_bound(a: PolyMatrix) -> int:
+    """rows * deg(A), at least 1: no left Kronecker index of A exceeds it, so
+    every degree cap at or above it selects the same rows."""
+    return max(a.rows * int_degree(a), 1)
+
+
+def _cap_step(mats: list, bases: list, delta: int) -> tuple[int, list, list]:
+    """One degree cap for the matrices in ``mats``: (cap, order bases, nullspace bases).
+
+    The cap is delta, clamped at the largest Kronecker bound. Matrix A's
+    order basis of order cap + deg(A) + 1 is ``pmbasis``'s, or its basis in
+    ``bases`` raised to that order (None: from order 0), batched by (old
+    order, new order, shape); ``_select`` certifies its rows of degree <= cap.
+    """
+    cap = min(delta, max(map(_kronecker_bound, mats), default=0))
+    groups = {}
+    for i, (a, basis) in enumerate(zip(mats, bases)):
+        key = (basis.order if basis else 0, cap + int_degree(a) + 1, a.rows, a.cols)
+        groups.setdefault(key, []).append(i)
+    raised, found = [None] * len(mats), [None] * len(mats)
+    for (old, sigma, _, _), idx in groups.items():
+        fs = [mats[i].to_series(sigma) for i in idx]
+        group = raise_order(fs, [bases[i] for i in idx], sigma) if old else pmbasis(fs, sigma)
+        for i, basis, kernel in zip(idx, group, _select([mats[i] for i in idx], group, cap)):
+            raised[i], found[i] = basis, kernel
+    return cap, raised, found
+
+
 def minimal_vectors_up_to(a: PolyMatrix | list, delta: int) -> NullspaceBasis | list:
     """All minimal left nullspace vectors of A of degree at most delta.
 
     Computes an order basis of order delta + deg(A) + 1 and keeps the rows
     of degree at most delta; those are certified by an exact product check.
-    ``a`` may also be a list of matrices: the result is then the list of
-    their bases, from one batched order-basis call and one batched check
-    per shape and order.
+    A delta above rows * deg(A), which no Kronecker index exceeds, is taken
+    as that bound. ``a`` may also be a list of matrices: the result is then
+    the list of their bases, from one batched order-basis call and one
+    batched check per shape and order, with delta clamped at the largest bound.
     """
     batch = [a] if isinstance(a, PolyMatrix) else a
-    groups = {}
-    for i, mat in enumerate(batch):
-        groups.setdefault((delta + int_degree(mat) + 1, mat.rows, mat.cols), []).append(i)
-    out = [None] * len(batch)
-    for (sigma, _, _), idx in groups.items():
-        mats = [batch[i] for i in idx]
-        found = _select(mats, pmbasis([m.to_series(sigma) for m in mats], sigma), delta)
-        for i, basis in zip(idx, found):
-            out[i] = basis
-    return out[0] if isinstance(a, PolyMatrix) else out
+    _, _, found = _cap_step(batch, [None] * len(batch), delta)
+    return found[0] if isinstance(a, PolyMatrix) else found
 
 
 def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:
@@ -102,19 +125,19 @@ def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:
 def _kernel_bases(mats: list, counts: list, delta: int) -> list:
     """Minimal nullspace bases of the matrices in ``mats``, one per matrix.
 
-    Sweeps degree caps delta, 2 delta, 4 delta, ... with one batched
-    ``minimal_vectors_up_to`` call per cap for the matrices not done. Matrix
-    i is done when it has ``counts[i]`` rows, or when the cap reaches its
-    rows * deg, which no Kronecker index exceeds: then it is complete.
+    Sweeps degree caps delta, 2 delta, 4 delta, ... with one ``_cap_step``
+    per cap for the matrices not done, each raising its order basis from
+    the previous cap's, so every order is computed once. Matrix i is done
+    when it has ``counts[i]`` rows, or when the cap reaches its rows * deg,
+    which no Kronecker index exceeds: then it is complete.
     """
-    out = [None] * len(mats)
-    bounds = [max(m.rows * int_degree(m), 1) for m in mats]
+    out, bases = [None] * len(mats), [None] * len(mats)
     todo = list(range(len(mats)))
     while todo:
-        cap = min(delta, max(bounds[i] for i in todo))
-        for i, basis in zip(todo, minimal_vectors_up_to([mats[i] for i in todo], cap)):
-            out[i] = basis
-        todo = [i for i in todo if out[i].row_count < counts[i] and cap < bounds[i]]
+        cap, raised, found = _cap_step([mats[i] for i in todo], [bases[i] for i in todo], delta)
+        for i, basis, kernel in zip(todo, raised, found):
+            bases[i], out[i] = basis, kernel
+        todo = [i for i in todo if out[i].row_count < counts[i] and cap < _kronecker_bound(mats[i])]
         delta = max(2 * delta, 1)
     return out
 

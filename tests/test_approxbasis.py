@@ -8,6 +8,7 @@ from polymatkit.approxbasis import (
     ApproximantBasis,
     mbasis,
     pmbasis,
+    raise_order,
     series_product,
     shifted_row_degrees,
 )
@@ -328,3 +329,53 @@ def test_rows_up_to_sorts_by_degree_then_index(f97):
     assert rows == basis.take_rows([1, 4, 3]) and degs == [0, 0, 1]
     rows, degs = found.rows_up_to(-1)
     assert (rows.rows, rows.cols, degs) == (0, 1, [])
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, DEFAULT_PRIME])
+def test_raise_order_equals_direct(p):
+    # raising pmbasis(F[:sigma1], sigma1, s) to sigma2 gives pmbasis(F, sigma2, s) bit for bit
+    fld = pk.get_field(p)
+    rng = np.random.default_rng(p + 7)
+    cases = [  # n, m, sigma1, sigma2, shift (None: no shift; small ranges tie)
+        (4, 2, 0, 9, None), (4, 2, 9, 13, None), (3, 1, 1, 2, [0, 0, 0]),
+        (5, 3, 7, 12, [1, 0, 1, 0, 2]), (4, 4, 3, 8, [0, 0, 0, 0]),
+        (3, 2, 30, PMBASIS_THRESHOLD + 21, [2, 2, 0]), (2, 1, 40, 2 * PMBASIS_THRESHOLD + 3, None),
+    ]
+    for n, m, sigma1, sigma2, shift in cases:
+        f = series(fld, rng.integers(0, p, size=(sigma2, n, m)))
+        first = pmbasis(f.slice(0, sigma1), sigma1, shift)
+        got = raise_order(f, first, sigma2)
+        assert got == pmbasis(f, sigma2, shift) == mbasis(f, sigma2, shift)
+        # the raising step reads F only where it needs it: the longer series gives the same
+        longer = series(fld, np.concatenate([f.coeffs, rng.integers(0, p, size=(3, n, m))]))
+        assert raise_order(longer, first, sigma2) == got
+
+
+@pytest.mark.parametrize("p", [97, DEFAULT_PRIME])
+def test_raise_order_batch_equals_separate_calls(p):
+    fld = pk.get_field(p)
+    rng = np.random.default_rng(p)
+    sigma1, sigma2, n, m = 6, PMBASIS_THRESHOLD + 5, 4, 2
+    arr = rng.integers(0, p, size=(5, sigma2, n, m))
+    arr[1] = 0                  # the zero series
+    arr[2, :, :, 1] = 0         # a zero column
+    arr[3, :sigma2 // 2] = 0    # f = O(x^(sigma2/2))
+    fs = [series(fld, a) for a in arr]
+    shifts = [[0, 1, 1, 0], None, [2, 0, 0, 2], [0, 0, 0, 0], [1, 1, 1, 1]]
+    firsts = pmbasis([f.slice(0, sigma1) for f in fs], sigma1, shifts)
+    got = raise_order(fs, firsts, sigma2)
+    assert len(got) == len(fs)
+    for basis, f, first, shift in zip(got, fs, firsts, shifts):
+        assert basis == raise_order(f, first, sigma2) == pmbasis(f, sigma2, shift)
+        _check_order_basis(basis, f, sigma2, shift or [0] * n)
+
+
+def test_raise_order_rejects_mixed_orders(f97):
+    f = SeriesMatrix.zero(f97, 6, 3, 2)
+    low, high = mbasis(f.slice(0, 2), 2), mbasis(f.slice(0, 4), 4)
+    with pytest.raises(ValueError, match="raised together"):
+        raise_order([f, f], [low, high], 6)
+    with pytest.raises(ValueError, match="raised together"):
+        raise_order(f, high, 3)
+    with pytest.raises(OrderExceedsData):
+        raise_order(f, low, 7)

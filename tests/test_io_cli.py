@@ -146,6 +146,52 @@ def test_cli_bad_numeric_argument_exits_without_traceback(argv, code, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("parse error" if code == 4 else "error")
 
 
+@pytest.mark.parametrize("verb, shape, argv", [
+    ("mbasis", (4, 2), ["--order", "10"]),
+    ("reconstruct", (3, 3), ["--dl", "10", "--dr", "1"]),
+    ("expand", (3, 3), ["--h", "5", "--delta", "10"]),
+])
+def test_cli_size_argument_beyond_max_coeffs_exits_3(tmp_path, f97, monkeypatch, capsys,
+                                                    verb, shape, argv):
+    # with the bound at 64 coefficients, each request needs more than 64 of them: refused
+    # before allocating, as io.MAX_COEFFS = 2^24 refuses --order 10^12 and the like
+    path = tmp_path / "a.pm"
+    pmio.save(path, pk.rand_instance(*shape, 2, 1, field=f97))
+    monkeypatch.setattr(pmio, "MAX_COEFFS", 64)
+    assert main(["--seed", "1", verb, str(path), *argv, "-o", str(tmp_path / "o.pm")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "more than 64" in err
+
+
+@pytest.mark.parametrize("verb, argv", [
+    ("mbasis", ["--order", "1000000000000"]),
+    ("reconstruct", ["--dl", "1000000000000", "--dr", "1"]),
+    ("mbasis", ["--order", "-1"]),
+    ("reconstruct", ["--dl", "-5", "--dr", "1"]),
+    ("expand", ["--h", "5", "--delta", "-3"]),
+    ("expand", ["--h", "-5", "--delta", "3"]),
+])
+def test_cli_bad_size_argument_exits_3(tmp_path, f97, capsys, verb, argv):
+    path = tmp_path / "a.pm"
+    pmio.save(path, pk.rand_instance(3, 3, 2, 1, field=f97))
+    assert main(["--seed", "1", verb, str(path), *argv]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_cli_expand_at_a_huge_order_reads_b_only_where_it_checks(tmp_path, f97, capsys):
+    # the recurrence check takes B's orders [h0, h0 + length), not a series of order h
+    path = tmp_path / "a.pm"
+    a = pk.rand_instance(3, 3, 2, 1, field=f97)
+    pmio.save(path, a)
+    out = tmp_path / "s.pm"
+    h = 10**14
+    assert main(["--seed", "1", "expand", str(path), "--h", str(h), "--delta", "3",
+                 "-o", str(out)]) == 0
+    want = pk.expansion_slice(a, PolyMatrix.identity(f97, 3), h, 3)
+    assert np.array_equal(pmio.load(out).coeffs, want.coeffs)
+
+
 @pytest.mark.parametrize("argv", [["rand", "--n", "x", "--m", "2", "--d", "1"],
                                   ["bench", "--op", "det", "--grid", "-1x2"]])
 def test_cli_usage_error_exits_4(argv, capsys):
@@ -558,3 +604,21 @@ def test_cli_calls_share_no_state(tmp_path, fd, files, capsys):
     assert main(["--seed", "7", "rand", *dims, "-o", str(second)]) == 0
     assert pmio.load(first) == pk.rand_instance(2, 3, 1, 5, field=fd)
     assert pmio.load(second) == pk.rand_instance(2, 3, 1, 7, field=fd)
+
+
+def test_bench_nullspace_times_the_sweep_on_planted_rank(capsys, monkeypatch):
+    bench_mod = importlib.import_module("polymatkit.bench")
+    timed = []
+    real = bench_mod.general_nullspace
+
+    def spy(a, seed):
+        found = real(a, seed)
+        timed.append((a.rows, a.cols, found.input_rank))
+        return found
+
+    monkeypatch.setattr(bench_mod, "general_nullspace", spy)
+    report = pk.bench("nullspace", [(4, 2), (8, 2)], reps=1, seed=1)
+    assert timed == [(4, 4, 3)] * 2 + [(8, 8, 7)] * 2
+    assert [r["n"] for r in report.n_ratios] == [4]
+    assert main(["bench", "--op", "nullspace", "--grid", "1x2,2x1", "--reps", "1"]) == 0
+    assert "bench nullspace" in capsys.readouterr().out

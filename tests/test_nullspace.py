@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit import nullspace
+from polymatkit import approxbasis, nullspace
 from polymatkit.approxbasis import ApproximantBasis
 from polymatkit.errors import NullspaceCheckFailure, RankDeficient
 from polymatkit.nullspace import (
+    _kernel_bases,
     general_nullspace,
     minimal_vectors_up_to,
     partial_nullspace,
     rank,
 )
 from polymatkit.oracle import nullspace_bruteforce, true_rank
-from polymatkit.polymat import PolyMatrix
+from polymatkit.polymat import PolyMatrix, int_degree
 
 
 def singular_2x2(fd):
@@ -205,9 +206,9 @@ def test_general_nullspace_outer_product(fd, rng):
 
 
 def _dependent_basis(monkeypatch):
-    """Make minimal_vectors_up_to return each basis's first row repeated: it still
+    """Make the sweep's row selection return each basis's first row repeated: it still
     annihilates A, but it is dependent at every point, which no minimal basis is."""
-    real = nullspace.minimal_vectors_up_to
+    real = nullspace._select
 
     def repeat_first(found):
         if not found.row_count:
@@ -215,10 +216,10 @@ def _dependent_basis(monkeypatch):
         row = found.matrix.take_rows([0] * found.row_count)
         return nullspace.NullspaceBasis(row, [found.kronecker_degrees[0]] * found.row_count)
 
-    def doubled(mats, delta):
-        return [repeat_first(found) for found in real(mats, delta)]
+    def doubled(mats, bases, delta):
+        return [repeat_first(found) for found in real(mats, bases, delta)]
 
-    monkeypatch.setattr(nullspace, "minimal_vectors_up_to", doubled)
+    monkeypatch.setattr(nullspace, "_select", doubled)
 
 
 def _rank_one_3x3(fd):
@@ -267,16 +268,101 @@ def test_general_nullspace_small_fields_match_bruteforce(p):
 
 def test_general_nullspace_sweep_starts_at_d_and_doubles(fd, monkeypatch):
     deltas = []
-    real = nullspace.minimal_vectors_up_to
+    real = nullspace._select
 
-    def spy(a, delta):
+    def spy(mats, bases, delta):
         deltas.append(delta)
-        return real(a, delta)
+        return real(mats, bases, delta)
 
-    monkeypatch.setattr(nullspace, "minimal_vectors_up_to", spy)
+    monkeypatch.setattr(nullspace, "_select", spy)
     a = pk.rand_instance(8, 8, 4, 17, profile="planted-rank", rank=6, field=fd)
     assert general_nullspace(a, 1).row_count == 2
     assert deltas == [4, 8]
+
+
+def test_minimal_vectors_delta_clamped_at_the_kronecker_bound(f97, tmp_path, capsys):
+    # no Kronecker index exceeds rows * deg = 8, so a huge delta selects the delta = 8 rows
+    a = pk.rand_instance(4, 2, 2, 1, field=f97)
+    at_bound = minimal_vectors_up_to(a, 8)
+    assert at_bound.row_count == 2
+    assert minimal_vectors_up_to(a, 10**12) == minimal_vectors_up_to(a, 9) == at_bound
+    b = pk.rand_instance(4, 2, 1, 2, field=f97)
+    assert minimal_vectors_up_to([a, b], 10**12) == [at_bound, minimal_vectors_up_to(b, 8)]
+    from polymatkit import io as pmio
+    from polymatkit.cli import main
+
+    path = tmp_path / "a.pm"
+    pmio.save(path, a)
+    outs = []
+    for delta in ("8", "1000000000000"):
+        out = tmp_path / f"v{delta}.pm"
+        assert main(["--seed", "1", "nullspace", str(path), "--delta", delta, "-o", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1] and capsys.readouterr().err.count("# rows 2") == 2
+
+
+def _sweep_reference(mats, counts, delta):
+    """Per matrix, (minimal_vectors_up_to at its last cap, its caps): the sweep's caps
+    delta, 2 delta, ..., at most the largest bound, each from its own order-0 basis."""
+    out, todo = [None] * len(mats), list(range(len(mats)))
+    bounds = [max(a.rows * int_degree(a), 1) for a in mats]
+    while todo:
+        cap = min(delta, max(bounds[i] for i in todo))
+        for i in todo:
+            out[i] = (minimal_vectors_up_to(mats[i], cap), (out[i] or (None, []))[1] + [cap])
+        todo = [i for i in todo if out[i][0].row_count < counts[i] and cap < bounds[i]]
+        delta = max(2 * delta, 1)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 97, 2013265921])
+def test_sweep_equals_one_call_at_the_final_cap(p):
+    # the sweep raises each cap's order basis to the next; one order-0 call at the
+    # last cap must give the same rows, on inputs that need two caps or more
+    fld = pk.get_field(p)
+    mats = [pk.rand_instance(8, 8, 4, 17, profile="planted-rank", rank=6, field=fld),
+            pk.rand_instance(6, 6, 2, 4, profile="planted-rank", rank=5, field=fld),
+            pk.rand_instance(7, 4, 1, 9, field=fld),
+            pk.rand_instance(6, 3, 2, 5, field=fld)]
+    counts = [2, 1, 3, 3]
+    caps_seen = []
+    for a, count in zip(mats, counts):
+        [(want, caps)] = _sweep_reference([a], [count], int_degree(a))
+        caps_seen.append(len(caps))
+        assert _kernel_bases([a], [count], int_degree(a)) == [want]
+    assert caps_seen == [2, 3, 2, 1]
+    # a batch of one shape, whose matrices finish at different caps
+    batch = [pk.rand_instance(6, 6, 2, seed, profile="planted-rank", rank=rank, field=fld)
+             for seed, rank in ((4, 5), (5, 3), (6, 4))]
+    want = _sweep_reference(batch, [1, 3, 2], 2)
+    assert _kernel_bases(batch, [1, 3, 2], 2) == [found for found, _ in want]
+    assert [len(caps) for _, caps in want] == [3, 1, 1]
+
+
+def _orders(monkeypatch):
+    """Record the order of every mbasis call: the sweep's total M-Basis orders."""
+    sigmas = []
+    real = approxbasis.mbasis
+
+    def spy(f, sigma, shift=None):
+        sigmas.append(sigma)
+        return real(f, sigma, shift)
+
+    monkeypatch.setattr(approxbasis, "mbasis", spy)
+    return sigmas
+
+
+def test_sweep_runs_each_order_once(fd, monkeypatch):
+    # caps 4 and 8 need orders 9 and 13: raising the first basis runs 9 + 4 orders,
+    # where a basis from order 0 at each cap would run 9 + 13
+    sigmas = _orders(monkeypatch)
+    a = pk.rand_instance(8, 8, 4, 17, profile="planted-rank", rank=6, field=fd)
+    assert general_nullspace(a, 1).row_count == 2
+    assert sum(sigmas) == 13
+    sigmas.clear()
+    b, a = pk.rand_instance(4, 8, 4, 3, field=fd), pk.rand_instance(8, 8, 4, 4, field=fd)
+    assert pk.left_factorization(b, a, 1).denominator.rows == 4
+    assert sum(sigmas) == 13
 
 
 def test_monotonicity_of_thresholds(fd, rng):

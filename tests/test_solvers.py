@@ -348,11 +348,11 @@ def test_2x2_level_needs_no_order_basis(fd, rng, n, d, monkeypatch):
     # has 4 rows or fewer
     rows = []
 
-    def spy(a, delta, inner=minimal_vectors_up_to):
-        rows.extend(m.rows for m in ([a] if isinstance(a, PolyMatrix) else a))
-        return inner(a, delta)
+    def spy(mats, bases, delta, inner=nullspace._select):
+        rows.extend(m.rows for m in mats)
+        return inner(mats, bases, delta)
 
-    monkeypatch.setattr(nullspace, "minimal_vectors_up_to", spy)  # both recursions' sweep
+    monkeypatch.setattr(nullspace, "_select", spy)  # both recursions' sweep, at every cap
     a = nonsingular_at_zero(fd, n, d, rng)
     generic_inverse(a, 0)
     generic_det(a, 0)
