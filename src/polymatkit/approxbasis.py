@@ -4,20 +4,18 @@
 & Villard (ISSAC 2003): one elimination gives the row rank profile of the
 shifted-degree-sorted constant residual, one product over the pivot rows'
 live slices makes the dependent rows kernel rows, and pivot rows are
-multiplied by x. ``raise_order`` takes bases of one order to a higher one for
-the same series: it computes the residual, a second basis of the residual
-and one product. ``pmbasis`` is the divide-and-conquer wrapper that
-computes bases of half the order and raises them; the nullspace sweep
-raises each degree cap's bases to the next cap the same way. All return a
-basis N with N * F = 0 mod x**sigma whose sorted shifted row degrees are the
+multiplied by x. ``pmbasis`` computes the basis of half the order and
+raises it by a basis of the residual and one product. Both return a basis N
+with N * F = 0 mod x**sigma whose sorted shifted row degrees are the
 minimal indices of the approximant module.
 
-All also take a batch of B same-shape series (one level of the generic
-inverse or determinant), whose orders share one sort, one elimination on
-the block diagonal of the B residuals and one product, and whose
-``raise_order`` makes one batched residual and one batched final product:
-the Python work is paid once, not B times, and each basis is what its own
-call returns.
+Beneath them, ``_mbasis``, ``_raise`` and ``_pmbasis`` run on int64 residue
+arrays: B same-shape series as one (L, B, n, m) array, with (B, n) shifts
+and shifted row degrees and (L, B, n, n) bases. The B problems of an order
+share one sort, one block-diagonal elimination and one product, and a raise
+makes one residual and one product, so the Python work is paid once, not B
+times; each basis is what its own call returns. The nullspace sweep runs
+them on all column halves of a recursion level at once.
 """
 
 from __future__ import annotations
@@ -28,16 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DimensionMismatch, OrderExceedsData
+from .errors import OrderExceedsData
 from .linalg import PRODUCT_MULTS, mul_unreduced, rref, split_right
 from .poly import MINUS_INFINITY
-from .polymat import (PolyMatrix, SeriesMatrix, entry_degrees, int_degree, pm_mul, pm_mul_batch,
+from .polymat import (PolyMatrix, SeriesMatrix, _mul_stacked, _normalize, entry_degrees, pm_mul,
                       row_degrees)
 
 # Below this order the recursion bottoms out into the iterative algorithm.
 PMBASIS_THRESHOLD = 64
 # Cells of the block-diagonal rref operand of one mbasis batch, B**2 n m: a
-# pivot step updates all of it, so pmbasis cuts larger batches. For
+# pivot step updates all of it, so _mbasis cuts larger batches. For
 # generic_inverse at n = 16-64, 128 to 1024 read alike; 2048 and no cut were slower.
 BATCH_CELLS = 512
 
@@ -61,9 +59,22 @@ class ApproximantBasis:
     def rows_up_to(self, degree: int) -> tuple[PolyMatrix, list]:
         """The basis rows of degree at most ``degree``, sorted by (degree, index),
         and their degrees."""
-        picked = sorted((d, i) for i, d in enumerate(self.row_degrees)
-                        if d != MINUS_INFINITY and d <= degree)
-        return self.basis.take_rows([i for _, i in picked]), [d for d, _ in picked]
+        cap = min(degree, len(self.basis.coeffs))  # no row degree reaches it: the same rows
+        degs = [cap + 1 if d == MINUS_INFINITY else d for d in self.row_degrees]  # not zero rows
+        rows, [picked] = _rows_up_to(self.basis.coeffs[:, None], np.array([degs]), cap)
+        return PolyMatrix._canonical(self.basis.field, rows[:, 0]), picked
+
+
+def _rows_up_to(bases: np.ndarray, degrees: np.ndarray, cap: int) -> tuple:
+    """Per problem of the (L, B, n, n) bases, its rows whose (B, n) degrees are at
+    most cap, sorted by (degree, index) and zero-padded to the largest count k:
+    the (L, B, k, n) rows and the B lists of their degrees."""
+    counts = (degrees <= cap).sum(axis=1)
+    order = np.argsort(degrees, axis=1, kind="stable")
+    at = np.arange(len(order))[:, None], order[:, :counts.max(initial=0)]
+    rows = bases[:, at[0], at[1]]
+    rows[:, np.arange(at[1].shape[1]) >= counts[:, None]] = 0  # the padding
+    return rows, [degs[:c] for degs, c in zip(degrees[at].tolist(), counts.tolist())]
 
 
 def series_product(a: PolyMatrix, f: SeriesMatrix, order: int) -> SeriesMatrix:
@@ -79,25 +90,10 @@ def shifted_row_degrees(a: PolyMatrix, shift) -> list:
     return [int(d) if d != low else MINUS_INFINITY for d in shifted.max(axis=1, initial=low)]
 
 
-def _as_batch(f, sigma: int, shift) -> tuple[list, list]:
-    """(series, normalized shifts) of one SeriesMatrix or of a batch of them."""
-    fs, shifts = ([f], [shift]) if isinstance(f, SeriesMatrix) else (list(f), shift)
-    shifts = [None] * len(fs) if shifts is None else list(shifts)
-    if not fs or len(shifts) != len(fs) or len({(g.rows, g.cols) for g in fs}) > 1:
-        raise DimensionMismatch("a batch needs one or more series of one shape, one shift each")
-    for g, s in zip(fs, shifts):
-        if sigma > g.order:
-            raise OrderExceedsData(f"order {sigma} exceeds stored series order {g.order}")
-        if s is not None and len(s) != g.rows:
-            raise ValueError("shift length must equal the row count")
-    return fs, [[0] * g.rows if s is None else list(s) for g, s in zip(fs, shifts)]
-
-
-def mbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis | list:
-    """Iterative minimal approximant basis of order sigma for f.
-
-    For a list f of B series, ``shift`` is None or a list of B shifts, and
-    the result is the list of their B bases.
+def _mbasis(f: np.ndarray, sigma: int, shifts: np.ndarray, field) -> tuple:
+    """Iterative order-sigma bases of the (L, B, n, m) series f, zero past its L
+    slices, for the (B, n) shifts: the (L', B, n, n) bases, trimmed and
+    contiguous, and their (B, n) shifted row degrees.
 
     Order k costs one elimination and one product (GJV 2003). With the rows
     sorted by (shifted degree, index), the pivot columns of ``rref`` of the
@@ -105,118 +101,115 @@ def mbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis |
     becomes row - lambda * (pivot rows), lambda read off the non-pivot
     columns: its constant residual vanishes and its shifted degree does not
     grow, as the pivot rows sort before it. Each pivot row is multiplied by
-    x. Row b n + i of ``state`` is residual row i of problem b, then basis
+    x and its counter, which starts at its shift, grows by 1. The basis
+    ends with det N = x**(sum of pivots) and shifted row degrees at most the
+    counters, so they equal the counters: it is shift-reduced.
+
+    Row b n + i of ``state`` is residual row i of problem b, then basis
     row i: the live slices (residual k + 1 on, basis to the pivot rows'
-    degree bound) are one column range. The B sorted residuals sit on the
-    block diagonal of the ``rref`` operand, so no pivot and no multiplier
-    mixes two problems.
+    degree bound) are one column range. The residuals of a group of at most
+    sqrt(BATCH_CELLS / (n m)) problems sit on the block diagonal of the
+    ``rref`` operand, so no pivot and no multiplier mixes two problems.
     """
-    fs, shifts = _as_batch(f, sigma, shift)
-    f0, batch = fs[0], len(fs)
-    p, n, m = f0.field.p, f0.rows, f0.cols
-
+    p, (batch, n, m) = field.p, f.shape[1:]
+    group = max(1, math.isqrt(BATCH_CELLS // max(n * m, 1)))
+    parts, degrees = [], shifts.astype(np.int64)
     split = sigma * m
-    state = np.zeros((batch * n, split + (sigma + 1) * n), dtype=np.int64)
-    resid = state[:, :split].reshape(batch * n, sigma, m)
-    basis = state[:, split:].reshape(batch * n, sigma + 1, n)
-    for b, g in enumerate(fs):
-        resid[b * n:(b + 1) * n] = g.coeffs[:sigma].transpose(1, 0, 2)
-    basis[:, 0] = np.tile(np.eye(n, dtype=np.int64), (batch, 1))
-    # sort keys: problem b's shifted degrees plus b * span (more than a key grows in
-    # sigma orders), so one stable sort orders the rows by (problem, degree, index)
-    low = min(min(s, default=0) for s in shifts)
-    span = max(max(s, default=0) for s in shifts) - low + sigma + 1
-    work = np.array([x - low + b * span for b, s in enumerate(shifts) for x in s], dtype=np.int64)
-    degs = np.zeros(batch * n, dtype=np.int64)  # per-row degree bound of basis
-    # rref operand; every order overwrites exactly its diagonal blocks
-    diag = np.zeros((batch * m, batch * n), dtype=np.int64)
-    blocks = as_strided(diag, (batch, m, n), (diag.strides[0] * m + diag.strides[1] * n,
-                                              *diag.strides))
+    # sort keys: the counters plus b * span (more than a counter grows in sigma orders),
+    # so one stable sort orders the rows by (problem, degree, index)
+    span = int(degrees.max(initial=0)) - int(degrees.min(initial=0)) + sigma + 1
+    for first in range(0, batch, group):
+        part, count = slice(first, first + group), min(group, batch - first)
+        state = np.zeros((count * n, split + (sigma + 1) * n), dtype=np.int64)
+        resid = state[:, :split].reshape(count * n, sigma, m)
+        basis = state[:, split:].reshape(count * n, sigma + 1, n)
+        given = f[:sigma, part]
+        resid.reshape(count, n, sigma, m)[:, :, :len(given)] = given.transpose(1, 2, 0, 3)
+        basis[:, 0] = np.tile(np.eye(n, dtype=np.int64), (count, 1))
+        offset = np.repeat(np.arange(count, dtype=np.int64) * span, n)
+        work = degrees[part].reshape(-1) + offset
+        degs = np.zeros(count * n, dtype=np.int64)  # per-row degree bound of basis
+        # rref operand; every order overwrites exactly its diagonal blocks
+        diag = np.zeros((count * m, count * n), dtype=np.int64)
+        blocks = as_strided(diag, (count, m, n), (diag.strides[0] * m + diag.strides[1] * n,
+                                                  *diag.strides))
 
-    for k in range(sigma):
-        order_rows = np.argsort(work, kind="stable")
-        blocks[:] = resid[order_rows, k].reshape(batch, n, m).transpose(0, 2, 1)
-        echelon, piv, _ = rref(diag, p)
-        if not piv:
-            continue
-        free = np.ones(batch * n, dtype=bool)
-        free[piv] = False
-        piv_rows, dep_rows = order_rows[piv], order_rows[free]
-        top = int(degs[piv_rows].max()) + 1
-        if dep_rows.size:
-            lam = echelon[:len(piv), free].T
-            end, step = split + top * n, max(1, PRODUCT_MULTS // lam.size)
-            for lo in range((k + 1) * m, end, step):
-                live = slice(lo, min(lo + step, end))
-                pivot_part = mul_unreduced(lam, split_right(state[piv_rows, live]), p)
-                upd = state[dep_rows, live] - pivot_part
-                upd %= p  # reduces the product and the subtraction at once
-                state[dep_rows, live] = upd
-            degs[dep_rows] = np.maximum(degs[dep_rows], top - 1)
-        basis[piv_rows, 1:top + 1] = basis[piv_rows, :top]
-        basis[piv_rows, 0] = 0
-        resid[piv_rows, k + 1:] = resid[piv_rows, k:-1]
-        work[piv_rows] += 1
-        degs[piv_rows] += 1
-
-    out = []
-    for b, s in enumerate(shifts):
-        rows = basis[b * n:(b + 1) * n]
-        mat = PolyMatrix._canonical(f0.field, np.ascontiguousarray(rows.transpose(1, 0, 2)))
-        out.append(ApproximantBasis(mat, sigma, row_degrees(mat), s))
-    return out[0] if isinstance(f, SeriesMatrix) else out
+        for k in range(sigma):
+            order_rows = np.argsort(work, kind="stable")
+            blocks[:] = resid[order_rows, k].reshape(count, n, m).transpose(0, 2, 1)
+            echelon, piv, _ = rref(diag, p)
+            if not piv:
+                continue
+            free = np.ones(count * n, dtype=bool)
+            free[piv] = False
+            piv_rows, dep_rows = order_rows[piv], order_rows[free]
+            top = int(degs[piv_rows].max()) + 1
+            if dep_rows.size:
+                lam = echelon[:len(piv), free].T
+                end, step = split + top * n, max(1, PRODUCT_MULTS // lam.size)
+                for lo in range((k + 1) * m, end, step):
+                    live = slice(lo, min(lo + step, end))
+                    pivot_part = mul_unreduced(lam, split_right(state[piv_rows, live]), p)
+                    upd = state[dep_rows, live] - pivot_part
+                    upd %= p  # reduces the product and the subtraction at once
+                    state[dep_rows, live] = upd
+                degs[dep_rows] = np.maximum(degs[dep_rows], top - 1)
+            basis[piv_rows, 1:top + 1] = basis[piv_rows, :top]
+            basis[piv_rows, 0] = 0
+            resid[piv_rows, k + 1:] = resid[piv_rows, k:-1]
+            work[piv_rows] += 1
+            degs[piv_rows] += 1
+        parts.append(basis.reshape(count, n, sigma + 1, n).transpose(2, 0, 1, 3))
+        degrees[part] = (work - offset).reshape(count, n)
+    return _normalize(np.concatenate(parts, axis=1)), degrees
 
 
-def raise_order(f: SeriesMatrix | list, firsts: ApproximantBasis | list,
-                sigma: int) -> ApproximantBasis | list:
-    """The bases of order sigma for f from its bases ``firsts`` of a lower order.
+def _raise(f: np.ndarray, half: int, bases: np.ndarray, degrees: np.ndarray, sigma: int,
+           field) -> tuple:
+    """``_pmbasis(f, sigma, shifts)``, bit for bit, from ``_pmbasis(f[:half], half,
+    shifts)``: the trimmed bases N1 of order ``half`` and their shifted row degrees.
 
-    ``firsts`` share one order sigma1 <= sigma and carry their shifts. The
-    step is the second half of ``pmbasis``: the residual, slices [sigma1,
-    sigma) of N1 * F; the shifted row degrees of N1 as the new shift; the
-    order-(sigma - sigma1) basis N2 of the residual; and N2 * N1. An M-Basis
-    basis is shift-reduced, so N1's shifted row degrees are the counters that
-    ``mbasis`` sorts by, the raised run picks every pivot of the straight run,
-    and the result is what ``pmbasis(f, sigma, shift)`` returns, bit for bit.
-    A batch (lists f and firsts) makes one batched residual and one batched product.
+    The residual is slices [half, sigma) of N1 F, N1's degrees are the shift
+    of the order-(sigma - half) basis N2 of the residual, and the result is
+    N2 N1. As N1 is shift-reduced, its degrees are the counters that
+    ``_mbasis`` sorts by, so the raised run picks every pivot of the straight run.
     """
-    single = isinstance(f, SeriesMatrix)
-    fs, firsts = ([f], [firsts]) if single else (list(f), list(firsts))
-    fs, shifts = _as_batch(fs, sigma, [first.shift for first in firsts])
-    half = firsts[0].order
-    if any(first.order != half for first in firsts) or half > sigma:
-        raise ValueError(f"bases of orders {[first.order for first in firsts]} "
-                         f"cannot be raised together to order {sigma}")
-    # slices [half, sigma) of N * F need F only from half - deg N on
-    los = [max(half - int_degree(first.basis), 0) for first in firsts]
-    prods = pm_mul_batch([first.basis for first in firsts],
-                         [g.slice(lo, sigma).to_polymat() for g, lo in zip(fs, los)])
-    resids = [prod.to_series(sigma - lo).slice(half - lo, sigma - lo)
-              for prod, lo in zip(prods, los)]
-    # zero rows cannot occur in a non-singular basis, but keep the sort total
-    shifts2 = [[int(d) if d != MINUS_INFINITY else 0 for d in shifted_row_degrees(first.basis, s)]
-               for first, s in zip(firsts, shifts)]
-    seconds = pmbasis(resids, sigma - half, shifts2)
-    mats = pm_mul_batch([second.basis for second in seconds], [first.basis for first in firsts])
-    out = [ApproximantBasis(mat, sigma, row_degrees(mat), s) for mat, s in zip(mats, shifts)]
-    return out[0] if single else out
+    # slices [half, sigma) of N1 F need F only from half - deg N1 on; F is zero past its length
+    lo = max(half - (len(bases) - 1), 0)
+    resid = _mul_stacked(bases, _normalize(f[lo:sigma]), field)[half - lo:sigma - lo]
+    second, degrees = _pmbasis(resid, sigma - half, degrees, field)
+    return _mul_stacked(second, bases, field), degrees
 
 
-def pmbasis(f: SeriesMatrix | list, sigma: int, shift=None) -> ApproximantBasis | list:
-    """Divide-and-conquer order basis; same contract as mbasis.
-
-    Above PMBASIS_THRESHOLD it computes the bases of order ceil(sigma / 2)
-    and raises them to sigma with ``raise_order``. A batch runs in groups of
-    at most sqrt(BATCH_CELLS / (n m)) problems; the residuals and the final
-    products of a group are one batched product each.
-    """
-    fs, shifts = _as_batch(f, sigma, shift)
-    group = max(1, math.isqrt(BATCH_CELLS // max(fs[0].rows * fs[0].cols, 1)))
-    if len(fs) > group:
-        return [basis for i in range(0, len(fs), group)
-                for basis in pmbasis(fs[i:i + group], sigma, shifts[i:i + group])]
+def _pmbasis(f: np.ndarray, sigma: int, shifts: np.ndarray, field) -> tuple:
+    """Divide-and-conquer order bases, with ``_mbasis``'s contract: above
+    PMBASIS_THRESHOLD, the bases of order ceil(sigma / 2) raised to sigma."""
     if sigma <= PMBASIS_THRESHOLD:
-        return mbasis(f, sigma, shift)
+        return _mbasis(f, sigma, shifts, field)
     half = (sigma + 1) // 2
-    out = raise_order(fs, pmbasis([g.slice(0, half) for g in fs], half, shifts), sigma)
-    return out[0] if isinstance(f, SeriesMatrix) else out
+    return _raise(f, half, *_pmbasis(f[:half], half, shifts, field), sigma, field)
+
+
+def _basis(engine, f: SeriesMatrix, sigma: int, shift) -> ApproximantBasis:
+    """The order-sigma basis of f from ``engine`` (``_mbasis`` or ``_pmbasis``)."""
+    if sigma < 0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if sigma > f.order:
+        raise OrderExceedsData(f"order {sigma} exceeds stored series order {f.order}")
+    shift = [0] * f.rows if shift is None else list(shift)
+    if len(shift) != f.rows:
+        raise ValueError("shift length must equal the row count")
+    bases, _ = engine(f.coeffs[:, None], sigma, np.array([shift], dtype=np.int64), f.field)
+    mat = PolyMatrix._canonical(f.field, np.ascontiguousarray(bases[:, 0]))
+    return ApproximantBasis(mat, sigma, row_degrees(mat), shift)
+
+
+def mbasis(f: SeriesMatrix, sigma: int, shift=None) -> ApproximantBasis:
+    """Iterative minimal approximant basis of order sigma for f, one order at a
+    time (``_mbasis``); ``shift`` None is the zero shift."""
+    return _basis(_mbasis, f, sigma, shift)
+
+
+def pmbasis(f: SeriesMatrix, sigma: int, shift=None) -> ApproximantBasis:
+    """Divide-and-conquer order basis (``_pmbasis``); same contract as mbasis."""
+    return _basis(_pmbasis, f, sigma, shift)

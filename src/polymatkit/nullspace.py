@@ -5,10 +5,12 @@ contains exactly the minimal nullspace vectors of degree at most delta
 (their degrees are the left Kronecker indices). The routines here select
 those rows and always verify v A = 0 exactly before returning (Las Vegas
 contract). One degree sweep, ``_kernel_bases``, serves ``general_nullspace``
-(and so the exact ``rank``) and the solvers' left factorization and inverse;
-at each doubled cap it raises every matrix's order basis from the previous
-cap's (``approxbasis.raise_order``) instead of recomputing it from order 0.
-It needs no random point, so it runs over any field, GF(2) and GF(3) too.
+(and so the exact ``rank``) and the solvers: it takes B same-shape matrices
+as one (L, B, r, c) residue array, returns their kernel rows as one
+zero-padded (L, B, k, r) array, and at each doubled cap raises every order
+basis from the previous cap's (``approxbasis._raise``) instead of
+recomputing it from order 0. It needs no random point, so it runs over any
+field, GF(2) and GF(3) too.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approxbasis import pmbasis, raise_order
+from .approxbasis import _pmbasis, _raise, _rows_up_to
 from .errors import NullspaceCheckFailure, RankDeficient
 from .linalg import rank as const_rank
-from .polymat import PolyMatrix, int_degree, is_row_reduced, pm_eval, pm_mul_batch
+from .polymat import PolyMatrix, _mul_stacked, _normalize, int_degree, is_row_reduced, pm_eval
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,6 @@ class NullspaceBasis:
         return self.matrix.rows
 
 
-def _empty_basis(a: PolyMatrix, input_rank=None) -> NullspaceBasis:
-    empty = PolyMatrix(a.field, np.zeros((1, 0, a.rows), dtype=np.int64))
-    return NullspaceBasis(empty, [], input_rank)
-
-
 def rank(a: PolyMatrix, seed=None) -> int:
     """Exact rank of A over K(x), over any field: the ``input_rank`` of
     ``general_nullspace`` on the side of A with fewer rows. ``seed`` only
@@ -48,63 +45,70 @@ def rank(a: PolyMatrix, seed=None) -> int:
     return general_nullspace(a if a.rows <= a.cols else a.transpose(), seed).input_rank
 
 
-def _select(mats: list, bases: list, delta: int) -> list:
-    """Per matrix A, the rows of its order basis of degree at most delta, certified
-    to annihilate A by one batched product check per selected row count."""
-    picks = [basis.rows_up_to(delta) for basis in bases]
-    by_count = {}
-    for j, (rows, _) in enumerate(picks):
-        if rows.rows:
-            by_count.setdefault(rows.rows, []).append(j)
-    for idx in by_count.values():
-        if not all(c.is_zero() for c in pm_mul_batch([picks[j][0] for j in idx],
-                                                     [mats[j] for j in idx])):
-            raise NullspaceCheckFailure("order-basis rows of degree <= delta do not annihilate A")
-    return [NullspaceBasis(rows, degs) if rows.rows else _empty_basis(a)
-            for a, (rows, degs) in zip(mats, picks)]
+def _select(a: np.ndarray, bases: np.ndarray, degrees: np.ndarray, cap: int, field) -> tuple:
+    """The rows of degree at most cap of the order bases of the (L, B, r, c)
+    matrices a, as ``approxbasis._rows_up_to`` returns them, certified to
+    annihilate their matrices by one product check."""
+    rows, found = _rows_up_to(bases, degrees, cap)
+    if _mul_stacked(rows, a, field).any():
+        raise NullspaceCheckFailure("order-basis rows of degree <= delta do not annihilate A")
+    return rows, found
 
 
-def _kronecker_bound(a: PolyMatrix) -> int:
-    """rows * deg(A), at least 1: no left Kronecker index of A exceeds it, so
-    every degree cap at or above it selects the same rows."""
-    return max(a.rows * int_degree(a), 1)
+def _gather(parts: list, batch: int) -> np.ndarray:
+    """The (L, batch, k, c) array of (indices, (L', len(indices), k', c) array)
+    parts that cover the batch in order, zero-padded: one part is all of it."""
+    if len(parts) == 1:
+        return parts[0][1]
+    length, k = (max(arr.shape[axis] for _, arr in parts) for axis in (0, 2))
+    out = np.zeros((length, batch, k, parts[0][1].shape[3]), dtype=np.int64)
+    for idx, arr in parts:
+        out[:len(arr), idx, :arr.shape[2]] = arr
+    return out
 
 
-def _cap_step(mats: list, bases: list, delta: int) -> tuple[int, list, list]:
-    """One degree cap for the matrices in ``mats``: (cap, order bases, nullspace bases).
+def _cap_step(a: np.ndarray, state, delta: int, field) -> tuple:
+    """One degree cap for the (L, B, r, c) matrices a: (complete, state, rows, degrees).
 
-    The cap is delta, clamped at the largest Kronecker bound. Matrix A's
-    order basis of order cap + deg(A) + 1 is ``pmbasis``'s, or its basis in
-    ``bases`` raised to that order (None: from order 0), batched by (old
-    order, new order, shape); ``_select`` certifies its rows of degree <= cap.
+    The cap is delta, clamped at the largest Kronecker bound rows * deg(A),
+    at least 1: no left Kronecker index of A exceeds it, so a cap at or
+    above it selects the same rows and leaves A's basis ``complete``. A's
+    order basis of order cap + deg(A) + 1 is ``_pmbasis``'s (``state``
+    None: from order 0), or its basis in ``state`` = (orders, bases, shifted
+    row degrees) raised to that order, batched by (old order, new order).
+    ``_select`` certifies the rows of degree <= cap of all of them at once.
     """
-    cap = min(delta, max(map(_kronecker_bound, mats), default=0))
+    batch, r = a.shape[1], a.shape[2]
+    deg = (np.arange(len(a))[:, None] * a.any(axis=(2, 3))).max(axis=0)  # 0 for A = 0
+    bound = np.maximum(r * deg, 1)
+    cap = min(delta, int(bound.max()))
+    orders = cap + deg + 1
+    olds = np.zeros_like(orders) if state is None else state[0]
     groups = {}
-    for i, (a, basis) in enumerate(zip(mats, bases)):
-        key = (basis.order if basis else 0, cap + int_degree(a) + 1, a.rows, a.cols)
-        groups.setdefault(key, []).append(i)
-    raised, found = [None] * len(mats), [None] * len(mats)
-    for (old, sigma, _, _), idx in groups.items():
-        fs = [mats[i].to_series(sigma) for i in idx]
-        group = raise_order(fs, [bases[i] for i in idx], sigma) if old else pmbasis(fs, sigma)
-        for i, basis, kernel in zip(idx, group, _select([mats[i] for i in idx], group, cap)):
-            raised[i], found[i] = basis, kernel
-    return cap, raised, found
+    for b, key in enumerate(zip(olds.tolist(), orders.tolist())):
+        groups.setdefault(key, []).append(b)
+    parts, degrees = [], np.empty((batch, r), dtype=np.int64)
+    for (old, sigma), idx in groups.items():
+        if old:
+            got = _raise(a[:, idx], old, _normalize(state[1][:, idx]), state[2][idx], sigma, field)
+        else:
+            got = _pmbasis(a[:, idx], sigma, np.zeros((len(idx), r), dtype=np.int64), field)
+        parts.append((idx, got[0]))
+        degrees[idx] = got[1]
+    bases = _gather(parts, batch)
+    return (cap >= bound, (orders, bases, degrees), *_select(a, bases, degrees, cap, field))
 
 
-def minimal_vectors_up_to(a: PolyMatrix | list, delta: int) -> NullspaceBasis | list:
+def minimal_vectors_up_to(a: PolyMatrix, delta: int) -> NullspaceBasis:
     """All minimal left nullspace vectors of A of degree at most delta.
 
     Computes an order basis of order delta + deg(A) + 1 and keeps the rows
     of degree at most delta; those are certified by an exact product check.
     A delta above rows * deg(A), which no Kronecker index exceeds, is taken
-    as that bound. ``a`` may also be a list of matrices: the result is then
-    the list of their bases, from one batched order-basis call and one
-    batched check per shape and order, with delta clamped at the largest bound.
+    as that bound.
     """
-    batch = [a] if isinstance(a, PolyMatrix) else a
-    _, _, found = _cap_step(batch, [None] * len(batch), delta)
-    return found[0] if isinstance(a, PolyMatrix) else found
+    _, _, rows, [degs] = _cap_step(a.coeffs[:, None], None, delta, a.field)
+    return NullspaceBasis(PolyMatrix._canonical(a.field, rows[:, 0]), degs)
 
 
 def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:
@@ -122,24 +126,23 @@ def partial_nullspace(a: PolyMatrix, delta: int, seed=None) -> NullspaceBasis:
     return minimal_vectors_up_to(a, delta)
 
 
-def _kernel_bases(mats: list, counts: list, delta: int) -> list:
-    """Minimal nullspace bases of the matrices in ``mats``, one per matrix.
+def _kernel_bases(a: np.ndarray, counts: list, delta: int, field) -> tuple:
+    """Minimal nullspace bases of the (L, B, r, c) matrices a, as ``_select`` returns them.
 
     Sweeps degree caps delta, 2 delta, 4 delta, ... with one ``_cap_step``
     per cap for the matrices not done, each raising its order basis from
-    the previous cap's, so every order is computed once. Matrix i is done
-    when it has ``counts[i]`` rows, or when the cap reaches its rows * deg,
-    which no Kronecker index exceeds: then it is complete.
+    the previous cap's, so every order is computed once. Matrix b is done
+    when it has ``counts[b]`` rows, or when its basis is complete.
     """
-    out, bases = [None] * len(mats), [None] * len(mats)
-    todo = list(range(len(mats)))
-    while todo:
-        cap, raised, found = _cap_step([mats[i] for i in todo], [bases[i] for i in todo], delta)
-        for i, basis, kernel in zip(todo, raised, found):
-            bases[i], out[i] = basis, kernel
-        todo = [i for i in todo if out[i].row_count < counts[i] and cap < _kronecker_bound(mats[i])]
+    todo, state, parts, kron = np.arange(a.shape[1]), None, [], {}
+    while todo.size:
+        complete, (orders, bases, degrees), rows, found = _cap_step(a[:, todo], state, delta, field)
+        kron.update(zip(todo.tolist(), found))
+        done = complete | np.array([len(d) >= counts[b] for b, d in zip(todo, found)])
+        parts.append((todo[done], rows[:, done]))
+        todo, state = todo[~done], (orders[~done], bases[:, ~done], degrees[~done])
         delta = max(2 * delta, 1)
-    return out
+    return _normalize(_gather(parts, a.shape[1])), [kron[b] for b in range(a.shape[1])]
 
 
 def general_nullspace(a: PolyMatrix, seed=None) -> NullspaceBasis:
@@ -158,8 +161,9 @@ def general_nullspace(a: PolyMatrix, seed=None) -> NullspaceBasis:
         if r == min(n, a.cols):
             break
     if r == n:
-        return _empty_basis(a, input_rank=r)
-    [found] = _kernel_bases([a], [n - r], max(int_degree(a), 1))
-    if not is_row_reduced(found.matrix):
+        return NullspaceBasis(PolyMatrix.zero(a.field, 0, n), [], input_rank=r)
+    rows, [degs] = _kernel_bases(a.coeffs[:, None], [n - r], max(int_degree(a), 1), a.field)
+    found = PolyMatrix._canonical(a.field, rows[:, 0])
+    if not is_row_reduced(found):
         raise NullspaceCheckFailure("nullspace rows are dependent or not minimal: not row-reduced")
-    return NullspaceBasis(found.matrix, found.kronecker_degrees, input_rank=n - found.row_count)
+    return NullspaceBasis(found, degs, input_rank=n - found.rows)

@@ -358,7 +358,9 @@ _BLOCK_SLICES = 16
 
 def _mul_stacked(sa: np.ndarray, sb: np.ndarray, field: PrimeField) -> np.ndarray:
     """Pair by pair, (L, B, n, k) by (L', B, k, m) residue arrays: the (L'', B, n, m)
-    products, trimmed, from one kernel call."""
+    products, trimmed, from one kernel call (none for an empty operand)."""
+    if not (sa.size and sb.size):
+        return np.zeros((1, *sa.shape[1:3], sb.shape[3]), dtype=np.int64)
     out_len = sa.shape[0] + sb.shape[0] - 1
     length = min(sa.shape[0], sb.shape[0]) > _BLOCK_SLICES and ntt.transform_length(field, out_len)
     if length:

@@ -33,7 +33,7 @@ from .linalg import det as const_det
 from .nullspace import _kernel_bases, rank
 from .poly import Polynomial
 from .polymat import (
-    PolyMatrix, _mul_stacked, _normalize, _stack, entry_degrees, int_degree, is_row_reduced,
+    PolyMatrix, _mul_stacked, _normalize, entry_degrees, int_degree, is_row_reduced,
     pm_eval, pm_mul, pm_shift_var, pm_truncate, regular_value, row_degrees,
 )
 from .reconstruct import LeftFactorization, matfrac_rec
@@ -120,11 +120,10 @@ def _elimination_level(blocks: np.ndarray, field, expected_deg: int) -> tuple:
     halves = blocks.reshape(length, count, s, 2, half).transpose(0, 1, 3, 2, 4)
     halves = halves.reshape(length, 2 * count, s, half)
     # kernel i annihilates half i ^ 1 and multiplies half i: the right half's kernel on top
-    views = [PolyMatrix._canonical(field, halves[:, i ^ 1]) for i in range(2 * count)]
-    bases = _kernel_bases(views, [half] * (2 * count), expected_deg)
-    if any(basis.row_count > half for basis in bases):
+    kernels, _ = _kernel_bases(halves[:, np.arange(2 * count) ^ 1], [half] * (2 * count),
+                               expected_deg, field)
+    if kernels.shape[2] > half:
         raise SingularInput(f"a column half has more than {half} kernel rows: A is singular")
-    kernels = _stack([basis.matrix.coeffs for basis in bases])
     return kernels.reshape(-1, count, s, s), _mul_stacked(kernels, halves, field)
 
 
@@ -188,15 +187,15 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     n, size, d = a.rows, block.shape[1], int_degree(a)
     while block.shape[1] > 4:
         s = block.shape[1]
-        right = PolyMatrix._canonical(a.field, block[:, :, s // 2:])
-        [kernel] = _kernel_bases([right], [s // 2], size // s * d)
+        kernel, [kron] = _kernel_bases(block[:, None, :, s // 2:], [s // 2], size // s * d,
+                                       a.field)
         # at the top, the half is diag(A's last n - s/2 columns, I): bound those columns' minors
-        degs = entry_degrees(right)[:n, :n - s // 2]
+        degs = entry_degrees(PolyMatrix._canonical(a.field, block[:, :n, s // 2:n]))
         bound = min(degs.max(axis=0).sum(), np.sort(degs.max(axis=1))[-degs.shape[1]:].sum())
-        if sum(kernel.kronecker_degrees) != bound:
+        if sum(kron) != bound:
             raise GenericityFailure(f"at size {s} the right half's kernel degrees "
-                                    f"{kernel.kronecker_degrees} sum below their bound {bound}")
-        block = pm_mul(kernel.matrix, PolyMatrix._canonical(a.field, block[:, :, :s // 2])).coeffs
+                                    f"{kron} sum below their bound {bound}")
+        block = _mul_stacked(kernel, block[:, None, :, :s // 2], a.field)[:, 0]
     row0 = PolyMatrix._canonical(a.field, _adjugates(block[:, None], a.field)[:, 0, :1])
     b11 = pm_mul(row0, PolyMatrix._canonical(a.field, block[:, :, :1])).entry(0, 0)
     b11_x0, x1 = int(b11(x0)), (x0 + 1 + int(rng.integers(0, p - 1))) % p
@@ -286,13 +285,13 @@ def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactoriza
     if rank(a, seed) < n:
         raise SingularInput("A has rank below its dimension: A is singular")
     stacked = PolyMatrix.vstack([-a, b])
-    [basis] = _kernel_bases([stacked], [m], max(int_degree(stacked), 1))
-    if basis.row_count != m:
+    rows, _ = _kernel_bases(stacked.coeffs[:, None], [m], max(int_degree(stacked), 1), a.field)
+    if rows.shape[2] != m:
         raise ReconstructionFailure(
-            f"nullspace of the stacked matrix has {basis.row_count} rows, expected {m}"
+            f"nullspace of the stacked matrix has {rows.shape[2]} rows, expected {m}"
         )
-    numer = basis.matrix.take_cols(range(n))
-    denom = basis.matrix.take_cols(range(n, n + m))
+    numer = PolyMatrix._canonical(a.field, rows[:, 0, :, :n])
+    denom = PolyMatrix._canonical(a.field, rows[:, 0, :, n:])
     if pm_mul(numer, a) != pm_mul(denom, b):
         raise CertificateFailure("U A = V B product check failed")
     if rank(denom, seed) < m:

@@ -6,13 +6,14 @@ from polymatkit import approxbasis
 from polymatkit.approxbasis import (
     PMBASIS_THRESHOLD,
     ApproximantBasis,
+    _pmbasis,
+    _raise,
     mbasis,
     pmbasis,
-    raise_order,
     series_product,
     shifted_row_degrees,
 )
-from polymatkit.errors import DimensionMismatch, OrderExceedsData
+from polymatkit.errors import OrderExceedsData
 from polymatkit.field import DEFAULT_PRIME
 from polymatkit.linalg import rank as const_rank
 from polymatkit.oracle import det_by_interpolation, left_kernel, minimal_basis_bruteforce
@@ -23,6 +24,24 @@ from polymatkit.polymat import PolyMatrix, SeriesMatrix, int_degree
 def series(field, arr):
     arr = np.asarray(arr, dtype=np.int64)
     return SeriesMatrix(field, arr.shape[0], arr)
+
+
+def shift_array(shifts, n):
+    """The (B, n) shift array of B shifts, None meaning the zero shift."""
+    return np.array([[0] * n if s is None else s for s in shifts], dtype=np.int64).reshape(-1, n)
+
+
+def unstacked(field, got, sigma, shifts):
+    """Per problem, the ApproximantBasis of an engine's (bases, degrees) output; the
+    degrees it returns must be each basis's shifted row degrees."""
+    bases, degrees = got
+    out = []
+    for b, shift in enumerate(shifts):
+        mat = PolyMatrix._canonical(field, np.ascontiguousarray(bases[:, b]))
+        shift = [0] * mat.rows if shift is None else list(shift)
+        assert degrees[b].tolist() == shifted_row_degrees(mat, shift)
+        out.append(ApproximantBasis(mat, sigma, pk.row_degrees(mat), shift))
+    return out
 
 
 def test_zero_input_gives_identity(fd):
@@ -54,6 +73,15 @@ def test_order_exceeds_data(fd):
         mbasis(f, 3)
     with pytest.raises(OrderExceedsData):
         pmbasis(f, 3)
+
+
+@pytest.mark.parametrize("algo", [mbasis, pmbasis])
+def test_negative_order_rejected(fd, algo):
+    f = SeriesMatrix.zero(fd, 2, 2, 1)
+    with pytest.raises(ValueError, match="sigma must be nonnegative, got -1"):
+        algo(f, -1)
+    with pytest.raises(ValueError, match="shift length must equal the row count"):
+        algo(f, 2, [0])
 
 
 def test_pmbasis_base_case_equals_mbasis(f97, rng):
@@ -250,6 +278,8 @@ def test_shifted_row_degrees_match_entry_loop(f97, rng):
 @pytest.mark.parametrize("p", [97, 65537, DEFAULT_PRIME])
 @pytest.mark.parametrize("algo", [mbasis, pmbasis])
 def test_batch_equals_separate_calls(p, algo):
+    # the engine beneath algo on a stacked (sigma, B, n, m) batch
+    engine = getattr(approxbasis, "_" + algo.__name__)
     fld = pk.get_field(p)
     rng = np.random.default_rng(p + 1)
     # orders on both sides of the leaf, so the batch also goes through the recursion
@@ -261,12 +291,14 @@ def test_batch_equals_separate_calls(p, algo):
         if i % 4 == 1:
             arr[int(rng.integers(0, batch))] = 0  # a zero problem inside the batch
         fs = [series(fld, a) for a in arr]
-        # a small range, so ties are common; the plain batch gets no shift at all
-        shifts = [[int(s) for s in rng.integers(-2, 2, size=n)] for _ in fs] if i % 2 else None
-        got = algo(fs, sigma, shifts)
+        # a small range, so ties are common; the plain batch gets the zero shift
+        shifts = ([[int(s) for s in rng.integers(-2, 2, size=n)] for _ in fs] if i % 2
+                  else [None] * batch)
+        got = unstacked(fld, engine(arr.transpose(1, 0, 2, 3), sigma, shift_array(shifts, n), fld),
+                        sigma, shifts)
         assert len(got) == batch
         for b, (f, basis) in enumerate(zip(fs, got)):
-            one = algo(f, sigma, shifts[b] if shifts else None)
+            one = algo(f, sigma, shifts[b])
             assert basis.basis == one.basis and basis.row_degrees == one.row_degrees
             assert basis.shift == one.shift and basis.order == one.order == sigma
             _check_order_basis(basis, f, sigma, one.shift)
@@ -274,16 +306,17 @@ def test_batch_equals_separate_calls(p, algo):
 
 @pytest.mark.parametrize("cells", [24, 512])
 def test_batch_recursion_with_small_leaf(monkeypatch, cells):
-    # a small leaf makes the batch recurse; 24 cells cut it into batches of 2, 2 and 1
+    # a small leaf makes the batch recurse; 24 cells cut each mbasis into batches of 2, 2 and 1
     monkeypatch.setattr(approxbasis, "PMBASIS_THRESHOLD", 3)
     monkeypatch.setattr(approxbasis, "BATCH_CELLS", cells)
     fld = pk.get_field(97)
     rng = np.random.default_rng(5)
-    fs = [series(fld, rng.integers(0, 97, size=(17, 3, 2))) for _ in range(5)]
+    arr = np.stack([rng.integers(0, 97, size=(17, 3, 2)) for _ in range(5)], axis=1)
     shifts = [[0, 1, 1], [2, 0, 0], [0, 0, 0], [1, 1, 0], [0, 0, 5]]
-    got = pmbasis(fs, 17, shifts)
+    got = unstacked(fld, _pmbasis(arr, 17, shift_array(shifts, 3), fld), 17, shifts)
     assert len(got) == 5
-    for basis, f, shift in zip(got, fs, shifts):
+    for b, (basis, shift) in enumerate(zip(got, shifts)):
+        f = series(fld, arr[:, b])
         assert basis.basis == pmbasis(f, 17, shift).basis == mbasis(f, 17, shift).basis
 
 
@@ -300,25 +333,14 @@ def test_batch_glue_above_the_leaf(p):
     arr[3, : sigma // 2] = 0     # f = O(x^(sigma/2))
     fs = [series(fld, a) for a in arr]
     shifts = [[0, 1, 2, 3], None, [3, 0, 0, 1], [0, 0, 0, 0]]
-    got = pmbasis(fs, sigma, shifts)
-    firsts = pmbasis([f.slice(0, (sigma + 1) // 2) for f in fs], (sigma + 1) // 2, shifts)
+    stacked, half = arr.transpose(1, 0, 2, 3), (sigma + 1) // 2
+    got = unstacked(fld, _pmbasis(stacked, sigma, shift_array(shifts, n), fld), sigma, shifts)
+    firsts = unstacked(fld, _pmbasis(stacked[:half], half, shift_array(shifts, n), fld), half,
+                       shifts)
     assert len({int_degree(b.basis) for b in firsts}) > 1  # operands of several lengths
     for basis, f, shift in zip(got, fs, shifts):
         assert basis.basis == mbasis(f, sigma, shift).basis
         _check_order_basis(basis, f, sigma, shift or [0] * n)
-
-
-def test_batch_rejects_mixed_shapes_and_orders(f97):
-    f, g = SeriesMatrix.zero(f97, 4, 3, 2), SeriesMatrix.zero(f97, 4, 2, 2)
-    for algo in (mbasis, pmbasis):
-        with pytest.raises(DimensionMismatch):
-            algo([f, g], 4)
-        with pytest.raises(DimensionMismatch):
-            algo([], 4)
-        with pytest.raises(DimensionMismatch):
-            algo([f, f], 4, [[0, 0, 0]])
-        with pytest.raises(OrderExceedsData):
-            algo([f, SeriesMatrix.zero(f97, 3, 3, 2)], 4)
 
 
 def test_rows_up_to_sorts_by_degree_then_index(f97):
@@ -333,7 +355,7 @@ def test_rows_up_to_sorts_by_degree_then_index(f97):
 
 @pytest.mark.parametrize("p", [2, 3, 97, DEFAULT_PRIME])
 def test_raise_order_equals_direct(p):
-    # raising pmbasis(F[:sigma1], sigma1, s) to sigma2 gives pmbasis(F, sigma2, s) bit for bit
+    # raising _pmbasis(F[:sigma1], sigma1, s) to sigma2 gives pmbasis(F, sigma2, s) bit for bit
     fld = pk.get_field(p)
     rng = np.random.default_rng(p + 7)
     cases = [  # n, m, sigma1, sigma2, shift (None: no shift; small ranges tie)
@@ -343,12 +365,14 @@ def test_raise_order_equals_direct(p):
     ]
     for n, m, sigma1, sigma2, shift in cases:
         f = series(fld, rng.integers(0, p, size=(sigma2, n, m)))
-        first = pmbasis(f.slice(0, sigma1), sigma1, shift)
-        got = raise_order(f, first, sigma2)
+        first = _pmbasis(f.coeffs[:sigma1, None], sigma1, shift_array([shift], n), fld)
+        [got] = unstacked(fld, _raise(f.coeffs[:, None], sigma1, *first, sigma2, fld), sigma2,
+                          [shift])
         assert got == pmbasis(f, sigma2, shift) == mbasis(f, sigma2, shift)
         # the raising step reads F only where it needs it: the longer series gives the same
-        longer = series(fld, np.concatenate([f.coeffs, rng.integers(0, p, size=(3, n, m))]))
-        assert raise_order(longer, first, sigma2) == got
+        longer = np.concatenate([f.coeffs, rng.integers(0, p, size=(3, n, m))])
+        assert unstacked(fld, _raise(longer[:, None], sigma1, *first, sigma2, fld), sigma2,
+                         [shift]) == [got]
 
 
 @pytest.mark.parametrize("p", [97, DEFAULT_PRIME])
@@ -362,20 +386,13 @@ def test_raise_order_batch_equals_separate_calls(p):
     arr[3, :sigma2 // 2] = 0    # f = O(x^(sigma2/2))
     fs = [series(fld, a) for a in arr]
     shifts = [[0, 1, 1, 0], None, [2, 0, 0, 2], [0, 0, 0, 0], [1, 1, 1, 1]]
-    firsts = pmbasis([f.slice(0, sigma1) for f in fs], sigma1, shifts)
-    got = raise_order(fs, firsts, sigma2)
+    stacked = arr.transpose(1, 0, 2, 3)
+    firsts = _pmbasis(stacked[:sigma1], sigma1, shift_array(shifts, n), fld)
+    got = unstacked(fld, _raise(stacked, sigma1, *firsts, sigma2, fld), sigma2, shifts)
     assert len(got) == len(fs)
-    for basis, f, first, shift in zip(got, fs, firsts, shifts):
-        assert basis == raise_order(f, first, sigma2) == pmbasis(f, sigma2, shift)
+    for b, (basis, f, shift) in enumerate(zip(got, fs, shifts)):
+        first = _pmbasis(f.coeffs[:sigma1, None], sigma1, shift_array([shift], n), fld)
+        [one] = unstacked(fld, _raise(f.coeffs[:, None], sigma1, *first, sigma2, fld), sigma2,
+                          [shift])
+        assert basis == one == pmbasis(f, sigma2, shift)
         _check_order_basis(basis, f, sigma2, shift or [0] * n)
-
-
-def test_raise_order_rejects_mixed_orders(f97):
-    f = SeriesMatrix.zero(f97, 6, 3, 2)
-    low, high = mbasis(f.slice(0, 2), 2), mbasis(f.slice(0, 4), 4)
-    with pytest.raises(ValueError, match="raised together"):
-        raise_order([f, f], [low, high], 6)
-    with pytest.raises(ValueError, match="raised together"):
-        raise_order(f, high, 3)
-    with pytest.raises(OrderExceedsData):
-        raise_order(f, low, 7)

@@ -263,13 +263,13 @@ def test_cli_non_polynomial_quotient_exits_2(tmp_path, fd, monkeypatch, capsys):
 
 def test_cli_nullspace_self_check_exits_2(tmp_path, fd, monkeypatch, capsys):
     from polymatkit import nullspace
-    from polymatkit.approxbasis import ApproximantBasis
 
-    def identity_basis(fs, sigma):
-        return [ApproximantBasis(PolyMatrix.identity(f.field, f.rows), sigma, [0] * f.rows)
-                for f in fs]
+    def identity_basis(f, sigma, shifts, field):
+        batch, n = shifts.shape
+        return (np.broadcast_to(np.eye(n, dtype=np.int64), (1, batch, n, n)),
+                np.zeros((batch, n), dtype=np.int64))
 
-    monkeypatch.setattr(nullspace, "pmbasis", identity_basis)
+    monkeypatch.setattr(nullspace, "_pmbasis", identity_basis)
     p = tmp_path / "a.pm"
     pmio.save(p, PolyMatrix.from_lists(fd, [[[0, 1], [0, 0, 1]], [[1], [0, 1]]]))
     assert main(["--seed", "1", "nullspace", str(p), "--delta", "1"]) == 2

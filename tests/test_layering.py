@@ -35,3 +35,11 @@ def test_poly_imports_no_product_kernel():
     # Polynomial products are the reference for pm_mul (oracle.naive_mul)
     imported = _imported_modules(ast.parse((SRC / "poly.py").read_text()))
     assert imported.isdisjoint({"ntt", "linalg"})
+
+
+def test_sweep_callers_import_no_series_or_list_products():
+    # the kernel sweep and the recursion levels run on residue arrays, not on
+    # SeriesMatrix objects, lists of PolyMatrix products or the public order basis
+    for name in ("nullspace.py", "solvers.py"):
+        imported = _imported_modules(ast.parse((SRC / name).read_text()))
+        assert imported.isdisjoint({"SeriesMatrix", "pm_mul_batch", "pmbasis"}), name

@@ -3,9 +3,10 @@ import pytest
 
 import polymatkit as pk
 from polymatkit import approxbasis, nullspace
-from polymatkit.approxbasis import ApproximantBasis
 from polymatkit.errors import NullspaceCheckFailure, RankDeficient
 from polymatkit.nullspace import (
+    NullspaceBasis,
+    _cap_step,
     _kernel_bases,
     general_nullspace,
     minimal_vectors_up_to,
@@ -13,7 +14,17 @@ from polymatkit.nullspace import (
     rank,
 )
 from polymatkit.oracle import nullspace_bruteforce, true_rank
-from polymatkit.polymat import PolyMatrix, int_degree
+from polymatkit.polymat import PolyMatrix, SeriesMatrix, _stack, int_degree
+
+
+def unstacked(field, rows, found):
+    """Per matrix, the NullspaceBasis of the sweep's zero-padded (L, B, k, r) rows and
+    the B lists of their degrees; the padding rows must be zero."""
+    out = []
+    for b, degs in enumerate(found):
+        assert not rows[:, b, len(degs):].any()
+        out.append(NullspaceBasis(PolyMatrix._canonical(field, rows[:, b, :len(degs)]), degs))
+    return out
 
 
 def singular_2x2(fd):
@@ -57,11 +68,12 @@ def test_minimal_vectors_identity_empty(fd):
 
 def test_minimal_vectors_failed_product_check_raises(fd, monkeypatch):
     # an identity "basis": its degree-0 rows get selected but do not annihilate A
-    def identity_basis(fs, sigma):
-        return [ApproximantBasis(PolyMatrix.identity(f.field, f.rows), sigma, [0] * f.rows)
-                for f in fs]
+    def identity_basis(f, sigma, shifts, field):
+        batch, n = shifts.shape
+        return (np.broadcast_to(np.eye(n, dtype=np.int64), (1, batch, n, n)),
+                np.zeros((batch, n), dtype=np.int64))
 
-    monkeypatch.setattr(nullspace, "pmbasis", identity_basis)
+    monkeypatch.setattr(nullspace, "_pmbasis", identity_basis)
     with pytest.raises(NullspaceCheckFailure, match="do not annihilate"):
         minimal_vectors_up_to(singular_2x2(fd), 1)
 
@@ -132,13 +144,16 @@ def test_partial_nullspace_column(fd):
 
 
 def test_minimal_vectors_batch_equals_separate_calls(fd, rng):
-    # two shapes and three degrees: one order-basis call per (order, shape) group
-    mats = [pk.rand_instance(6, 3, int(d), int(rng.integers(0, 2**31)), field=fd)
-            for d in (2, 2, 3, 0, 2)]
-    mats += [pk.rand_instance(4, 2, 2, 5, field=fd), singular_2x2(fd), PolyMatrix.zero(fd, 4, 2)]
-    for delta in (0, 2, 5):
-        got = minimal_vectors_up_to(mats, delta)
-        assert got == [minimal_vectors_up_to(a, delta) for a in mats]
+    # one cap on a stacked batch per shape, three degrees in one: one order-basis call
+    # per (old order, new order) group
+    batches = [[pk.rand_instance(6, 3, int(d), int(rng.integers(0, 2**31)), field=fd)
+                for d in (2, 2, 3, 0, 2)],
+               [pk.rand_instance(4, 2, 2, 5, field=fd), PolyMatrix.zero(fd, 4, 2)],
+               [singular_2x2(fd)]]
+    for mats in batches:
+        for delta in (0, 2, 5):
+            _, _, rows, found = _cap_step(_stack([a.coeffs for a in mats]), None, delta, fd)
+            assert unstacked(fd, rows, found) == [minimal_vectors_up_to(a, delta) for a in mats]
 
 
 @pytest.mark.parametrize("p", [97, 65537, 2**31 - 1, 2013265921])
@@ -150,7 +165,8 @@ def test_minimal_vectors_single_equals_one_element_batch(p):
         for delta in (0, 2, 6):
             single = minimal_vectors_up_to(a, delta)
             assert isinstance(single, nullspace.NullspaceBasis)
-            assert single == minimal_vectors_up_to([a], delta)[0]
+            _, _, rows, found = _cap_step(a.coeffs[:, None], None, delta, fld)
+            assert single == unstacked(fld, rows, found)[0]
 
 
 @pytest.mark.parametrize("rows, cols, d, delta", [(12, 8, 4, 8), (6, 4, 3, 10), (6, 3, 2, 4)])
@@ -210,14 +226,9 @@ def _dependent_basis(monkeypatch):
     annihilates A, but it is dependent at every point, which no minimal basis is."""
     real = nullspace._select
 
-    def repeat_first(found):
-        if not found.row_count:
-            return found
-        row = found.matrix.take_rows([0] * found.row_count)
-        return nullspace.NullspaceBasis(row, [found.kronecker_degrees[0]] * found.row_count)
-
-    def doubled(mats, bases, delta):
-        return [repeat_first(found) for found in real(mats, bases, delta)]
+    def doubled(a, bases, degrees, cap, field):
+        rows, found = real(a, bases, degrees, cap, field)
+        return rows[:, :, [0] * rows.shape[2]], [degs[:1] * len(degs) for degs in found]
 
     monkeypatch.setattr(nullspace, "_select", doubled)
 
@@ -270,9 +281,9 @@ def test_general_nullspace_sweep_starts_at_d_and_doubles(fd, monkeypatch):
     deltas = []
     real = nullspace._select
 
-    def spy(mats, bases, delta):
-        deltas.append(delta)
-        return real(mats, bases, delta)
+    def spy(a, bases, degrees, cap, field):
+        deltas.append(cap)
+        return real(a, bases, degrees, cap, field)
 
     monkeypatch.setattr(nullspace, "_select", spy)
     a = pk.rand_instance(8, 8, 4, 17, profile="planted-rank", rank=6, field=fd)
@@ -287,7 +298,9 @@ def test_minimal_vectors_delta_clamped_at_the_kronecker_bound(f97, tmp_path, cap
     assert at_bound.row_count == 2
     assert minimal_vectors_up_to(a, 10**12) == minimal_vectors_up_to(a, 9) == at_bound
     b = pk.rand_instance(4, 2, 1, 2, field=f97)
-    assert minimal_vectors_up_to([a, b], 10**12) == [at_bound, minimal_vectors_up_to(b, 8)]
+    complete, _, rows, found = _cap_step(_stack([a.coeffs, b.coeffs]), None, 10**12, f97)
+    assert complete.all()
+    assert unstacked(f97, rows, found) == [at_bound, minimal_vectors_up_to(b, 8)]
     from polymatkit import io as pmio
     from polymatkit.cli import main
 
@@ -329,26 +342,35 @@ def test_sweep_equals_one_call_at_the_final_cap(p):
     for a, count in zip(mats, counts):
         [(want, caps)] = _sweep_reference([a], [count], int_degree(a))
         caps_seen.append(len(caps))
-        assert _kernel_bases([a], [count], int_degree(a)) == [want]
+        got = _kernel_bases(a.coeffs[:, None], [count], int_degree(a), fld)
+        assert unstacked(fld, *got) == [want]
     assert caps_seen == [2, 3, 2, 1]
     # a batch of one shape, whose matrices finish at different caps
     batch = [pk.rand_instance(6, 6, 2, seed, profile="planted-rank", rank=rank, field=fld)
              for seed, rank in ((4, 5), (5, 3), (6, 4))]
     want = _sweep_reference(batch, [1, 3, 2], 2)
-    assert _kernel_bases(batch, [1, 3, 2], 2) == [found for found, _ in want]
+    got = unstacked(fld, *_kernel_bases(_stack([a.coeffs for a in batch]), [1, 3, 2], 2, fld))
+    assert got == [found for found, _ in want]
     assert [len(caps) for _, caps in want] == [3, 1, 1]
+    # one shape, two degrees: both raises split the batch by (old order, new order)
+    batch = [pk.rand_instance(6, 6, d, seed, profile="planted-rank", rank=rank, field=fld)
+             for d, seed, rank in ((2, 4, 5), (3, 4, 5), (2, 5, 3))]
+    want = _sweep_reference(batch, [1, 1, 3], 2)
+    got = unstacked(fld, *_kernel_bases(_stack([a.coeffs for a in batch]), [1, 1, 3], 2, fld))
+    assert got == [found for found, _ in want]
+    assert [len(caps) for _, caps in want] == [3, 3, 1]
 
 
 def _orders(monkeypatch):
-    """Record the order of every mbasis call: the sweep's total M-Basis orders."""
+    """Record the order of every _mbasis call: the sweep's total M-Basis orders."""
     sigmas = []
-    real = approxbasis.mbasis
+    real = approxbasis._mbasis
 
-    def spy(f, sigma, shift=None):
+    def spy(f, sigma, shifts, field):
         sigmas.append(sigma)
-        return real(f, sigma, shift)
+        return real(f, sigma, shifts, field)
 
-    monkeypatch.setattr(approxbasis, "mbasis", spy)
+    monkeypatch.setattr(approxbasis, "_mbasis", spy)
     return sigmas
 
 
@@ -363,6 +385,22 @@ def test_sweep_runs_each_order_once(fd, monkeypatch):
     b, a = pk.rand_instance(4, 8, 4, 3, field=fd), pk.rand_instance(8, 8, 4, 4, field=fd)
     assert pk.left_factorization(b, a, 1).denominator.rows == 4
     assert sum(sigmas) == 13
+
+
+def test_planted_rank_nullspace_builds_no_series(fd, monkeypatch):
+    # the sweep runs on residue arrays from the matrix to its kernel rows
+    built = []
+    real = SeriesMatrix._adopt
+
+    def counted(self, *args):
+        built.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(SeriesMatrix, "_adopt", counted)
+    for n in (8, 16):
+        a = pk.rand_instance(n, n, 4, n, profile="planted-rank", rank=n - 1, field=fd)
+        assert general_nullspace(a, 1).row_count == 1
+    assert built == []
 
 
 def test_monotonicity_of_thresholds(fd, rng):

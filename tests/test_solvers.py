@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -348,9 +347,9 @@ def test_2x2_level_needs_no_order_basis(fd, rng, n, d, monkeypatch):
     # has 4 rows or fewer
     rows = []
 
-    def spy(mats, bases, delta, inner=nullspace._select):
-        rows.extend(m.rows for m in mats)
-        return inner(mats, bases, delta)
+    def spy(a, bases, degrees, cap, field, inner=nullspace._select):
+        rows.extend([a.shape[2]] * a.shape[1])
+        return inner(a, bases, degrees, cap, field)
 
     monkeypatch.setattr(nullspace, "_select", spy)  # both recursions' sweep, at every cap
     a = nonsingular_at_zero(fd, n, d, rng)
@@ -358,6 +357,28 @@ def test_2x2_level_needs_no_order_basis(fd, rng, n, d, monkeypatch):
     generic_det(a, 0)
     assert all(r > 4 for r in rows)
     assert bool(rows) == (n > 4)
+
+
+def test_inverse_builds_as_many_matrices_at_every_size(fd, monkeypatch):
+    # the levels and their kernel sweeps run on residue arrays: only the boundary builds
+    # PolyMatrix objects, so their number does not grow with the number of levels
+    built = []
+    real = PolyMatrix._adopt
+
+    def counted(self, *args):
+        built.append(1)
+        return real(self, *args)
+
+    mats = [pk.rand_instance(n, n, 4, n, field=fd) for n in (8, 32)]
+    for a in mats:
+        generic_inverse(a, 0)  # warm: the NTT tables are built once per length
+    monkeypatch.setattr(PolyMatrix, "_adopt", counted)
+    counts = []
+    for a in mats:
+        built.clear()
+        generic_inverse(a, 0)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 # -- generic determinant -----------------------------------------------------
@@ -691,9 +712,9 @@ def test_certify_rejects_an_r_not_equivalent_to_a(fd):
 
 
 def test_factor_rejects_a_wrong_nullspace_row(fd, monkeypatch):
-    def wrong_kernels(mats, counts, delta):
-        return [dataclasses.replace(basis, matrix=bumped(basis.matrix))
-                for basis in _kernel_bases(mats, counts, delta)]
+    def wrong_kernels(a, counts, delta, field):
+        rows, found = _kernel_bases(a, counts, delta, field)
+        return bumped(PolyMatrix._canonical(field, rows[:, 0])).coeffs[:, None], found
 
     monkeypatch.setattr(solvers, "_kernel_bases", wrong_kernels)
     with pytest.raises(CertificateFailure, match="U A = V B product check failed"):
