@@ -46,7 +46,6 @@ from .polymat import (
     leading_row_matrix,
     pm_eval,
     pm_mul,
-    pm_mul_batch,
     pm_shift_var,
     pm_truncate,
     row_degrees,
@@ -96,7 +95,6 @@ __all__ = [
     "partial_nullspace",
     "pm_eval",
     "pm_mul",
-    "pm_mul_batch",
     "pm_shift_var",
     "pm_truncate",
     "pmbasis",

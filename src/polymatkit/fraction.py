@@ -16,7 +16,9 @@ matrices (Storjohann 2003; Jeannerod & Villard 2005). ``_newton_wins``
 picks c = h (no lifting) or deg(A) <= c < 2 deg(A), by a rule fitted on measured
 times: Newton makes fewer product calls, lifting multiplies fewer
 coefficients, so Newton wins up to h / deg(A) of about 8000 for n = 2,
-d = 1 and of about 6 to 10 for n * deg(A) >= 256.
+d = 1 and of about 6 to 10 for n * deg(A) >= 256. Both run on int64
+(L, n, n) residue arrays and multiply through ``polymat._mul_stacked``;
+only the results are wrapped as matrices.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPolynomialQuotient, NotSquare, SingularAtZero, SingularInput
+from .errors import (DimensionMismatch, NonPolynomialQuotient, NotSquare, SingularAtZero,
+                     SingularInput)
 from .linalg import inv as const_inv
-from .polymat import (
-    PolyMatrix, SeriesMatrix, int_degree, pm_eval, pm_mul, pm_mul_batch, pm_truncate,
-)
+from .polymat import (PolyMatrix, SeriesMatrix, _mul_stacked, _normalize, _stack, int_degree,
+                      pm_eval)
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,32 @@ def _inv_at_zero(a: PolyMatrix) -> np.ndarray:
         raise SingularAtZero("A(0) is singular; shift x before expanding") from exc
 
 
+# -- residue arrays: the engine multiplies, pads and divides int64 (L, n, n) arrays
+
+def _mul(x: np.ndarray, y: np.ndarray, field) -> np.ndarray:
+    """The product of an (L, n, k) and an (L', k, m) residue array, trimmed."""
+    return _mul_stacked(x[:, None], y[:, None], field)[:, 0]
+
+
+def _fit(arr: np.ndarray, length: int) -> np.ndarray:
+    """A new array of the first ``length`` slices of arr, zero-padded."""
+    out = np.zeros((length, *arr.shape[1:]), dtype=np.int64)
+    take = min(length, arr.shape[0])
+    out[:take] = arr[:take]
+    return out
+
+
+def _sub_quo(x: np.ndarray, y: np.ndarray, k: int, p: int) -> np.ndarray:
+    """(x - y) / x**k, trimmed, for residue arrays of any lengths, raising
+    NonPolynomialQuotient on a nonzero low part."""
+    diff = _fit(x, max(x.shape[0], y.shape[0], k + 1))
+    diff[:y.shape[0]] -= y
+    diff %= p
+    if diff[:k].any():
+        raise NonPolynomialQuotient(f"matrix is not divisible by x^{k}")
+    return _normalize(diff[k:])
+
+
 def truncated_inverse(a: PolyMatrix, k: int) -> SeriesMatrix:
     """S with A * S = I mod x**k, by Newton iteration on the residual.
 
@@ -78,37 +106,26 @@ def truncated_inverse(a: PolyMatrix, k: int) -> SeriesMatrix:
     of deg(A) + 1 by at most deg(A) slices.
     """
     _check_args(a, k=k)
-    fld, n, d = a.field, a.rows, int_degree(a)
-    x = PolyMatrix.constant(fld, _inv_at_zero(a))
+    fld, d = a.field, int_degree(a)
+    x = _inv_at_zero(a)[None]  # X as an (L, n, n) residue array
     orders = [k]
     while orders[-1] > 1:
         orders.append((orders[-1] + 1) // 2)
     t = 1
     for t_next in reversed(orders[:-1]):
         lo = max(0, t - d)
-        e = pm_mul(pm_truncate(a, t_next), _quo_x_power(x, lo)).coeffs[t - lo:t_next - lo]
+        e = _mul(a.coeffs[:t_next], x[lo:], fld)[t - lo:t_next - lo]
         if e.any():
-            new = pm_mul(pm_truncate(x, t_next - t), PolyMatrix(fld, e)).coeffs[:t_next - t]
-            s = np.zeros((t + new.shape[0], n, n), dtype=np.int64)
-            s[:x.coeffs.shape[0]] = x.coeffs
-            s[t:] = -new
-            x = PolyMatrix(fld, s)
+            new = _mul(x[:t_next - t], e, fld)[:t_next - t]
+            x = _fit(x, t + new.shape[0])
+            x[t:] = -new % fld.p
         t = t_next
-    return x.to_series(k)
-
-
-def _quo_x_power(a: PolyMatrix, k: int) -> PolyMatrix:
-    """Quotient of the division by x**k, dropping the low part."""
-    if a.coeffs.shape[0] <= k:
-        return PolyMatrix.zero(a.field, a.rows, a.cols)
-    return PolyMatrix._canonical(a.field, a.coeffs[k:])
+    return SeriesMatrix._canonical(fld, _fit(x, k))
 
 
 def exact_x_power_divide(a: PolyMatrix, k: int) -> PolyMatrix:
     """Divide by x**k, raising NonPolynomialQuotient on a nonzero low part."""
-    if a.coeffs[:k].any():
-        raise NonPolynomialQuotient(f"matrix is not divisible by x^{k}")
-    return _quo_x_power(a, k)
+    return PolyMatrix._canonical(a.field, _sub_quo(a.coeffs, a.coeffs[:0], k, a.field.p))
 
 
 def expansion_slice(
@@ -119,14 +136,16 @@ def expansion_slice(
     ``fast`` is accepted and has no effect: every call runs the one engine.
     """
     _check_args(a, h=h, delta=delta)
+    a._check_field(b)
+    if b.rows != a.cols:
+        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     db = int_degree(b)
     lo = max(h - db, 0)
     _, window = _expand(a, lo, h + delta - lo)
     # G = sum_i F_{h-db+i} x^i (F_j = 0 for j < 0); the slice is (G B)[db : db+delta]
     g = np.zeros((db + delta, a.rows, a.cols), dtype=np.int64)
     g[db + lo - h:] = window
-    prod = pm_mul(PolyMatrix(a.field, g), b).to_series(db + delta)
-    return ExpansionSlice(h, prod.coeffs[db:])
+    return ExpansionSlice(h, _fit(_mul(g, b.coeffs, a.field), db + delta)[db:])
 
 
 def proper_tail(a: PolyMatrix, h: int, sigma: int) -> ProperFractionData:
@@ -140,13 +159,14 @@ def proper_tail(a: PolyMatrix, h: int, sigma: int) -> ProperFractionData:
     d = int_degree(a)
     if h <= (n - 1) * d:
         raise ValueError(f"need h > (n-1)*deg(A) = {(n - 1) * d}, got {h}")
-    numerator, window = _expand(a, h, sigma)
+    resid, window = _expand(a, h, sigma)
+    numerator = PolyMatrix._canonical(a.field, resid)
     # strict properness forces deg B < deg A; anything else is a bug
     if not numerator.is_zero() and numerator.degree >= d:
         raise NonPolynomialQuotient(
             f"numerator degree {numerator.degree} not below deg A = {d}"
         )
-    return ProperFractionData(SeriesMatrix(a.field, sigma, window), numerator)
+    return ProperFractionData(SeriesMatrix._canonical(a.field, window), numerator)
 
 
 # -- the expansion engine: high-order lifting on short residues ---------------
@@ -156,9 +176,10 @@ def proper_tail(a: PolyMatrix, h: int, sigma: int) -> ProperFractionData:
 # R_t alone determines everything after order t: F_{t+k} = (S_d R_t)_k for
 # k < d, so R_{t+d} = (R_t - A W_t) / x^d with W_t = (S_d R_t) mod x^d, and
 #   R_{2t+d} = R_{t+d} R_t + A ((W_t R_t) div x^d)
-# doubles the order. Each step is a product of degree-O(d) matrices; a
-# doubling sends its independent pairs as one batch each, so it makes three
-# kernel calls: S_d R_t, then [A W_t, W_t R_t], then the two terms above.
+# doubles the order. Each step is a product of degree-O(d) matrices on
+# residue arrays; a doubling stacks its two independent pairs into one
+# kernel call each, so it makes three: S_d R_t, then [A W_t, W_t R_t], then
+# [R_{t+d} R_t, A ((W_t R_t) div x^d)], whose two products are summed.
 
 
 def _newton_wins(n: int, d: int, h: int) -> bool:
@@ -175,30 +196,26 @@ def _newton_wins(n: int, d: int, h: int) -> bool:
 
 
 def _expand(a: PolyMatrix, h: int, width: int):
-    """(R_h, [F_h, .., F_{h+width-1}]) for the expansion of A^{-1} at x = 0."""
-    d = int_degree(a)
+    """(R_h, [F_h, .., F_{h+width-1}]) for the expansion of A^{-1} at x = 0, as residue arrays."""
+    fld, p, d = a.field, a.field.p, int_degree(a)
     lift = d > 0 and not _newton_wins(a.rows, d, h)  # lifting steps by d
     # lifting reaches R_t, t = h - c; c >= d whenever it takes a step (h >= 2d)
     c = h - max(h // d - 1, 0) * d if lift else h
-    s = truncated_inverse(a, c + width)
-    r = PolyMatrix.identity(a.field, a.rows)
+    s = truncated_inverse(a, c + width).coeffs
+    r = np.eye(a.rows, dtype=np.int64)[None]
     if lift:
-        s_w = s.to_polymat()
-        s_d = pm_truncate(s_w, d)
-
         def w_of(r):  # W_t from R_t
-            return pm_truncate(pm_mul(s_d, r), d)
+            return _mul(s[:d], r, fld)[:d]
 
         # r is R_t with t = (m - 1) d as m runs through the leading bits of h // d
         for bit in bin(h // d)[3:]:
             w = w_of(r)
-            aw, wr = pm_mul_batch([a, w], [w, r])
-            r_next = exact_x_power_divide(r - aw, d)
-            high, low = pm_mul_batch([r_next, a], [r, _quo_x_power(wr, d)])
-            r = high + low  # m -> 2m
+            aw_wr = _mul_stacked(_stack([a.coeffs, w]), _stack([w, r]), fld)
+            r_next = _sub_quo(r, aw_wr[:, 0], d, p)
+            pair = _mul_stacked(_stack([r_next, a.coeffs]), _stack([r, aw_wr[d:, 1]]), fld)
+            r = pair.sum(axis=1) % p  # m -> 2m
             if bit == "1":
-                r = exact_x_power_divide(r - pm_mul(a, w_of(r)), d)  # m -> m + 1
+                r = _sub_quo(r, _mul(a.coeffs, w_of(r), fld), d, p)  # m -> m + 1
         # h - t = c < 2d: one product with S mod x^(c + width) gives R_h and the window
-        s = pm_mul(s_w, r).to_series(c + width)
-    resid = exact_x_power_divide(r - pm_mul(a, pm_truncate(s, c)), c)
-    return resid, s.coeffs[c:]
+        s = _fit(_mul(s, r, fld), c + width)
+    return _sub_quo(r, _mul(a.coeffs, s[:c], fld), c, p), s[c:]

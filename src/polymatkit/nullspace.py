@@ -72,16 +72,17 @@ def _cap_step(a: np.ndarray, state, delta: int, field) -> tuple:
 
     The cap is delta, clamped at the largest Kronecker bound rows * deg(A),
     at least 1: no left Kronecker index of A exceeds it, so a cap at or
-    above it selects the same rows and leaves A's basis ``complete``. A's
-    order basis of order cap + deg(A) + 1 is ``_pmbasis``'s (``state``
-    None: from order 0), or its basis in ``state`` = (orders, bases, shifted
-    row degrees) raised to that order, batched by (old order, new order).
+    above it selects the same rows and leaves A's basis ``complete``. Below,
+    the cap is clamped at -1: every negative cap selects no row. A's order
+    basis of order cap + deg(A) + 1 is ``_pmbasis``'s (``state`` None: from
+    order 0), or its basis in ``state`` = (orders, bases, shifted row
+    degrees) raised to that order, batched by (old order, new order).
     ``_select`` certifies the rows of degree <= cap of all of them at once.
     """
     batch, r = a.shape[1], a.shape[2]
     deg = (np.arange(len(a))[:, None] * a.any(axis=(2, 3))).max(axis=0)  # 0 for A = 0
     bound = np.maximum(r * deg, 1)
-    cap = min(delta, int(bound.max()))
+    cap = max(min(delta, int(bound.max())), -1)
     orders = cap + deg + 1
     olds = np.zeros_like(orders) if state is None else state[0]
     groups = {}
@@ -105,7 +106,7 @@ def minimal_vectors_up_to(a: PolyMatrix, delta: int) -> NullspaceBasis:
     Computes an order basis of order delta + deg(A) + 1 and keeps the rows
     of degree at most delta; those are certified by an exact product check.
     A delta above rows * deg(A), which no Kronecker index exceeds, is taken
-    as that bound.
+    as that bound; a negative delta gives no row.
     """
     _, _, rows, [degs] = _cap_step(a.coeffs[:, None], None, delta, a.field)
     return NullspaceBasis(PolyMatrix._canonical(a.field, rows[:, 0]), degs)

@@ -368,48 +368,15 @@ def _mul_stacked(sa: np.ndarray, sb: np.ndarray, field: PrimeField) -> np.ndarra
     return _normalize(_mul_blocks(sa, sb, field.p, out_len))
 
 
-def _products(a: list, b: list) -> list:
-    """a[i] * b[i] for each i, all from one kernel call; the body of pm_mul and pm_mul_batch."""
-    if len(a) != len(b):
-        raise DimensionMismatch(f"{len(a)} left operands for {len(b)} right operands")
-    if not a:
-        return []
-    first = a[0]
-    n, k, k2, m = first.rows, first.cols, b[0].rows, b[0].cols
-    live = []
-    for i, (x, y) in enumerate(zip(a, b)):
-        first._check_field(x)
-        first._check_field(y)
-        if x.rows != n or x.cols != k or y.rows != k2 or y.cols != m:
-            raise DimensionMismatch("a batch needs operands of one shape")
-        if not (x.is_zero() or y.is_zero()):
-            live.append(i)
-    if k != k2:
-        raise DimensionMismatch(f"cannot multiply {n}x{k} by {k2}x{m}")
-    field = first.field
-    out = [None if len(live) == len(a) else PolyMatrix.zero(field, n, m)] * len(a)
-    if not live:
-        return out
-    prod = _mul_stacked(_stack([a[i].coeffs for i in live]), _stack([b[i].coeffs for i in live]),
-                        field)
-    for j, i in enumerate(live):
-        out[i] = PolyMatrix._canonical(field, np.ascontiguousarray(prod[:, j]))
-    return out
-
-
 def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Exact product over K[x], by evaluation/interpolation when possible."""
-    return _products([a], [b])[0]
-
-
-def pm_mul_batch(a: list, b: list) -> list:
-    """[a[0] * b[0], a[1] * b[1], ...] from one kernel call.
-
-    All of ``a`` share one shape, and all of ``b`` another; their lengths may
-    differ. Each product is what ``pm_mul`` returns for its pair: the batch
-    pads to its longest operands and picks one kernel for all of it.
-    """
-    return _products(a, b)
+    a._check_field(b)
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    if a.is_zero() or b.is_zero():
+        return PolyMatrix.zero(a.field, a.rows, b.cols)
+    prod = _mul_stacked(a.coeffs[:, None], b.coeffs[:, None], a.field)
+    return PolyMatrix._canonical(a.field, np.ascontiguousarray(prod[:, 0]))
 
 
 def int_degree(a: PolyMatrix) -> int:

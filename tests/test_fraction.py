@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit import fraction, ntt, polymat
-from polymatkit.errors import NotSquare, SingularAtZero
+from polymatkit import fraction, ntt
+from polymatkit.errors import DimensionMismatch, NotSquare, PrimeMismatch, SingularAtZero
 from polymatkit.field import DEFAULT_PRIME
 from polymatkit.fraction import (
     exact_x_power_divide,
@@ -15,7 +15,7 @@ from polymatkit.fraction import (
 )
 from polymatkit.linalg import det as const_det
 from polymatkit.oracle import naive_mul
-from polymatkit.polymat import PolyMatrix, int_degree, pm_eval, pm_mul, pm_truncate
+from polymatkit.polymat import PolyMatrix, SeriesMatrix, int_degree, pm_eval, pm_mul, pm_truncate
 
 
 def anchor(fd):
@@ -108,6 +108,10 @@ def test_fraction_entry_points_reject_bad_arguments(fd):
         expansion_slice(rect, rect, 5, 2)
     with pytest.raises(NotSquare):
         proper_tail(rect, 10, 2)
+    with pytest.raises(DimensionMismatch):
+        expansion_slice(a, rect, 5, 2)
+    with pytest.raises(PrimeMismatch):
+        expansion_slice(a, PolyMatrix.identity(pk.get_field(97), 2), 5, 2)
     for bad in (
         lambda: truncated_inverse(a, -1),
         lambda: expansion_slice(a, b, -3, 2),
@@ -267,7 +271,7 @@ def test_engines_agree(p, monkeypatch):
             monkeypatch.setattr(fraction, "_newton_wins", lambda *_, newton=newton: newton)
             got.append(fraction._expand(a, h, width))
         (r_newton, w_newton), (r_lift, w_lift) = got
-        assert r_newton == r_lift and np.array_equal(w_newton, w_lift), (n, d, h, width)
+        assert np.array_equal(r_newton, r_lift) and np.array_equal(w_newton, w_lift), (n, d, h, width)
         assert w_newton.shape == (width, n, n)
 
 
@@ -275,15 +279,75 @@ def test_lifting_doubling_makes_three_kernel_calls(fd, monkeypatch):
     # h = m d with m a power of two takes log2(m) doublings and no single steps
     a = nonsingular_at_zero(fd, 4, 3, 11)
     calls = []
-    products = polymat._products
+    products = fraction._mul_stacked
 
     def counting(*args):
         calls[-1] += 1
         return products(*args)
 
-    monkeypatch.setattr(polymat, "_products", counting)
+    monkeypatch.setattr(fraction, "_mul_stacked", counting)
     monkeypatch.setattr(fraction, "_newton_wins", lambda *_: False)
     for m in (1, 2, 4, 8):
         calls.append(0)
         fraction._expand(a, m * 3, 5)
     assert [b - a for a, b in zip(calls, calls[1:])] == [3, 3, 3], calls
+
+
+def test_engine_builds_only_the_result(fd, monkeypatch):
+    # the engine runs on residue arrays: a warmed call builds no PolyMatrix and one
+    # SeriesMatrix, the truncated inverse (expansion_slice's result is an ExpansionSlice)
+    a = nonsingular_at_zero(fd, 8, 8, 3)
+    b = pk.rand_instance(8, 8, 7, 4, field=fd)
+    calls = [lambda h=h: expansion_slice(a, b, h, 16) for h in (40, 300, 1000)]
+    calls.append(lambda: truncated_inverse(a, 256))
+    for call in calls:
+        call()  # warm: the NTT tables are built once per length
+    built = []
+    for cls in (PolyMatrix, SeriesMatrix):
+        def counted(self, *args, real=cls._adopt, name=cls.__name__):
+            built.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, "_adopt", counted)
+    counts = []
+    for call in calls:
+        built.clear()
+        call()
+        counts.append(built.copy())
+    assert counts == [["SeriesMatrix"]] * 4
+
+
+def engine_order(a, h, width):
+    """The order of the engine's one truncated inverse: h + width for a Newton run, else
+    c + width with h - c the lifting's last order, d <= c < 2d once it takes a step."""
+    d = int_degree(a)
+    if d == 0 or fraction._newton_wins(a.rows, d, h):
+        return h + width
+    return h - max(h // d - 1, 0) * d + width
+
+
+def test_engine_makes_one_truncated_inverse_call(fd, monkeypatch):
+    # the benchmark tracer reads the k of this call through the module-global name, so
+    # each expansion_slice and proper_tail call must reach it exactly once from there
+    seen = []
+    real = fraction.truncated_inverse
+
+    def spy(a, k):
+        seen.append(k)
+        return real(a, k)
+
+    monkeypatch.setattr(fraction, "truncated_inverse", spy)
+    for n, d, db in ((2, 3, 0), (3, 1, 2), (2, 0, 1), (8, 8, 7)):
+        a = nonsingular_at_zero(fd, n, d, n + d)
+        b = pk.rand_instance(n, 2, db, 5, field=fd)
+        db = int_degree(b)
+        for h, delta in ((0, 3), (d, 0), (40, 16), (crossover(n, max(d, 1)) + 2 * d, 5)):
+            seen.clear()
+            expansion_slice(a, b, h, delta)
+            lo = max(h - db, 0)
+            assert seen == [engine_order(a, lo, h + delta - lo)], (n, d, h, delta)
+        for h in ((n - 1) * d + 1, 1000):
+            seen.clear()
+            proper_tail(a, h, 2 * d + 1)
+            assert seen == [engine_order(a, h, 2 * d + 1)], (n, d, h)
+    assert seen[0] < 1000  # the last call lifted

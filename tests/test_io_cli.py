@@ -431,6 +431,19 @@ def test_cli_nullspace(tmp_path, fd):
     assert pk.pm_mul(n, a).is_zero()
 
 
+def test_cli_nullspace_negative_delta_gives_no_rows(tmp_path, f97, capsys):
+    # every delta < 0 selects no row, also below -deg(A) - 1 (an order basis of negative order)
+    a = pk.rand_instance(3, 2, 0, 5, field=f97)
+    p = tmp_path / "a.pm"
+    pmio.save(p, a)
+    for delta in ("-1", "-3", "-100"):
+        out = tmp_path / f"n{delta}.pm"
+        assert main(["--seed", "1", "nullspace", str(p), "--delta", delta, "-o", str(out)]) == 0
+        n = pmio.load(out)
+        assert (n.rows, n.cols) == (0, 3)
+    assert capsys.readouterr().err.count("# rows 0 degrees []") == 3
+
+
 def test_cli_inverse_and_rowreduce(tmp_path, fd):
     a = pk.rand_instance(2, 2, 1, 23, field=fd)
     p = tmp_path / "a.pm"

@@ -43,3 +43,9 @@ def test_sweep_callers_import_no_series_or_list_products():
     for name in ("nullspace.py", "solvers.py"):
         imported = _imported_modules(ast.parse((SRC / name).read_text()))
         assert imported.isdisjoint({"SeriesMatrix", "pm_mul_batch", "pmbasis"}), name
+
+
+def test_expansion_engine_imports_no_matrix_products():
+    # truncated_inverse and the lifting multiply residue arrays through _mul_stacked
+    imported = _imported_modules(ast.parse((SRC / "fraction.py").read_text()))
+    assert imported.isdisjoint({"pm_mul", "pm_mul_batch"})

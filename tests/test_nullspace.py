@@ -314,6 +314,15 @@ def test_minimal_vectors_delta_clamped_at_the_kronecker_bound(f97, tmp_path, cap
     assert outs[0] == outs[1] and capsys.readouterr().err.count("# rows 2") == 2
 
 
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_minimal_vectors_negative_delta_gives_no_rows(f97, d):
+    # a delta below -deg(A) - 1 would ask for an order basis of negative order
+    a = pk.rand_instance(4, 2, d, 3, field=f97)
+    for delta in (-1, -d - 2, -d - 5, -10**6):
+        got = minimal_vectors_up_to(a, delta)
+        assert got.row_count == 0 and got.kronecker_degrees == [] and got.matrix.cols == 4
+
+
 def _sweep_reference(mats, counts, delta):
     """Per matrix, (minimal_vectors_up_to at its last cap, its caps): the sweep's caps
     delta, 2 delta, ..., at most the largest bound, each from its own order-0 basis."""

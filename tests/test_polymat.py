@@ -178,6 +178,16 @@ def test_mul_blocks_delayed_reduction_bound(length):
         assert pk.pm_mul(b.transpose(), a.transpose()) == want  # the longer operand on the left
 
 
+def stacked_products(a: list, b: list, fld) -> list:
+    """a[i] * b[i] for each i, from one _mul_stacked call on the stacked coefficient arrays.
+
+    The outputs are adopted without reduction, so a kernel residue outside [0, p)
+    shows as a mismatch."""
+    prod = polymat._mul_stacked(polymat._stack([x.coeffs for x in a]),
+                                polymat._stack([y.coeffs for y in b]), fld)
+    return [PolyMatrix._canonical(fld, np.ascontiguousarray(prod[:, i])) for i in range(len(a))]
+
+
 def test_mul_blocks_delayed_reduction_batch():
     # a batch of three on the block path, early reductions included (k = 43)
     fld = pk.get_field(2**31 - 1)
@@ -186,7 +196,7 @@ def test_mul_blocks_delayed_reduction_batch():
     b = [_all_top(fld, lb, 43, 1) for _, lb in lengths]
     want = [PolyMatrix(fld, 43 * naive_mul(_all_top(fld, la, 1, 1), _all_top(fld, lb, 1, 1)).coeffs)
             for la, lb in lengths]
-    assert pk.pm_mul_batch(a, b) == want
+    assert stacked_products(a, b, fld) == want
 
 
 @pytest.mark.parametrize("p, lengths, kernel", [
@@ -268,41 +278,25 @@ def test_mul_batch_equals_pairwise(p, monkeypatch):
         if len(a) > 1:
             a[0] = PolyMatrix.zero(fld, n, k)  # a zero operand inside the batch
         before = len(ntt_calls) + len(block_calls)
-        got = pk.pm_mul_batch(a, b)
+        got = stacked_products(a, b, fld)
         assert len(ntt_calls) + len(block_calls) == before + 1  # one kernel call per batch
         assert got == [pk.pm_mul(x, y) for x, y in zip(a, b)]
         assert got == [naive_mul(x, y) for x, y in zip(a, b)]
     assert block_calls and (ntt_calls or p == 2**31 - 1)
-    assert max(shape[0][1] for shape in ntt_calls + block_calls) == 3  # B in the second axis
+    assert max(shape[0][1] for shape in ntt_calls + block_calls) == 4  # B in the second axis
 
 
 def test_mul_batch_edge_shapes(fd):
     a = pk.rand_instance(2, 3, 4, 51, field=fd)
     b = pk.rand_instance(3, 2, 20, 52, field=fd)
-    assert pk.pm_mul_batch([], []) == []
-    assert pk.pm_mul_batch([a], [b]) == [pk.pm_mul(a, b)]
+    assert stacked_products([a], [b], fd) == [pk.pm_mul(a, b)]
     zero = PolyMatrix.zero(fd, 2, 3)
-    assert pk.pm_mul_batch([zero, zero], [b, b]) == [PolyMatrix.zero(fd, 2, 2)] * 2
+    assert stacked_products([zero, zero], [b, b], fd) == [PolyMatrix.zero(fd, 2, 2)] * 2
     for n, k, m in ((0, 3, 2), (2, 0, 2), (2, 3, 0)):
         x, y = PolyMatrix.zero(fd, n, k), PolyMatrix.zero(fd, k, m)
-        got = pk.pm_mul_batch([x, x], [y, y])
+        got = stacked_products([x, x], [y, y], fd)
         assert got == [PolyMatrix.zero(fd, n, m)] * 2 and got[0].coeffs.shape == (1, n, m)
-
-
-def test_mul_batch_rejects_mismatches(fd, f97):
-    a, b = PolyMatrix.identity(fd, 2), pk.rand_instance(2, 3, 2, 53, field=fd)
-    with pytest.raises(DimensionMismatch):
-        pk.pm_mul_batch([a, a], [b])
-    with pytest.raises(DimensionMismatch):
-        pk.pm_mul_batch([a, a], [b, PolyMatrix.zero(fd, 2, 2)])
-    with pytest.raises(DimensionMismatch):
-        pk.pm_mul_batch([a, PolyMatrix.identity(fd, 3)], [b, b])
-    with pytest.raises(DimensionMismatch):
-        pk.pm_mul_batch([b, b], [b, b])
-    with pytest.raises(PrimeMismatch):
-        pk.pm_mul_batch([a, PolyMatrix.identity(f97, 2)], [b, b])
-    with pytest.raises(PrimeMismatch):
-        pk.pm_mul_batch([a, a], [b, PolyMatrix.zero(f97, 2, 3)])
+        assert pk.pm_mul(x, y) == got[0]
 
 
 def test_mul_block_chunks_capped_by_multiplications(monkeypatch):
@@ -321,7 +315,7 @@ def test_mul_block_chunks_capped_by_multiplications(monkeypatch):
         a = [pk.rand_instance(n, k, d, 60 + i, field=fld) for i in range(batch)]
         b = [pk.rand_instance(k, m, d, 70 + i, field=fld) for i in range(batch)]
         seen.clear()
-        assert pk.pm_mul_batch(a, b) == [naive_mul(x, y) for x, y in zip(a, b)]
+        assert stacked_products(a, b, fld) == [naive_mul(x, y) for x, y in zip(a, b)]
         for (bat, rows, inner), inner2, cols in seen:
             assert inner == inner2 == k
             assert rows == n or bat * rows * inner * cols <= PRODUCT_MULTS
@@ -330,6 +324,9 @@ def test_mul_block_chunks_capped_by_multiplications(monkeypatch):
 def test_mul_dimension_mismatch(fd):
     with pytest.raises(DimensionMismatch):
         pk.pm_mul(PolyMatrix.zero(fd, 2, 3), PolyMatrix.zero(fd, 2, 3))
+    b = pk.rand_instance(2, 3, 2, 53, field=fd)
+    with pytest.raises(DimensionMismatch):
+        pk.pm_mul(b, b)
 
 
 def test_mul_associative_bilinear(fd, rng):
