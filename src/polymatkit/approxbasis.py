@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import OrderExceedsData
-from .linalg import PRODUCT_MULTS, mul_unreduced, rref, split_right
+from .linalg import PRODUCT_MULTS, _reduce, mul_unreduced, rref, split_right
 from .poly import MINUS_INFINITY
 from .polymat import (PolyMatrix, SeriesMatrix, _mul_stacked, _normalize, entry_degrees, pm_mul,
                       row_degrees)
@@ -150,9 +150,8 @@ def _mbasis(f: np.ndarray, sigma: int, shifts: np.ndarray, field) -> tuple:
                 for lo in range((k + 1) * m, end, step):
                     live = slice(lo, min(lo + step, end))
                     pivot_part = mul_unreduced(lam, split_right(state[piv_rows, live]), p)
-                    upd = state[dep_rows, live] - pivot_part
-                    upd %= p  # reduces the product and the subtraction at once
-                    state[dep_rows, live] = upd
+                    # one reduction of the product and the subtraction, in (-w 2**53, p)
+                    state[dep_rows, live] = _reduce(state[dep_rows, live] - pivot_part, p)
                 degs[dep_rows] = np.maximum(degs[dep_rows], top - 1)
             basis[piv_rows, 1:top + 1] = basis[piv_rows, :top]
             basis[piv_rows, 0] = 0

@@ -107,20 +107,21 @@ def truncated_inverse(a: PolyMatrix, k: int) -> SeriesMatrix:
     """
     _check_args(a, k=k)
     fld, d = a.field, int_degree(a)
-    x = _inv_at_zero(a)[None]  # X as an (L, n, n) residue array
+    x = np.zeros((max(k, 1), a.rows, a.rows), dtype=np.int64)  # X, zero from slice `size` on
+    x[0], size = _inv_at_zero(a), 1
     orders = [k]
     while orders[-1] > 1:
         orders.append((orders[-1] + 1) // 2)
     t = 1
     for t_next in reversed(orders[:-1]):
         lo = max(0, t - d)
-        e = _mul(a.coeffs[:t_next], x[lo:], fld)[t - lo:t_next - lo]
+        e = _mul(a.coeffs[:t_next], x[lo:size], fld)[t - lo:t_next - lo]
         if e.any():
-            new = _mul(x[:t_next - t], e, fld)[:t_next - t]
-            x = _fit(x, t + new.shape[0])
-            x[t:] = -new % fld.p
+            new = _mul(x[:min(size, t_next - t)], e, fld)[:t_next - t]
+            size = t + new.shape[0]
+            x[t:size] = -new % fld.p
         t = t_next
-    return SeriesMatrix._canonical(fld, _fit(x, k))
+    return SeriesMatrix._canonical(fld, x[:k])
 
 
 def exact_x_power_divide(a: PolyMatrix, k: int) -> PolyMatrix:

@@ -11,9 +11,21 @@ reduces each output cell once. Elimination stays in int64 and runs in one
 loop, ``rref``: a step clears an invertible 2×2 pivot block (Jeannerod,
 Pernet & Storjohann, JSC 2013), or else one pivot, with one int64 product
 and one ``% p``. ``rank``, ``det`` and ``inv`` read its result.
+
+Wide arrays are reduced by ``_reduce``, x - (x // p) p: numpy divides by a
+scalar through libdivide (Granlund & Montgomery, PLDI 1994), which takes half
+the time of the hardware division of ``%`` on wide arrays. The floor quotient
+keeps it exact for negative x; its inputs are NTT products below p**2,
+``mul_unreduced`` sums below TERMS 2**53 + p and order-basis updates in
+(-w 2**53, p). ``rref``'s small arrays keep ``%``, one call that costs less
+there. Scratch arrays persist per thread (``_workspace``), so a repeated
+product faults no fresh pages in.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
@@ -24,11 +36,11 @@ _SPLIT = 1 << 16
 # (a_i 2**16 mod p) hi_i + a_i lo_i < 3 * 2**46 to a dot product (p < 2**31,
 # so hi < 2**15 and lo < 2**16); 42 such terms sum to less than 2**53, so
 # every partial sum is exact in float64, and a chunk's result is an int64
-# below 2**53.
+# below 2**53. Sums of them are reduced by floor division (``_reduce``).
 _CHUNK = 42
 # Chunk results (each below 2**53) an int64 accumulator holds without
-# reduction: TERMS * 2**53 + p < 2**63. An inner dimension k gives
-# ceil(k / 42) of them per output cell of mul_unreduced.
+# reduction: TERMS * 2**53 + p < 2**63, so their floor quotient by p is exact.
+# An inner dimension k gives ceil(k / 42) of them per output cell of mul_unreduced.
 TERMS = 1023
 # Multiplications per piece where callers cut wide products into column
 # ranges: OpenBLAS runs a GEMM this small on one thread (two threads have
@@ -36,54 +48,119 @@ TERMS = 1023
 PRODUCT_MULTS = 1 << 18
 
 
-def split_right(b: np.ndarray) -> list[np.ndarray]:
+# _reduce uses one ``%`` call below this many cells, where it is the faster.
+_WIDE = 1 << 11
+# Below this many cells (64 KiB) a new array costs less than a workspace lookup,
+# and the allocator serves it without page faults.
+_SCRATCH_CELLS = 1 << 13
+WORKSPACE_BYTES = 4 << 20  # per thread, over all slots
+_slots = threading.local()  # this thread's workspace buffers, by slot name
+
+
+def _workspace(slot: str, shape: tuple, dtype=np.int64) -> np.ndarray:
+    """A scratch array in this thread's buffer for ``slot``, kept across calls.
+
+    A slot holds one dtype and grows to its largest request while all slots
+    stay within WORKSPACE_BYTES; past that, or below _SCRATCH_CELLS, the
+    request gets a new array. No kernel returns a slot's array, and kernels
+    that call one another take different slots.
+    """
+    cells = math.prod(shape)
+    if cells < _SCRATCH_CELLS:
+        return np.empty(shape, dtype)
+    slots = vars(_slots)
+    buf = slots.get(slot)
+    if buf is None or buf.size < cells:
+        held = sum(b.nbytes for b in slots.values()) - (0 if buf is None else buf.nbytes)
+        if held + cells * np.dtype(dtype).itemsize > WORKSPACE_BYTES:
+            return np.empty(shape, dtype)
+        buf = slots[slot] = np.empty(cells, dtype)
+    return buf[:cells].reshape(shape)
+
+
+# drops this thread's buffers, like the cache_clear of functools' caches
+_workspace.cache_clear = lambda: vars(_slots).clear()
+
+
+def _reduce(x: np.ndarray, p: int, quo: np.ndarray | None = None) -> np.ndarray:
+    """x mod p in place, for an int64 array x: x - (x // p) p, with the quotient
+    in ``quo`` (a workspace array by default)."""
+    if x.size < _WIDE:
+        return np.remainder(x, p, out=x)
+    quo = np.floor_divide(x, p, out=_workspace("quo", x.shape) if quo is None else quo)
+    quo *= p
+    x -= quo
+    return x
+
+
+def split_right(b: np.ndarray, slot: str | None = None) -> list[np.ndarray]:
     """The right operand of ``mul_unreduced``: per inner chunk, float64 [hi; lo] of b.
 
-    Splitting does not depend on p, so one split serves every left operand.
+    Splitting does not depend on p, so one split serves every left operand. A
+    wide b is shifted and masked straight into one float64 array, the
+    workspace's for ``slot`` or else a new one; a small b goes through int64
+    temporaries, which cost less there.
     """
-    b_hi, b_lo = b >> 16, b & (_SPLIT - 1)
-    return [
-        np.concatenate((b_hi[..., s: s + _CHUNK, :], b_lo[..., s: s + _CHUNK, :]),
-                       axis=-2, dtype=np.float64)
-        for s in range(0, max(b.shape[-2], 1), _CHUNK)
-    ]
+    k = b.shape[-2]
+    if b.size < _SCRATCH_CELLS:
+        hi, lo = b >> 16, b & (_SPLIT - 1)
+        return [np.concatenate((hi[..., s: s + _CHUNK, :], lo[..., s: s + _CHUNK, :]), axis=-2,
+                               dtype=np.float64) for s in range(0, max(k, 1), _CHUNK)]
+    shape = (*b.shape[:-2], 2 * k, b.shape[-1])
+    limbs = np.empty(shape) if slot is None else _workspace(slot, shape, np.float64)
+    out = []
+    for s in range(0, k, _CHUNK):
+        c, rows = min(_CHUNK, k - s), b[..., s: s + _CHUNK, :]
+        np.right_shift(rows, 16, out=limbs[..., 2 * s: 2 * s + c, :], casting="unsafe")
+        np.bitwise_and(rows, _SPLIT - 1, out=limbs[..., 2 * s + c: 2 * (s + c), :],
+                       casting="unsafe")
+        out.append(limbs[..., 2 * s: 2 * (s + c), :])
+    return out
 
 
-def mul_unreduced(a: np.ndarray, b_split: list[np.ndarray], p: int) -> np.ndarray:
+def mul_unreduced(a: np.ndarray, b_split: list[np.ndarray], p: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """a @ b congruent mod p, unreduced: each cell is an int64 in [0, w 2**53).
 
     w = min(len(b_split), TERMS), which is ceil(k / 42) for an inner
     dimension k up to 42 TERMS. Each chunk forms [a 2**16 mod p | a] @
     [hi; lo] exactly in float64; the chunk results are summed in int64 and
     reduced after every TERMS of them (each is below 2**53 - 2**47, which
-    leaves room for the reduced p).
+    leaves room for the reduced p). The sum goes to ``out``, or else to a
+    new array; the scratch arrays are the workspace's.
     """
-    a_hi = a * _SPLIT % p
-    acc = None
+    wide = a.size >= _SCRATCH_CELLS  # else new temporaries cost less
+    a_hi = np.multiply(a, _SPLIT, out=_workspace("a_hi", a.shape) if wide else None)
+    _reduce(a_hi, p)
+    acc = out
     for i, b2 in enumerate(b_split):
         cut = slice(i * _CHUNK, (i + 1) * _CHUNK)
-        a2 = np.concatenate((a_hi[..., cut], a[..., cut]), axis=-1, dtype=np.float64)
-        part = (a2 @ b2).astype(np.int64)
+        halves = (a_hi[..., cut], a[..., cut])
+        a2 = (np.concatenate(halves, -1, out=_workspace("a2", (*a.shape[:-1], b2.shape[-2]), float))
+              if wide else np.concatenate(halves, -1, dtype=np.float64))
         if acc is None:
-            acc = part
+            acc = (a2 @ b2).astype(np.int64)
+            continue
+        part = np.matmul(a2, b2, out=_workspace("part", acc.shape, np.float64))
+        if i == 0:
+            acc[...] = part
             continue
         if i % TERMS == 0:  # acc holds TERMS chunk results
-            acc %= p
-        acc += part
+            _reduce(acc, p)
+        acc += part.astype(np.int64)
     return acc
 
 
-def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def mod_matmul(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """Exact (batched) matrix product modulo p, for residues below p < 2**31.
 
     Accepts stacked operands with broadcastable leading axes, like
     ``np.matmul``. b is split into 16-bit limbs b = hi 2**16 + lo once,
     every inner chunk of a multiplies its rows of [hi; lo], and each output
-    cell is reduced once.
+    cell is reduced once. The product goes to ``out`` (b itself may be
+    given: it is split first), or else to a new array.
     """
-    acc = mul_unreduced(a, split_right(b), p)
-    acc %= p
-    return acc
+    return _reduce(mul_unreduced(a, split_right(b, "limbs"), p, out), p)
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:

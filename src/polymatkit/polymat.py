@@ -13,8 +13,8 @@ import numpy as np
 from . import ntt
 from .errors import DimensionMismatch, FieldTooSmall, PrimeMismatch, SingularInput, ZeroRow
 from .field import FieldElement, PrimeField
-from .linalg import (PRODUCT_MULTS, TERMS, det as const_det, mod_matmul, mul_unreduced,
-                     rank as const_rank, split_right)
+from .linalg import (PRODUCT_MULTS, TERMS, _reduce, _workspace, det as const_det, mod_matmul,
+                     mul_unreduced, rank as const_rank, split_right)
 from .poly import MINUS_INFINITY, Polynomial
 
 
@@ -281,14 +281,18 @@ class SeriesMatrix:
 
 def _mul_ntt(a: np.ndarray, b: np.ndarray, field: PrimeField, length: int,
              out_len: int) -> np.ndarray:
-    # ntt gathers and returns this slices-first layout without transposing
-    pa = np.zeros((length, *a.shape[1:]), dtype=np.int64)
-    pb = np.zeros((length, *b.shape[1:]), dtype=np.int64)
-    pa[: a.shape[0]] = a
-    pb[: b.shape[0]] = b
-    ea = ntt.ntt(pa.transpose(1, 2, 3, 0), field).transpose(3, 0, 1, 2)
-    eb = ntt.ntt(pb.transpose(1, 2, 3, 0), field).transpose(3, 0, 1, 2)
-    ec = mod_matmul(ea, eb, field.p)
+    # ntt gathers and returns this slices-first layout without transposing. The padded
+    # operands, their transforms and their product are workspace arrays; the inverse
+    # transform's new array holds the result.
+    ends = []
+    for name, x in (("a", a), ("b", b)):
+        pad = _workspace("pad_" + name, (length, *x.shape[1:]))
+        pad[: x.shape[0]] = x
+        pad[x.shape[0]:] = 0
+        work = _workspace("ntt_" + name, (pad.size,))
+        ends.append(ntt.ntt(pad.transpose(1, 2, 3, 0), field, out=work).transpose(3, 0, 1, 2))
+    ea, eb = ends
+    ec = mod_matmul(ea, eb, field.p, out=_workspace("ntt_c", (length, *a.shape[1:3], b.shape[3])))
     prod = ntt.ntt(ec.transpose(1, 2, 3, 0), field, inverse=True)
     return prod.transpose(3, 0, 1, 2)[:out_len]
 
@@ -312,7 +316,7 @@ def _mul_blocks(a: np.ndarray, b: np.ndarray, p: int, out_len: int) -> np.ndarra
     """
     la, batch, n, k = a.shape
     lb, m = b.shape[0], b.shape[3]
-    b_split = split_right(b.transpose(1, 2, 0, 3).reshape(batch, k, lb * m))
+    b_split = split_right(b.transpose(1, 2, 0, 3).reshape(batch, k, lb * m), "blocks_limbs")
     cap = TERMS // min(len(b_split), TERMS)
     out = np.zeros((out_len, batch, n, m), dtype=np.int64)
     step = max(1, min(PRODUCT_MULTS // (batch * n * k * lb * m), cap))
@@ -320,10 +324,11 @@ def _mul_blocks(a: np.ndarray, b: np.ndarray, p: int, out_len: int) -> np.ndarra
     for s in range(0, la, step):
         chunk = a[s: s + step]
         c = chunk.shape[0]
-        prod = mul_unreduced(chunk.transpose(1, 0, 2, 3).reshape(batch, c * n, k), b_split, p)
+        prod = mul_unreduced(chunk.transpose(1, 0, 2, 3).reshape(batch, c * n, k), b_split, p,
+                             _workspace("blocks", (batch, c * n, lb * m)))
         prod = prod.reshape(batch, c, n, lb, m).transpose(1, 3, 0, 2, 4)
         if min(pending + c, lb) > cap:
-            out %= p
+            _reduce(out, p)
             pending = 0
         pending += c
         if c <= lb:
@@ -332,8 +337,7 @@ def _mul_blocks(a: np.ndarray, b: np.ndarray, p: int, out_len: int) -> np.ndarra
         else:
             for j in range(lb):
                 out[s + j: s + j + c] += prod[:, j]
-    out %= p
-    return out
+    return _reduce(out, p)
 
 
 def _stack(arrays: list) -> np.ndarray:
@@ -348,11 +352,12 @@ def _stack(arrays: list) -> np.ndarray:
 
 
 # pm_mul multiplies by _mul_blocks when an operand has at most this many
-# slices. Against the mixed-radix NTT, blocks take 0.12-0.69 of its time for
-# two operands of 9-17 slices (n = 2-32) and 0.13-0.53 for 9 x 128 slices
-# (n = 2-16); at 32 x 32 slices they take 0.20-0.89 for n <= 8 and 1.2-1.3
-# for n = 16, 32. The cut stays at 16 so the d = 16, 32, 64 products timed
-# by test_acceptance_scaling (17 slices and up) remain on the NTT path.
+# slices. Against the mixed-radix NTT (default prime, 2 BLAS threads), blocks
+# take 0.2-0.6 of its time for two operands of 17 or 33 slices and 0.2-0.65
+# for 17 x 33-129 slices at n = 2-32 (0.5-1.0 at n = 64), 0.5-1.4 at 65 x 65
+# and 1.0-1.5 at 129 x 129. The cut stays at 16 so the d = 16, 32, 64 products
+# timed by test_acceptance_scaling (17 slices and up) remain on the NTT path
+# (ROADMAP item 3).
 _BLOCK_SLICES = 16
 
 

@@ -49,3 +49,24 @@ def test_expansion_engine_imports_no_matrix_products():
     # truncated_inverse and the lifting multiply residue arrays through _mul_stacked
     imported = _imported_modules(ast.parse((SRC / "fraction.py").read_text()))
     assert imported.isdisjoint({"pm_mul", "pm_mul_batch"})
+
+
+def test_reduction_helper_and_workspace_live_in_linalg():
+    # one modular-arithmetic kernel module: only linalg defines the reduction
+    # helper and the workspace, calls floor_divide or keeps per-thread buffers
+    kernel_names = {"_reduce", "_workspace"}
+    offenders = []
+    for f in sorted(SRC.glob("*.py")):
+        if f.name == "linalg.py":
+            continue
+        tree = ast.parse(f.read_text())
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if defined & kernel_names or names & {"floor_divide", "local"}:
+            offenders.append(f.name)
+        if "threading" in _imported_modules(tree):
+            offenders.append(f.name)
+    assert offenders == []
+    linalg = ast.parse((SRC / "linalg.py").read_text())
+    assert kernel_names <= {node.name for node in linalg.body if isinstance(node, ast.FunctionDef)}

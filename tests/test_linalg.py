@@ -194,3 +194,38 @@ def test_one_split_serves_many_left_operands(p, rng):
     for rows in (1, 7, 33):
         a = rng.integers(max(0, p - 2**20), p, size=(rows, 90))
         assert (mul_unreduced(a, b_split, p) % p).tolist() == _matmul_ref(a, b, p).tolist()
+
+
+PRIMES = [2, 3, 97, 65537, 2**31 - 1, DEFAULT_PRIME]
+
+
+def _call_site_ranges(p, rng):
+    """Inputs of _reduce's call sites, extremes first: NTT products in [0, (p-1)**2],
+    mul_unreduced sums in [0, TERMS 2**53 + p) and order-basis updates in
+    (-w 2**53, p), w up to TERMS."""
+    top = linalg.TERMS * 2**53 + p - 1
+    low = -linalg.TERMS * 2**53 + 1
+    ranges = {
+        "ntt": ([0, 1, p - 1, p, p + 1, (p - 1) ** 2], 0, (p - 1) ** 2 + 1),
+        "sums": ([0, p - 1, p, 2**53 - 1, 2**53, top], 0, top + 1),
+        "updates": ([low, -2**53, -p - 1, -p, -p + 1, -1, 0, p - 1], low, p),
+    }
+    for name, (edges, lo, hi) in ranges.items():
+        cells = linalg._WIDE + len(edges)
+        x = rng.integers(lo, hi, size=cells, dtype=np.int64)
+        x[:len(edges)] = edges
+        yield name, x
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_equals_python_mod_over_call_site_ranges(p, rng):
+    # wide arrays take the floor-division path, small ones one % call; a
+    # truncating (C-style) quotient would leave the negative updates negative
+    for name, x in _call_site_ranges(p, rng):
+        want = [v % p for v in x.tolist()]
+        for arr in (x, x[:7]):
+            got = linalg._reduce(arr.copy(), p)
+            assert got.tolist() == want[:arr.size], (name, arr.size)
+        quo = np.empty_like(x)
+        assert linalg._reduce(x.reshape(-1, 2).copy(), p, quo=quo.reshape(-1, 2)).ravel().tolist() \
+            == want, name

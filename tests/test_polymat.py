@@ -304,9 +304,9 @@ def test_mul_block_chunks_capped_by_multiplications(monkeypatch):
     seen = []
     real = polymat.mul_unreduced
 
-    def spy(a, b_split, p):
+    def spy(a, b_split, p, *out):
         seen.append((a.shape, sum(b.shape[-2] for b in b_split) // 2, b_split[0].shape[-1]))
-        return real(a, b_split, p)
+        return real(a, b_split, p, *out)
 
     monkeypatch.setattr(polymat, "mul_unreduced", spy)
     fld = pk.get_field(2**31 - 1)
