@@ -12,14 +12,12 @@ loop, ``rref``: a step clears an invertible 2×2 pivot block (Jeannerod,
 Pernet & Storjohann, JSC 2013), or else one pivot, with one int64 product
 and one ``% p``. ``rank``, ``det`` and ``inv`` read its result.
 
-Wide arrays are reduced by ``_reduce``, x - (x // p) p: numpy divides by a
-scalar through libdivide (Granlund & Montgomery, PLDI 1994), which takes half
-the time of the hardware division of ``%`` on wide arrays. The floor quotient
-keeps it exact for negative x; its inputs are NTT products below p**2,
-``mul_unreduced`` sums below TERMS 2**53 + p and order-basis updates in
-(-w 2**53, p). ``rref``'s small arrays keep ``%``, one call that costs less
-there. Scratch arrays persist per thread (``_workspace``), so a repeated
-product faults no fresh pages in.
+Wide arrays are reduced by ``_reduce``, x - (x // p) p, whose floor division
+by a scalar numpy runs through libdivide (Granlund & Montgomery, PLDI 1994) at
+half the cost of ``%``. The floor quotient is exact on all its inputs: NTT
+products below p**2, ``mul_unreduced`` sums below TERMS 2**53 + p and
+order-basis updates in (-w 2**53, p). ``rref``'s small arrays keep ``%``, the
+faster there. Scratch arrays persist per thread in ``_workspace``.
 """
 
 from __future__ import annotations
@@ -48,30 +46,25 @@ TERMS = 1023
 PRODUCT_MULTS = 1 << 18
 
 
-# _reduce uses one ``%`` call below this many cells, where it is the faster.
-_WIDE = 1 << 11
-# Below this many cells (64 KiB) a new array costs less than a workspace lookup,
-# and the allocator serves it without page faults.
+_WIDE = 1 << 10  # below this many cells _reduce makes one ``%`` call, the faster there
+# below this many cells (64 KiB) a new array faults no pages in, and split_right and
+# mul_unreduced use numpy's own temporaries, which take fewer numpy calls
 _SCRATCH_CELLS = 1 << 13
 WORKSPACE_BYTES = 4 << 20  # per thread, over all slots
 _slots = threading.local()  # this thread's workspace buffers, by slot name
 
 
 def _workspace(slot: str, shape: tuple, dtype=np.int64) -> np.ndarray:
-    """A scratch array in this thread's buffer for ``slot``, kept across calls.
-
-    A slot holds one dtype and grows to its largest request while all slots
-    stay within WORKSPACE_BYTES; past that, or below _SCRATCH_CELLS, the
-    request gets a new array. No kernel returns a slot's array, and kernels
-    that call one another take different slots.
-    """
+    """This thread's scratch array for ``slot``, kept across calls and grown to its
+    largest request while all slots fit in WORKSPACE_BYTES; a small or an
+    over-bound request gets a new array. No kernel returns a slot's array."""
     cells = math.prod(shape)
     if cells < _SCRATCH_CELLS:
         return np.empty(shape, dtype)
     slots = vars(_slots)
     buf = slots.get(slot)
     if buf is None or buf.size < cells:
-        held = sum(b.nbytes for b in slots.values()) - (0 if buf is None else buf.nbytes)
+        held = sum(b.nbytes for name, b in slots.items() if name != slot)
         if held + cells * np.dtype(dtype).itemsize > WORKSPACE_BYTES:
             return np.empty(shape, dtype)
         buf = slots[slot] = np.empty(cells, dtype)
@@ -83,38 +76,32 @@ _workspace.cache_clear = lambda: vars(_slots).clear()
 
 
 def _reduce(x: np.ndarray, p: int, quo: np.ndarray | None = None) -> np.ndarray:
-    """x mod p in place, for an int64 array x: x - (x // p) p, with the quotient
-    in ``quo`` (a workspace array by default)."""
+    """x mod p in place for int64 x, as x - (x // p) p; the quotient goes to ``quo``."""
     if x.size < _WIDE:
         return np.remainder(x, p, out=x)
-    quo = np.floor_divide(x, p, out=_workspace("quo", x.shape) if quo is None else quo)
-    quo *= p
-    x -= quo
-    return x
+    quo = _workspace("quo", x.shape) if quo is None else quo
+    return np.subtract(x, np.multiply(np.floor_divide(x, p, out=quo), p, out=quo), out=x)
 
 
-def split_right(b: np.ndarray, slot: str | None = None) -> list[np.ndarray]:
+def split_right(b: np.ndarray) -> list[np.ndarray]:
     """The right operand of ``mul_unreduced``: per inner chunk, float64 [hi; lo] of b.
 
     Splitting does not depend on p, so one split serves every left operand. A
-    wide b is shifted and masked straight into one float64 array, the
-    workspace's for ``slot`` or else a new one; a small b goes through int64
-    temporaries, which cost less there.
+    wide b is shifted and masked into the workspace's ``limbs``, which the next
+    split overwrites; a small one takes fewer numpy calls through int64 limbs.
     """
     k = b.shape[-2]
     if b.size < _SCRATCH_CELLS:
         hi, lo = b >> 16, b & (_SPLIT - 1)
         return [np.concatenate((hi[..., s: s + _CHUNK, :], lo[..., s: s + _CHUNK, :]), axis=-2,
                                dtype=np.float64) for s in range(0, max(k, 1), _CHUNK)]
-    shape = (*b.shape[:-2], 2 * k, b.shape[-1])
-    limbs = np.empty(shape) if slot is None else _workspace(slot, shape, np.float64)
+    limbs = _workspace("limbs", (*b.shape[:-2], 2 * k, b.shape[-1]), np.float64)
     out = []
     for s in range(0, k, _CHUNK):
         c, rows = min(_CHUNK, k - s), b[..., s: s + _CHUNK, :]
-        np.right_shift(rows, 16, out=limbs[..., 2 * s: 2 * s + c, :], casting="unsafe")
-        np.bitwise_and(rows, _SPLIT - 1, out=limbs[..., 2 * s + c: 2 * (s + c), :],
-                       casting="unsafe")
         out.append(limbs[..., 2 * s: 2 * (s + c), :])
+        np.right_shift(rows, 16, out=out[-1][..., :c, :], casting="unsafe")
+        np.bitwise_and(rows, _SPLIT - 1, out=out[-1][..., c:, :], casting="unsafe")
     return out
 
 
@@ -126,28 +113,27 @@ def mul_unreduced(a: np.ndarray, b_split: list[np.ndarray], p: int,
     dimension k up to 42 TERMS. Each chunk forms [a 2**16 mod p | a] @
     [hi; lo] exactly in float64; the chunk results are summed in int64 and
     reduced after every TERMS of them (each is below 2**53 - 2**47, which
-    leaves room for the reduced p). The sum goes to ``out``, or else to a
-    new array; the scratch arrays are the workspace's.
+    leaves room for the reduced p). The sum goes to ``out``, or else to the
+    first chunk's product cast to a new array; later chunk products, and a
+    wide a's limbs, are workspace arrays.
     """
-    wide = a.size >= _SCRATCH_CELLS  # else new temporaries cost less
-    a_hi = np.multiply(a, _SPLIT, out=_workspace("a_hi", a.shape) if wide else None)
-    _reduce(a_hi, p)
+    wide = a.size >= _SCRATCH_CELLS  # a small a takes fewer numpy calls with new temporaries
+    a_hi = _reduce(np.multiply(a, _SPLIT, out=_workspace("a_hi", a.shape) if wide else None), p)
     acc = out
     for i, b2 in enumerate(b_split):
         cut = slice(i * _CHUNK, (i + 1) * _CHUNK)
         halves = (a_hi[..., cut], a[..., cut])
         a2 = (np.concatenate(halves, -1, out=_workspace("a2", (*a.shape[:-1], b2.shape[-2]), float))
               if wide else np.concatenate(halves, -1, dtype=np.float64))
+        part = np.matmul(a2, b2, out=None if acc is None else _workspace("part", acc.shape, float))
         if acc is None:
-            acc = (a2 @ b2).astype(np.int64)
-            continue
-        part = np.matmul(a2, b2, out=_workspace("part", acc.shape, np.float64))
-        if i == 0:
+            acc = part.astype(np.int64)
+        elif i == 0:
             acc[...] = part
-            continue
-        if i % TERMS == 0:  # acc holds TERMS chunk results
-            _reduce(acc, p)
-        acc += part.astype(np.int64)
+        else:
+            if i % TERMS == 0:  # acc holds TERMS chunk results
+                _reduce(acc, p)
+            np.add(acc, part, out=acc, dtype=np.int64, casting="unsafe")  # int64 sum of exact parts
     return acc
 
 
@@ -160,7 +146,7 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = No
     cell is reduced once. The product goes to ``out`` (b itself may be
     given: it is split first), or else to a new array.
     """
-    return _reduce(mul_unreduced(a, split_right(b, "limbs"), p, out), p)
+    return _reduce(mul_unreduced(a, split_right(b), p, out), p)
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:

@@ -3,10 +3,9 @@
 Any length L = c 2**k (c odd) dividing p - 1 is supported; ``transform_length``
 picks the smallest L >= n with c in {1, 3, 5, 15}, at most 25 % above n where
 15 | p - 1. For c > 1, the c interleaved subsequences go through one batched
-radix-2 transform, a twiddle by w**(s u) and the c-point DFT as a mod-p
-matrix product (column pieces of at most ``PRODUCT_MULTS`` multiplications,
-written back in place). Butterflies divide only to reduce the twiddle
-product, by floor division (see ``linalg``): sums and differences come back to
+radix-2 transform, a twiddle by w**(s u) and the c-point DFT as ``mod_matmul``
+(column pieces of at most ``PRODUCT_MULTS`` multiplications). Butterflies
+divide only to reduce the twiddle product: sums and differences come back to
 [0, p) by an unsigned minimum with the value -/+ p (two array passes; the
 sign-mask correction takes four). Inputs must be canonical residues in [0, p).
 """
@@ -60,8 +59,7 @@ def _radix2(y: np.ndarray, p: int, stages: tuple[np.ndarray, ...]) -> None:
     """In-place radix-2 transforms along axis 1 of y (c, m, batch), input in bit-reversed order.
 
     Sums s in [0, 2p) become min(s, s - p), differences d in (-p, p) min(d, d + p),
-    compared as unsigned, where a negative value reads as 2**63 or more. The
-    twiddle product, below p**2, is reduced with d as the quotient buffer."""
+    compared as unsigned, where a negative value reads as 2**63 or more."""
     t, d = _workspace("radix2", (2, y.size // 2))
     u = np.uint64
     for tw in stages:
@@ -71,7 +69,7 @@ def _radix2(y: np.ndarray, p: int, stages: tuple[np.ndarray, ...]) -> None:
         tw_odd = odd
         if tw.shape[0] > 1:
             tw_odd = np.multiply(odd, tw, out=t)
-            _reduce(t, p, quo=d)
+            _reduce(t, p, quo=d)  # t < p**2; d is free until the difference
         np.subtract(even, tw_odd, out=d)
         even += tw_odd
         np.subtract(even, p, out=t)
@@ -90,7 +88,6 @@ def ntt(a: np.ndarray, field: PrimeField, inverse: bool = False,
     layout, as a view of the work array: ``out`` (a.size int64 cells), or
     else a new array.
     """
-    out = np.empty(a.size, dtype=np.int64) if out is None else out
     length = a.shape[-1]
     p = field.p
     root = int(field.root_of_unity(length))
@@ -98,9 +95,9 @@ def ntt(a: np.ndarray, field: PrimeField, inverse: bool = False,
         root = pow(root, -1, p)
     m = length & -length
     c = length // m
-    # mode="clip" (the positions are in range) writes straight to out; "raise" buffers
-    y = np.take(a.reshape(-1, length).T, _gather(c, m), axis=0, out=out.reshape(c, m, -1),
-                mode="clip")
+    # (c, m, batch); mode="clip" (the positions are in range) writes straight to out
+    y = np.take(a.reshape(-1, length).T, _gather(c, m), axis=0, mode="clip",
+                out=(np.empty(a.size, np.int64) if out is None else out).reshape(c, m, -1))
     _radix2(y, p, _twiddles(p, m, pow(root, c, p)))
     scale = pow(length, -1, p) if inverse else 1
     if c > 1:
@@ -110,8 +107,7 @@ def ntt(a: np.ndarray, field: PrimeField, inverse: bool = False,
         cols = y.reshape(c, -1)
         step = max(1, PRODUCT_MULTS // dft.size)
         for lo in range(0, cols.shape[1], step):
-            piece = cols[:, lo: lo + step]
-            mod_matmul(dft, piece, p, out=piece)
+            mod_matmul(dft, cols[:, lo: lo + step], p, out=cols[:, lo: lo + step])
     elif inverse:
         y *= scale
         _reduce(y, p)

@@ -282,17 +282,14 @@ class SeriesMatrix:
 def _mul_ntt(a: np.ndarray, b: np.ndarray, field: PrimeField, length: int,
              out_len: int) -> np.ndarray:
     # ntt gathers and returns this slices-first layout without transposing. The padded
-    # operands, their transforms and their product are workspace arrays; the inverse
-    # transform's new array holds the result.
+    # operands and their product take turns in one workspace array, the transforms in two.
     ends = []
-    for name, x in (("a", a), ("b", b)):
-        pad = _workspace("pad_" + name, (length, *x.shape[1:]))
-        pad[: x.shape[0]] = x
-        pad[x.shape[0]:] = 0
-        work = _workspace("ntt_" + name, (pad.size,))
-        ends.append(ntt.ntt(pad.transpose(1, 2, 3, 0), field, out=work).transpose(3, 0, 1, 2))
-    ea, eb = ends
-    ec = mod_matmul(ea, eb, field.p, out=_workspace("ntt_c", (length, *a.shape[1:3], b.shape[3])))
+    for name, x in (("ntt_a", a), ("ntt_b", b)):
+        pad = _workspace("pad", (length, *x.shape[1:]))
+        pad[: x.shape[0]], pad[x.shape[0]:] = x, 0
+        ends.append(ntt.ntt(pad.transpose(1, 2, 3, 0), field, out=_workspace(name, (pad.size,))))
+    ea, eb = (e.transpose(3, 0, 1, 2) for e in ends)
+    ec = mod_matmul(ea, eb, field.p, out=_workspace("pad", (length, *a.shape[1:3], b.shape[3])))
     prod = ntt.ntt(ec.transpose(1, 2, 3, 0), field, inverse=True)
     return prod.transpose(3, 0, 1, 2)[:out_len]
 
@@ -316,7 +313,7 @@ def _mul_blocks(a: np.ndarray, b: np.ndarray, p: int, out_len: int) -> np.ndarra
     """
     la, batch, n, k = a.shape
     lb, m = b.shape[0], b.shape[3]
-    b_split = split_right(b.transpose(1, 2, 0, 3).reshape(batch, k, lb * m), "blocks_limbs")
+    b_split = split_right(b.transpose(1, 2, 0, 3).reshape(batch, k, lb * m))
     cap = TERMS // min(len(b_split), TERMS)
     out = np.zeros((out_len, batch, n, m), dtype=np.int64)
     step = max(1, min(PRODUCT_MULTS // (batch * n * k * lb * m), cap))
