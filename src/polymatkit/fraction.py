@@ -9,16 +9,19 @@ product: its coefficients [t, t') read only X's top deg(A) slices, so each
 step multiplies A by deg(A) slices of X, not by all t of them.
 ``expansion_slice`` (a window F_h .. F_{h+delta-1} of the expansion of
 A^{-1}B) and ``proper_tail`` (the residue R_h and a window of A^{-1}) share
-one engine: a Newton run to order c + delta, then high-order lifting to
-order h - c, which keeps only the residue R_t = (I - A S_t) / x^t of degree
-< deg(A) and doubles t, so it takes O(log h) products of degree-O(deg A)
-matrices (Storjohann 2003; Jeannerod & Villard 2005). ``_newton_wins``
-picks c = h (no lifting) or deg(A) <= c < 2 deg(A), by a rule fitted on measured
-times: Newton makes fewer product calls, lifting multiplies fewer
-coefficients, so Newton wins up to h / deg(A) of about 8000 for n = 2,
-d = 1 and of about 6 to 10 for n * deg(A) >= 256. Both run on int64
-(L, n, n) residue arrays and multiply through ``polymat._mul_stacked``;
-only the results are wrapped as matrices.
+one engine: a Newton run to order k = c + delta, then high-order lifting,
+which keeps only the residue R_t = (I - A S_t) / x^t of degree < deg(A)
+and doubles t, so it takes O(log h) products of degree-O(deg A) matrices
+(Storjohann 2003; Jeannerod & Villard 2005). The lifting starts at an
+order t_0 <= k, from the residue that the Newton series fixes, and ends
+anywhere in [h - c, h], by the chain of doublings and short increments
+with the fewest kernel calls (``_lift_plan``). ``_newton_wins`` picks
+c = h (no lifting) or deg(A) <= c < 2 deg(A), by a rule fitted on measured
+times of lifting from R_0 = I: Newton makes fewer product calls, lifting
+multiplies fewer coefficients, so Newton wins up to h / deg(A) of about
+8000 for n = 2, d = 1 and of about 6 to 10 for n * deg(A) >= 256. Both run
+on int64 (L, n, n) residue arrays and multiply through
+``polymat._mul_stacked``; only the results are wrapped as matrices.
 """
 
 from __future__ import annotations
@@ -174,13 +177,16 @@ def proper_tail(a: PolyMatrix, h: int, sigma: int) -> ProperFractionData:
 #
 # For t >= 0 write A^{-1} = S_t + x^t A^{-1} R_t with S_t = A^{-1} mod x^t and
 # the residue R_t = (I - A S_t) / x^t, a polynomial matrix of degree < d.
-# R_t alone determines everything after order t: F_{t+k} = (S_d R_t)_k for
-# k < d, so R_{t+d} = (R_t - A W_t) / x^d with W_t = (S_d R_t) mod x^d, and
-#   R_{2t+d} = R_{t+d} R_t + A ((W_t R_t) div x^d)
-# doubles the order. Each step is a product of degree-O(d) matrices on
-# residue arrays; a doubling stacks its two independent pairs into one
-# kernel call each, so it makes three: S_d R_t, then [A W_t, W_t R_t], then
-# [R_{t+d} R_t, A ((W_t R_t) div x^d)], whose two products are summed.
+# R_t alone determines everything after order t: F_{t+k} = (S_b R_t)_k for
+# k < b, so for 1 <= b <= d, R_{t+b} = (R_t - A W) / x^b with
+# W = (S_b R_t) mod x^b (an increment, two kernel calls), and with b = d
+#   R_{2t+d} = R_{t+d} R_t + A ((W R_t) div x^d)
+# doubles the order. A doubling stacks its two independent pairs into one
+# kernel call each, so it makes three: S_d R_t, then [A W, W R_t], then
+# [R_{t+d} R_t, A ((W R_t) div x^d)], whose two products are summed. The
+# chain starts at an order t_0 that the Newton run to order k already covers,
+# R_{t_0} = (I - A S_{t_0}) / x^{t_0} (one product, none for t_0 = 0), and
+# ends at h - c with c + width <= k; ``_lift_plan`` picks the cheapest one.
 
 
 def _newton_wins(n: int, d: int, h: int) -> bool:
@@ -196,27 +202,55 @@ def _newton_wins(n: int, d: int, h: int) -> bool:
     return h < d * 2.0 ** (15.25 - 2.25 * (ln + ld) + 0.375 * ln * ld)
 
 
+def _lift_plan(h: int, d: int, c: int, k: int) -> list[int]:
+    """Orders t_0 <= k, t_1, .., t_m with h - c <= t_m <= h of a lifting chain with
+    the fewest kernel calls: one for the start (none at t_0 = 0), three per doubling
+    t -> 2t + d and two per increment t -> t + b, 1 <= b <= d.
+
+    Walking back from [h - c, h], a doubling halves the span of orders that still
+    reach the window and an increment widens it by d - 1. The walk ends once the
+    span meets [0, k]; it increments when that takes one step, or when no order
+    in the span has d's parity, and else halves.
+    """
+    spans = [(max(h - c, 0), h, False)]  # (lo, hi, whether a doubling leads on from it)
+    while spans[-1][0] > k:
+        lo, hi, _ = spans[-1]
+        half = ((lo - d + 1) // 2, (hi - d) // 2)
+        if lo - d > k and half[0] <= half[1]:
+            spans.append((*half, True))
+        else:
+            spans.append((lo - d, hi - 1, False))
+    orders = [spans[-1][0]]
+    for (lo, _, _), (_, _, doubles) in zip(spans[-2::-1], spans[:0:-1]):
+        t = orders[-1]
+        orders.append(2 * t + d if doubles else max(lo, t + 1))
+    return orders
+
+
 def _expand(a: PolyMatrix, h: int, width: int):
     """(R_h, [F_h, .., F_{h+width-1}]) for the expansion of A^{-1} at x = 0, as residue arrays."""
     fld, p, d = a.field, a.field.p, int_degree(a)
-    lift = d > 0 and not _newton_wins(a.rows, d, h)  # lifting steps by d
-    # lifting reaches R_t, t = h - c; c >= d whenever it takes a step (h >= 2d)
+    lift = d > 0 and not _newton_wins(a.rows, d, h)
+    # the chain may end anywhere in [h - c, h]; c >= d whenever lifting takes a step (h >= 2d)
     c = h - max(h // d - 1, 0) * d if lift else h
     s = truncated_inverse(a, c + width).coeffs
+    orders = _lift_plan(h, d, c, c + width)
+    t = orders[0]
     r = np.eye(a.rows, dtype=np.int64)[None]
-    if lift:
-        def w_of(r):  # W_t from R_t
-            return _mul(s[:d], r, fld)[:d]
-
-        # r is R_t with t = (m - 1) d as m runs through the leading bits of h // d
-        for bit in bin(h // d)[3:]:
-            w = w_of(r)
+    if t:  # all of A S_t, not only its top, so that the division checks S_t as well
+        r = _sub_quo(r, _mul(a.coeffs, s[:t], fld), t, p)
+    for t_next in orders[1:]:
+        b = min(t_next - t, d)
+        w = _mul(s[:b], r, fld)[:b]  # (A^{-1} R_t) mod x^b
+        if t_next == 2 * t + d:
             aw_wr = _mul_stacked(_stack([a.coeffs, w]), _stack([w, r]), fld)
             r_next = _sub_quo(r, aw_wr[:, 0], d, p)
             pair = _mul_stacked(_stack([r_next, a.coeffs]), _stack([r, aw_wr[d:, 1]]), fld)
-            r = pair.sum(axis=1) % p  # m -> 2m
-            if bit == "1":
-                r = _sub_quo(r, _mul(a.coeffs, w_of(r), fld), d, p)  # m -> m + 1
-        # h - t = c < 2d: one product with S mod x^(c + width) gives R_h and the window
-        s = _fit(_mul(s, r, fld), c + width)
+            r = pair.sum(axis=1) % p
+        else:
+            r = _sub_quo(r, _mul(a.coeffs, w, fld), b, p)
+        t = t_next
+    c = h - t
+    if t:  # one product with S mod x^(c + width) gives R_h and the window
+        s = _fit(_mul(s[:c + width], r, fld), c + width)
     return _sub_quo(r, _mul(a.coeffs, s[:c], fld), c, p), s[c:]

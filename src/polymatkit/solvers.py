@@ -70,37 +70,62 @@ _SIGN = np.array([[(-1) ** (j + r - (r > j)) if r != j else 0 for j in range(4)]
                   for r in range(4)])
 
 
-def _adjugates(blocks: np.ndarray, field) -> np.ndarray:
-    """Per s x s block M (s <= 4) of an (L, B, s, s) array, adj(M) with each
-    row scaled so that its last entry of largest degree is monic, as mbasis
-    normalizes a minimal kernel row; a zero row stays zero. Row i of adj(M)
-    annihilates every column of M but column i. A smaller block is padded to
-    diag(M, I), whose adjugate is diag(adj M, det M I). The 4 x 4 ones take
-    two batched products: the 2 x 2 minors of the column pairs {0, 1} and
-    {2, 3}, from outer products, and the cofactors by Laplace expansion
-    along the columns of one pair, each with the other pair's minors.
-    """
-    p, (length, count, s, _) = field.p, blocks.shape
+def _as_4x4(blocks: np.ndarray) -> np.ndarray:
+    """diag(M, I) of size 4 per s x s block M (s <= 4) of an (L, B, s, s) array."""
+    length, count, s, _ = blocks.shape
     m = np.zeros((length, count, 4, 4), dtype=np.int64)
     m[:, :, :s, :s] = blocks
     m[0, :, range(s, 4), range(s, 4)] = 1
+    return m
+
+
+def _pair_cofactors(first: np.ndarray, second: np.ndarray, field) -> np.ndarray:
+    """The (L, N, 4, 4) cofactor tables of N column pairs, given as two (L, N, 4) arrays
+    of their columns: one batched outer product P[r, t] = first[r] second[t], whose
+    P[u, v] - P[v, u] is the pair's minor on rows u, v."""
+    outer = _mul_stacked(first[..., None], second[..., None, :], field)
+    return _SIGN * (outer[..., _U, _V] - outer[..., _V, _U]) % field.p
+
+
+def _monic_rows(rows: np.ndarray, field) -> np.ndarray:
+    """The rows of an (L, N, s) array, each scaled so that its last entry of largest
+    degree is monic, as mbasis normalizes a minimal kernel row; a zero row stays zero."""
+    p, count = field.p, rows.shape[1]
+    degs = entry_degrees(PolyMatrix._canonical(field, rows))
+    at, piv = np.arange(count), rows.shape[2] - 1 - np.argmax(degs[:, ::-1], axis=1)
+    lead = rows[degs[at, piv], at, piv]
+    scale = np.array([pow(int(c), -1, p) if c else 1 for c in lead], dtype=np.int64)
+    return _normalize(rows * scale[:, None] % p)
+
+
+def _adjugates(blocks: np.ndarray, field) -> np.ndarray:
+    """Per s x s block M (s <= 4) of an (L, B, s, s) array, adj(M) with its rows
+    made monic by _monic_rows. Row i of adj(M) annihilates every column of M but
+    column i. A smaller block is padded to diag(M, I), whose adjugate is
+    diag(adj M, det M I). The 4 x 4 ones take two batched products: the 2 x 2
+    minors of the column pairs {0, 1} and {2, 3}, and the cofactors by Laplace
+    expansion along the columns of one pair, each with the other pair's minors.
+    """
+    p, (length, count, s, _) = field.p, blocks.shape
+    m = _as_4x4(blocks)
     # per block and column pair c: M_c and M_{c+1} as (L, B, pair, row)
     even, odd = (m[..., k::2].transpose(0, 1, 3, 2) for k in (0, 1))
-    # P[r, t] = M[r, c] M[t, c + 1], so the pair's minor on rows u, v is P[u, v] - P[v, u]
-    outer = _mul_stacked(even.reshape(length, 2 * count, 4, 1),
-                         odd.reshape(length, 2 * count, 1, 4), field)
-    tables = _SIGN * (outer[..., _U, _V] - outer[..., _V, _U]) % p
+    tables = _pair_cofactors(even.reshape(length, 2 * count, 4),
+                             odd.reshape(length, 2 * count, 4), field)
     # rows 0, 1 of adj M are (M_1, -M_0)^T times the {2, 3} table, rows 2, 3 (M_3, -M_2)^T
     # times the {0, 1} table
     pairs = np.stack([odd, -even % p], axis=3).reshape(length, 2 * count, 2, 4)
     swapped = tables.reshape(-1, count, 2, 4, 4)[:, :, ::-1].reshape(-1, 2 * count, 4, 4)
     rows = _mul_stacked(pairs, swapped, field).reshape(-1, count, 4, 4)[:, :, :s, :s]
-    rows = rows.reshape(-1, count * s, s)
-    degs = entry_degrees(PolyMatrix._canonical(field, rows))
-    at, piv = np.arange(count * s), s - 1 - np.argmax(degs[:, ::-1], axis=1)
-    lead = rows[degs[at, piv], at, piv]
-    scale = np.array([pow(int(c), -1, p) if c else 1 for c in lead], dtype=np.int64)
-    return _normalize(rows * scale[:, None] % p).reshape(-1, count, s, s)
+    return _monic_rows(rows.reshape(-1, count * s, s), field).reshape(-1, count, s, s)
+
+
+def _first_adjugate_row(block: np.ndarray, field) -> np.ndarray:
+    """Row 0 of _adjugates for one (L, s, s) block, as an (L', 1, s) array: M_1^T
+    times the {2, 3} column pair's cofactors, which is all that row reads."""
+    m = _as_4x4(block[:, None])
+    row = _mul_stacked(m[..., None, :, 1], _pair_cofactors(m[..., 2], m[..., 3], field), field)
+    return _monic_rows(row[:, :, 0, :block.shape[1]], field)
 
 
 def _elimination_level(blocks: np.ndarray, field, expected_deg: int) -> tuple:
@@ -196,7 +221,7 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
             raise GenericityFailure(f"at size {s} the right half's kernel degrees "
                                     f"{kron} sum below their bound {bound}")
         block = _mul_stacked(kernel, block[:, None, :, :s // 2], a.field)[:, 0]
-    row0 = PolyMatrix._canonical(a.field, _adjugates(block[:, None], a.field)[:, 0, :1])
+    row0 = PolyMatrix._canonical(a.field, _first_adjugate_row(block, a.field))
     b11 = pm_mul(row0, PolyMatrix._canonical(a.field, block[:, :, :1])).entry(0, 0)
     b11_x0, x1 = int(b11(x0)), (x0 + 1 + int(rng.integers(0, p - 1))) % p
     det = b11 * (det_x0 * pow(b11_x0, -1, p) % p) if b11_x0 else b11
@@ -205,10 +230,11 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
     return det
 
 
-def _certify(a: PolyMatrix, r: PolyMatrix, x0: int):
+def _certify(a: PolyMatrix, r: PolyMatrix, x0: int, a_s: PolyMatrix, r_s: PolyMatrix):
     """T = R A^{-1} and W = A R^{-1} as series at x0, checked: T A = R, W R = A.
 
-    The orders are Cramer bounds on deg T and deg W, valid whenever R is a
+    a_s and r_s are A and R at x + x0, which the caller has built. The
+    orders are Cramer bounds on deg T and deg W, valid whenever R is a
     row-reduced form of A, so truncating there can only make a wrong R fail.
     T W R = R with R non-singular gives T W = I: A and R are unimodularly
     equivalent, whatever the field size.
@@ -219,7 +245,6 @@ def _certify(a: PolyMatrix, r: PolyMatrix, x0: int):
         da, dr = row_degrees(a), row_degrees(r)
         k_t = max(max(dr) + sum(da) - min(da) - sum(dr) + 1, 1)
         k_w = max(max(da) - min(dr) + 1, 1)
-        a_s, r_s = pm_shift_var(a, x0), pm_shift_var(r, x0)
         t = pm_truncate(pm_mul(r_s, truncated_inverse(a_s, k_t).to_polymat()), k_t)
         w = pm_truncate(pm_mul(a_s, truncated_inverse(r_s, k_w).to_polymat()), k_w)
     except (ZeroRow, SingularAtZero) as exc:  # A(x0) is non-singular, so only a wrong R
@@ -258,16 +283,17 @@ def row_reduce(a: PolyMatrix, seed=None):
         raise
     if n == 0:  # T and W are 0 x 0 too; the certificate's row degrees would be empty
         return a, {"shift": x0, "transform": a, "inverse": a}
+    a_s = pm_shift_var(a, x0)
     if d == 0:
-        return a, _certify(a, a, x0)
+        return a, _certify(a, a, x0, a_s, a_s)
 
-    data = proper_tail(pm_shift_var(a, x0), (n - 1) * d + 1, 2 * d + 1)
+    data = proper_tail(a_s, (n - 1) * d + 1, 2 * d + 1)
     try:
         fact = matfrac_rec(data.tail, d, d)
     except WrongRowCount as exc:
         raise ReconstructionFailure(str(exc)) from exc
     reduced = pm_shift_var(fact.denominator, -x0)
-    return reduced, _certify(a, reduced, x0)
+    return reduced, _certify(a, reduced, x0, a_s, fact.denominator)
 
 
 def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactorization:

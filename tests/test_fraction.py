@@ -254,6 +254,59 @@ def expansion_input(fld, n, d, rng):
     return PolyMatrix(fld, c)
 
 
+def lift_c(d, h):
+    """When _expand lifts, its chain ends in [h - c, h] and it runs Newton to c + width."""
+    return h - max(h // d - 1, 0) * d
+
+
+def lift_orders(d, h, width):
+    """The lifting chain _expand runs for a degree-d A when _newton_wins says no."""
+    c = lift_c(d, h)
+    return fraction._lift_plan(h, d, c, c + width)
+
+
+def plan_calls(orders, d):
+    """Kernel calls of a chain: one for a start t_0 > 0, three per doubling, two per increment."""
+    steps = zip(orders, orders[1:])
+    return (orders[0] > 0) + sum(3 if u == 2 * t + d else 2 for t, u in steps)
+
+
+def binary_chain_calls(d, h):
+    """Kernel calls of the chain from R_0 = I along the bits of h // d: a doubling per
+    bit after the leading one, and a step by d after each doubling into a one bit."""
+    bits = bin(h // d)[3:]
+    return 3 * len(bits) + 2 * bits.count("1")
+
+
+def test_lift_plan_is_valid_and_never_costlier_than_the_binary_chain():
+    for d in range(1, 17):
+        for width in range(0, 2 * d + 1):
+            for h in (*range(0, 4 * d + width + 2), *range(5, 2**14 + 1, 101)):
+                c = lift_c(d, h)
+                k = c + width
+                orders = fraction._lift_plan(h, d, c, k)
+                assert 0 <= orders[0] <= k and h - c <= orders[-1] <= h, (d, width, h, orders)
+                for t, u in zip(orders, orders[1:]):
+                    assert t > 0 and (u == 2 * t + d or 1 <= u - t <= d), (d, width, h, orders)
+                assert plan_calls(orders, d) <= binary_chain_calls(d, h), (d, width, h, orders)
+
+
+def test_lift_plan_makes_the_fewest_calls():
+    # against every chain, by a shortest-path sweep over the orders 0..h
+    for d in range(1, 7):
+        for width in range(0, 2 * d + 1):
+            for h in range(0, 160):
+                c = lift_c(d, h)
+                k = c + width
+                best = [0] + [1 if t <= k else h * 3 for t in range(1, h + 1)]
+                for t in range(k + 1, h + 1):
+                    best[t] = min(best[t], 2 + min(best[max(t - d, 1):t]))
+                    if t - d >= 2 and (t - d) % 2 == 0:
+                        best[t] = min(best[t], 3 + best[(t - d) // 2])
+                orders = fraction._lift_plan(h, d, c, k)
+                assert plan_calls(orders, d) == min(best[max(h - c, 0):]), (d, width, h)
+
+
 @pytest.mark.parametrize("p", [2, 3, 97, 2**31 - 1, DEFAULT_PRIME])
 def test_engines_agree(p, monkeypatch):
     # (n, d, h, width): d = 0, h = 0, width 0, n = 1, h < d, and h + width <= d,
@@ -264,7 +317,14 @@ def test_engines_agree(p, monkeypatch):
              (1, 2, 9, 4), (3, 1, 40, 0), (2, 3, 3, 5), (4, 2, 17, 6)]
     cases += [(int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(0, 120)),
                int(rng.integers(0, 12))) for _ in range(8)]
-    for n, d, h, width in cases:
+    # lifting chains of doublings only, then chains with increments
+    doublings = [(3, 3, 72, 5), (2, 8, 993, 15), (2, 2, 254, 0)]
+    increments = [(3, 3, 12, 5), (2, 4, 300, 4), (3, 5, 611, 2), (3, 2, 250, 0)]
+    for n, d, h, width in doublings + increments:
+        orders = lift_orders(d, h, width)
+        steps = [u - t for t, u in zip(orders, orders[1:])]
+        assert steps and all(b > d for b in steps) == ((n, d, h, width) in doublings), orders
+    for n, d, h, width in cases + doublings + increments:
         a = expansion_input(fld, n, d, rng)
         got = []
         for newton in (True, False):
@@ -276,8 +336,16 @@ def test_engines_agree(p, monkeypatch):
 
 
 def test_lifting_doubling_makes_three_kernel_calls(fd, monkeypatch):
-    # h = m d with m a power of two takes log2(m) doublings and no single steps
+    # at d = 3 and width 5 the chains for h = 9, 18, 36, 72 each add one doubling to the
+    # last, and the one for h = 12 adds an increment to that for h = 9; every h runs
+    # Newton to the same order
     a = nonsingular_at_zero(fd, 4, 3, 11)
+    hs = (9, 18, 36, 72, 12)
+    chains = [lift_orders(3, h, 5) for h in hs]
+    assert len({lift_c(3, h) for h in hs}) == 1
+    for shorter, longer in zip(chains[:3], chains[1:4]):
+        assert longer == shorter + [2 * shorter[-1] + 3], chains
+    assert chains[4][:-1] == chains[0] and chains[4][-1] - chains[0][-1] <= 3, chains
     calls = []
     products = fraction._mul_stacked
 
@@ -287,10 +355,11 @@ def test_lifting_doubling_makes_three_kernel_calls(fd, monkeypatch):
 
     monkeypatch.setattr(fraction, "_mul_stacked", counting)
     monkeypatch.setattr(fraction, "_newton_wins", lambda *_: False)
-    for m in (1, 2, 4, 8):
+    for h in hs:
         calls.append(0)
-        fraction._expand(a, m * 3, 5)
-    assert [b - a for a, b in zip(calls, calls[1:])] == [3, 3, 3], calls
+        fraction._expand(a, h, 5)
+    assert [b - a for a, b in zip(calls[:3], calls[1:4])] == [3, 3, 3], calls
+    assert calls[4] - calls[0] == 2, calls
 
 
 def test_engine_builds_only_the_result(fd, monkeypatch):
@@ -319,11 +388,11 @@ def test_engine_builds_only_the_result(fd, monkeypatch):
 
 def engine_order(a, h, width):
     """The order of the engine's one truncated inverse: h + width for a Newton run, else
-    c + width with h - c the lifting's last order, d <= c < 2d once it takes a step."""
+    c + width with c from lift_c, d <= c < 2d once lifting takes a step."""
     d = int_degree(a)
     if d == 0 or fraction._newton_wins(a.rows, d, h):
         return h + width
-    return h - max(h // d - 1, 0) * d + width
+    return lift_c(d, h) + width
 
 
 def test_engine_makes_one_truncated_inverse_call(fd, monkeypatch):

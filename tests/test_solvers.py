@@ -257,6 +257,23 @@ def test_adjugate_rows_are_the_minimal_kernel_rows(p):
     assert coprime > 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 97, 2**31 - 1, 2013265921])
+def test_first_adjugate_row_is_row_zero_of_the_adjugate(p):
+    # generic_det reads only row 0 of its last block's adjugate; the short path must give
+    # it bit for bit, also for padded sizes, a zero first row and a singular block
+    fld, rng = pk.get_field(p), np.random.default_rng(p)
+    for s in (1, 2, 4):
+        for trial in range(10):
+            block = rng.integers(0, p, (int(rng.integers(1, 6)), s, s))
+            if trial == 0 and s > 1:
+                block[:, :, 1:] = 0  # row 0 of adj M vanishes
+            if trial == 1:
+                block[:, 0] = block[:, -1]  # singular
+            want = solvers._adjugates(block[:, None], fld)[:, 0, :1]
+            got = solvers._first_adjugate_row(block, fld)
+            assert PolyMatrix(fld, got) == PolyMatrix(fld, want), (s, trial)
+
+
 def planted_common_factor(fld, rng):
     """A non-singular 2 x 2 block whose right column is divisible by x + 1."""
     factor = PolyMatrix.from_lists(fld, [[[1, 1]]])
@@ -571,6 +588,26 @@ def test_rowreduce_anchor(fd):
     assert det_by_interpolation(r).degree == 2
 
 
+def test_rowreduce_shifts_a_and_r_once_each_way(fd, monkeypatch):
+    # A to x + x0 for the expansion, the reconstructed denominator back to R, and T and W
+    # back: the certificate reuses A(x + x0) and the denominator, which is R(x + x0)
+    shifted = []
+    real = solvers.pm_shift_var
+
+    def spy(a, x0):
+        shifted.append(x0)
+        return real(a, x0)
+
+    monkeypatch.setattr(solvers, "pm_shift_var", spy)
+    for n, d in ((3, 2), (2, 0)):
+        shifted.clear()
+        a = pk.rand_instance(n, n, d, 5, field=fd)
+        r, cert = row_reduce(a, 7)
+        assert_certified(a, r, cert)
+        x0 = cert["shift"]
+        assert shifted == ([x0, -x0, -x0, -x0] if d else [x0, -x0, -x0]), (n, d, shifted)
+
+
 def test_rowreduce_random(fd, rng):
     for trial in range(15):
         n = int(rng.integers(2, 6))
@@ -699,7 +736,7 @@ def test_inverse_rejects_a_wrong_diagonalization_product(fd, monkeypatch):
 def test_certify_rejects_a_non_reduced_r(fd):
     r = PolyMatrix.from_lists(fd, [[[1], [0, 1]], [[1], [0, 1]]])  # leading row matrix singular
     with pytest.raises(CertificateFailure, match="R is not row-reduced"):
-        solvers._certify(anchor(fd), r, 0)
+        solvers._certify(anchor(fd), r, 0, anchor(fd), r)  # at x0 = 0 the shifts are A and R
 
 
 def test_certify_rejects_an_r_not_equivalent_to_a(fd):
@@ -708,7 +745,7 @@ def test_certify_rejects_an_r_not_equivalent_to_a(fd):
     a = anchor(fd)
     r = pm_mul(PolyMatrix.from_lists(fd, [[[1, 1], [0]], [[0], [1]]]), a)
     with pytest.raises(CertificateFailure, match="T A = R check failed"):
-        solvers._certify(a, r, 0)
+        solvers._certify(a, r, 0, a, r)
 
 
 def test_factor_rejects_a_wrong_nullspace_row(fd, monkeypatch):
