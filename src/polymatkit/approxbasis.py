@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import OrderExceedsData
+from .errors import InvalidArgument, OrderExceedsData
 from .linalg import PRODUCT_MULTS, _reduce, mul_unreduced, rref, split_right
 from .poly import MINUS_INFINITY
 from .polymat import (PolyMatrix, SeriesMatrix, _mul_stacked, _normalize, entry_degrees, pm_mul,
@@ -84,7 +84,7 @@ def series_product(a: PolyMatrix, f: SeriesMatrix, order: int) -> SeriesMatrix:
 
 def shifted_row_degrees(a: PolyMatrix, shift) -> list:
     """Row degrees of a after adding shift[j] to the degree of column j."""
-    degs = entry_degrees(a)
+    degs = entry_degrees(a.coeffs)
     low = np.iinfo(np.int64).min
     shifted = np.where(degs >= 0, degs + np.asarray(shift, dtype=np.int64), low)
     return [int(d) if d != low else MINUS_INFINITY for d in shifted.max(axis=1, initial=low)]
@@ -192,12 +192,15 @@ def _pmbasis(f: np.ndarray, sigma: int, shifts: np.ndarray, field) -> tuple:
 def _basis(engine, f: SeriesMatrix, sigma: int, shift) -> ApproximantBasis:
     """The order-sigma basis of f from ``engine`` (``_mbasis`` or ``_pmbasis``)."""
     if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+        raise InvalidArgument(f"sigma must be nonnegative, got {sigma}")
     if sigma > f.order:
         raise OrderExceedsData(f"order {sigma} exceeds stored series order {f.order}")
     shift = [0] * f.rows if shift is None else list(shift)
     if len(shift) != f.rows:
-        raise ValueError("shift length must equal the row count")
+        raise InvalidArgument("shift length must equal the row count")
+    for s in shift:  # two under 2**61 in size differ by under 2**62, which int64 keys hold
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or abs(int(s)) >= 2**61:
+            raise InvalidArgument(f"shift entries must be integers below 2**61 in size, got {s!r}")
     bases, _ = engine(f.coeffs[:, None], sigma, np.array([shift], dtype=np.int64), f.field)
     mat = PolyMatrix._canonical(f.field, np.ascontiguousarray(bases[:, 0]))
     return ApproximantBasis(mat, sigma, row_degrees(mat), shift)

@@ -8,9 +8,9 @@ apart from ``det``'s interpolation fallback: on GenericityFailure from
 ``generic_det``, ``det`` prints the reason on stderr and interpolates.
 Exit codes: 0 success and verified, 2 verification failure (the CLI's
 checks or the library's own, SelfCheckFailure), 3 precondition error (an
-out-of-range size, --rank or --reps too, or a size argument whose series or
-output would exceed io.MAX_COEFFS coefficients), 4 parse error (bad
-arguments too).
+out-of-range size, --rank, --reps or --shift too, or a size argument whose
+series or output would exceed io.MAX_COEFFS coefficients), 4 parse error
+(bad arguments too, a --shift token that is no integer among them).
 
 Setting the environment variable POLYMATKIT_CORRUPT to a non-empty value
 corrupts each computed result before its verification step; this exists so
@@ -128,8 +128,7 @@ def _cmd_mbasis(args, rng):
     n, m = f_mat.rows, f_mat.cols
     _bound_request({"--order": sigma}, max(sigma * n * m, (sigma + 1) * n * n))
     f = f_mat.to_series(sigma)
-    shift = [int(s) for s in args.shift.split(",")] if args.shift else None
-    basis = pmbasis(f, sigma, shift)
+    basis = pmbasis(f, sigma, args.shift)
     n_mat = _maybe_corrupt(basis.basis)
     _check(not series_product(n_mat, f, sigma).coeffs.any(), "basis residual is nonzero")
     x0 = int(rng.integers(1, f.field.p))
@@ -326,6 +325,11 @@ def _cmd_bench(args, rng):
 
 # -- argument parsing --------------------------------------------------------
 
+def _int_list(text: str) -> list:
+    """Comma-separated integers; argparse reports a bad token as a usage error."""
+    return [int(s) for s in text.split(",")]
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit EXIT_PARSE, not 2 (a verification failure); subparsers inherit it."""
 
@@ -361,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mbasis", help="minimal approximant basis")
     sp.add_argument("f")
     sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--shift", default=None, help="comma-separated row shift")
+    sp.add_argument("--shift", type=_int_list, default=None, help="comma-separated row shift")
     out_opt(sp)
     sp.set_defaults(func=_cmd_mbasis)
 

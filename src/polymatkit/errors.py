@@ -11,6 +11,10 @@ class PolymatError(Exception):
     """Base class for all polymatkit errors."""
 
 
+class InvalidArgument(PolymatError, ValueError):
+    """An argument outside its domain; a ValueError too, as such arguments raised one before."""
+
+
 class SelfCheckFailure(PolymatError):
     """A computed result failed the library's own exact check: a fault, not bad input."""
 

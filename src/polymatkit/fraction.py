@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NonPolynomialQuotient, NotSquare, SingularAtZero,
-                     SingularInput)
+from .errors import (DimensionMismatch, InvalidArgument, NonPolynomialQuotient, NotSquare,
+                     SingularAtZero, SingularInput)
 from .linalg import inv as const_inv
-from .polymat import (PolyMatrix, SeriesMatrix, _mul_stacked, _normalize, _stack, int_degree,
-                      pm_eval)
+from .polymat import (PolyMatrix, SeriesMatrix, _fit, _mul, _mul_stacked, _normalize, _stack,
+                      int_degree, pm_eval)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def _check_args(a: PolyMatrix, **orders: int) -> None:
         raise NotSquare(f"need a square A, got {a.rows} x {a.cols}")
     for name, value in orders.items():
         if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+            raise InvalidArgument(f"{name} must be nonnegative, got {value}")
 
 
 def _inv_at_zero(a: PolyMatrix) -> np.ndarray:
@@ -70,19 +70,6 @@ def _inv_at_zero(a: PolyMatrix) -> np.ndarray:
 
 
 # -- residue arrays: the engine multiplies, pads and divides int64 (L, n, n) arrays
-
-def _mul(x: np.ndarray, y: np.ndarray, field) -> np.ndarray:
-    """The product of an (L, n, k) and an (L', k, m) residue array, trimmed."""
-    return _mul_stacked(x[:, None], y[:, None], field)[:, 0]
-
-
-def _fit(arr: np.ndarray, length: int) -> np.ndarray:
-    """A new array of the first ``length`` slices of arr, zero-padded."""
-    out = np.zeros((length, *arr.shape[1:]), dtype=np.int64)
-    take = min(length, arr.shape[0])
-    out[:take] = arr[:take]
-    return out
-
 
 def _sub_quo(x: np.ndarray, y: np.ndarray, k: int, p: int) -> np.ndarray:
     """(x - y) / x**k, trimmed, for residue arrays of any lengths, raising
@@ -162,7 +149,7 @@ def proper_tail(a: PolyMatrix, h: int, sigma: int) -> ProperFractionData:
     n = a.rows
     d = int_degree(a)
     if h <= (n - 1) * d:
-        raise ValueError(f"need h > (n-1)*deg(A) = {(n - 1) * d}, got {h}")
+        raise InvalidArgument(f"need h > (n-1)*deg(A) = {(n - 1) * d}, got {h}")
     resid, window = _expand(a, h, sigma)
     numerator = PolyMatrix._canonical(a.field, resid)
     # strict properness forces deg B < deg A; anything else is a bug

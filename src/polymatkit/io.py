@@ -58,7 +58,7 @@ def serialize(a: PolyMatrix) -> str:
         f"dims {a.rows} {a.cols}",
     ]
     # one conversion to Python ints per matrix; each entry ends at its degree
-    degs = entry_degrees(a).tolist()
+    degs = entry_degrees(a.coeffs).tolist()
     for i, row in enumerate(a.coeffs.transpose(1, 2, 0).tolist()):
         for j, col in enumerate(row):
             if degs[i][j] >= 0:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import ntt
-from .errors import DimensionMismatch, FieldTooSmall, PrimeMismatch, SingularInput, ZeroRow
+from .errors import (DimensionMismatch, FieldTooSmall, InvalidArgument, PrimeMismatch,
+                     SingularInput, ZeroRow)
 from .field import FieldElement, PrimeField
 from .linalg import (PRODUCT_MULTS, TERMS, _reduce, _workspace, det as const_det, mod_matmul,
                      mul_unreduced, rank as const_rank, split_right)
@@ -215,10 +216,7 @@ class PolyMatrix:
         return PolyMatrix._canonical(field, out)
 
     def to_series(self, order: int) -> "SeriesMatrix":
-        arr = np.zeros((order, self.rows, self.cols), dtype=np.int64)
-        take = min(order, self.coeffs.shape[0])
-        arr[:take] = self.coeffs[:take]
-        return SeriesMatrix._canonical(self.field, arr)
+        return SeriesMatrix._canonical(self.field, _fit(self.coeffs, order))
 
 
 class SeriesMatrix:
@@ -229,7 +227,7 @@ class SeriesMatrix:
     def __init__(self, field: PrimeField, order: int, coeffs: np.ndarray):
         arr = np.asarray(coeffs, dtype=np.int64) % field.p
         if arr.ndim != 3 or arr.shape[0] != order:
-            raise ValueError("need exactly `order` coefficient matrices")
+            raise InvalidArgument("need exactly `order` coefficient matrices")
         self._adopt(field, arr)
 
     @classmethod
@@ -256,7 +254,7 @@ class SeriesMatrix:
 
     def slice(self, start: int, stop: int) -> "SeriesMatrix":
         if not 0 <= start <= stop <= self.order:
-            raise ValueError(f"slice [{start}, {stop}) of a series of order {self.order}")
+            raise InvalidArgument(f"slice [{start}, {stop}) of a series of order {self.order}")
         return SeriesMatrix._canonical(self.field, self.coeffs[start:stop])
 
     def to_polymat(self) -> PolyMatrix:
@@ -337,6 +335,19 @@ def _mul_blocks(a: np.ndarray, b: np.ndarray, p: int, out_len: int) -> np.ndarra
     return _reduce(out, p)
 
 
+def _mul(x: np.ndarray, y: np.ndarray, field: PrimeField) -> np.ndarray:
+    """The product of an (L, n, k) and an (L', k, m) residue array, trimmed."""
+    return _mul_stacked(x[:, None], y[:, None], field)[:, 0]
+
+
+def _fit(arr: np.ndarray, length: int) -> np.ndarray:
+    """A new array of the first ``length`` slices of arr, zero-padded."""
+    out = np.zeros((length, *arr.shape[1:]), dtype=np.int64)
+    take = min(length, arr.shape[0])
+    out[:take] = arr[:take]
+    return out
+
+
 def _stack(arrays: list) -> np.ndarray:
     """(L, B, rows, cols): the coefficient arrays, zero-padded to the longest; a view when B = 1."""
     if len(arrays) == 1:
@@ -377,8 +388,7 @@ def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if a.is_zero() or b.is_zero():
         return PolyMatrix.zero(a.field, a.rows, b.cols)
-    prod = _mul_stacked(a.coeffs[:, None], b.coeffs[:, None], a.field)
-    return PolyMatrix._canonical(a.field, np.ascontiguousarray(prod[:, 0]))
+    return PolyMatrix._canonical(a.field, np.ascontiguousarray(_mul(a.coeffs, b.coeffs, a.field)))
 
 
 def int_degree(a: PolyMatrix) -> int:
@@ -400,7 +410,7 @@ def pm_eval(a: PolyMatrix, x0) -> np.ndarray:
 def pm_truncate(a, k: int) -> PolyMatrix:
     """Drop all powers >= k; accepts a PolyMatrix or SeriesMatrix."""
     if k < 0:
-        raise ValueError("truncation order must be nonnegative")
+        raise InvalidArgument("truncation order must be nonnegative")
     field = a.field
     if k == 0:
         return PolyMatrix.zero(field, a.rows, a.cols)
@@ -437,16 +447,17 @@ def pm_shift_var(a: PolyMatrix, x0) -> PolyMatrix:
 
 # -- row-degree predicates ---------------------------------------------------
 
-def entry_degrees(a: PolyMatrix) -> np.ndarray:
-    """Degree of each entry as an int64 array, -1 for zero entries."""
-    nz = a.coeffs != 0
+def entry_degrees(coeffs: np.ndarray) -> np.ndarray:
+    """Degree of each entry of an (L, ...) residue array, -1 for zero entries."""
+    nz = coeffs != 0
     last = nz.shape[0] - 1 - np.argmax(nz[::-1], axis=0)
     return np.where(nz.any(axis=0), last, -1)
 
 
 def row_degrees(a: PolyMatrix) -> list:
     """Per-row maximal entry degree, MINUS_INFINITY for zero rows."""
-    return [int(d) if d >= 0 else MINUS_INFINITY for d in entry_degrees(a).max(axis=1, initial=-1)]
+    degs = entry_degrees(a.coeffs).max(axis=1, initial=-1)
+    return [int(d) if d >= 0 else MINUS_INFINITY for d in degs]
 
 
 def leading_row_matrix(a: PolyMatrix) -> np.ndarray:

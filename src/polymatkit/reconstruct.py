@@ -1,9 +1,10 @@
 """Matrix fraction reconstruction (left coprime factorization).
 
 Given the first dL + dR + 1 expansion coefficients of a strictly proper
-H = V^{-1} U, one order-basis call on the stacked matrix [-I; F] recovers
+H = V^{-1} U, one order basis of the stacked matrix [-I; F] recovers
 (U, V): the n rows of degree <= dL of the basis split as [U | V], with V
-row-reduced and the factorization left coprime.
+row-reduced and the factorization left coprime. The order-basis engine
+takes [-I; F] as one residue array; only U and V are wrapped as matrices.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approxbasis import pmbasis
-from .errors import DimensionMismatch, OrderExceedsData, WrongRowCount
+from .approxbasis import _pmbasis, _rows_up_to
+from .errors import DimensionMismatch, InvalidArgument, OrderExceedsData, WrongRowCount
 from .polymat import PolyMatrix, SeriesMatrix
 
 
@@ -25,14 +26,6 @@ class LeftFactorization:
     denominator: PolyMatrix
 
 
-def _stack_minus_identity(f: SeriesMatrix) -> SeriesMatrix:
-    n = f.rows
-    arr = np.zeros((f.order, 2 * n, f.cols), dtype=np.int64)
-    arr[0, :n, :] = (-np.eye(n, dtype=np.int64)) % f.field.p
-    arr[:, n:, :] = f.coeffs
-    return SeriesMatrix(f.field, f.order, arr)
-
-
 def matfrac_rec(f: SeriesMatrix, degree_left: int, degree_right: int) -> LeftFactorization:
     """Reconstruct H = V^{-1} U from its truncated expansion ``f``.
 
@@ -42,14 +35,19 @@ def matfrac_rec(f: SeriesMatrix, degree_left: int, degree_right: int) -> LeftFac
     """
     if f.rows != f.cols:
         raise DimensionMismatch("reconstruction expects a square series")
+    if min(degree_left, degree_right) < 0:
+        raise InvalidArgument(f"degrees must be nonnegative, got {degree_left}, {degree_right}")
     sigma = degree_left + degree_right + 1
     if f.order < sigma:
         raise OrderExceedsData(f"need {sigma} coefficients, have {f.order}")
-    n = f.rows
-    stacked = _stack_minus_identity(f.slice(0, sigma))
-    block, _ = pmbasis(stacked, sigma).rows_up_to(degree_left)
-    if block.rows != n:
-        raise WrongRowCount(
-            f"{block.rows} rows of degree <= {degree_left}, expected exactly {n}"
-        )
-    return LeftFactorization(block.take_cols(range(n)), block.take_cols(range(n, 2 * n)))
+    n, fld = f.rows, f.field
+    stacked = np.zeros((sigma, 1, 2 * n, n), dtype=np.int64)
+    stacked[0, 0, range(n), range(n)] = fld.p - 1
+    stacked[:, 0, n:] = f.coeffs[:sigma]
+    # the basis is nonsingular and unshifted: the engine's degrees are its row degrees
+    bases, degrees = _pmbasis(stacked, sigma, np.zeros((1, 2 * n), dtype=np.int64), fld)
+    rows, [picked] = _rows_up_to(bases, degrees, degree_left)
+    if len(picked) != n:
+        raise WrongRowCount(f"{len(picked)} rows of degree <= {degree_left}, expected exactly {n}")
+    return LeftFactorization(PolyMatrix._canonical(fld, rows[:, 0, :, :n]),
+                             PolyMatrix._canonical(fld, rows[:, 0, :, n:]))

@@ -33,8 +33,8 @@ from .linalg import det as const_det
 from .nullspace import _kernel_bases, rank
 from .poly import Polynomial
 from .polymat import (
-    PolyMatrix, _mul_stacked, _normalize, entry_degrees, int_degree, is_row_reduced,
-    pm_eval, pm_mul, pm_shift_var, pm_truncate, regular_value, row_degrees,
+    PolyMatrix, _mul, _mul_stacked, _normalize, entry_degrees, int_degree, is_row_reduced,
+    pm_eval, pm_mul, pm_shift_var, regular_value, row_degrees,
 )
 from .reconstruct import LeftFactorization, matfrac_rec
 
@@ -52,12 +52,12 @@ def _require_square(a: PolyMatrix):
         raise NotSquare(f"need a square matrix, got {a.rows} x {a.cols}")
 
 
-def _padded(a: PolyMatrix) -> np.ndarray:
-    """diag(A, I) of the next power-of-two size (1 for n = 0), as an (L, size, size) array."""
-    n, size = a.rows, 1 << max(a.rows - 1, 0).bit_length()
-    out = np.zeros((a.coeffs.shape[0], size, size), dtype=np.int64)
-    out[:, :n, :n] = a.coeffs
-    out[0, range(n, size), range(n, size)] = 1
+def _padded(blocks: np.ndarray, size: int) -> np.ndarray:
+    """diag(M, I) of size ``size`` per s x s block M of an (L, ..., s, s) residue array."""
+    s = blocks.shape[-1]
+    out = np.zeros((*blocks.shape[:-2], size, size), dtype=np.int64)
+    out[..., :s, :s] = blocks
+    out[0, ..., range(s, size), range(s, size)] = 1
     return out
 
 
@@ -68,15 +68,6 @@ _U, _V = (np.array([[sorted({0, 1, 2, 3} - {r, j})[k] if r != j else k for j in 
                     for r in range(4)]) for k in (0, 1))
 _SIGN = np.array([[(-1) ** (j + r - (r > j)) if r != j else 0 for j in range(4)]
                   for r in range(4)])
-
-
-def _as_4x4(blocks: np.ndarray) -> np.ndarray:
-    """diag(M, I) of size 4 per s x s block M (s <= 4) of an (L, B, s, s) array."""
-    length, count, s, _ = blocks.shape
-    m = np.zeros((length, count, 4, 4), dtype=np.int64)
-    m[:, :, :s, :s] = blocks
-    m[0, :, range(s, 4), range(s, 4)] = 1
-    return m
 
 
 def _pair_cofactors(first: np.ndarray, second: np.ndarray, field) -> np.ndarray:
@@ -91,7 +82,7 @@ def _monic_rows(rows: np.ndarray, field) -> np.ndarray:
     """The rows of an (L, N, s) array, each scaled so that its last entry of largest
     degree is monic, as mbasis normalizes a minimal kernel row; a zero row stays zero."""
     p, count = field.p, rows.shape[1]
-    degs = entry_degrees(PolyMatrix._canonical(field, rows))
+    degs = entry_degrees(rows)
     at, piv = np.arange(count), rows.shape[2] - 1 - np.argmax(degs[:, ::-1], axis=1)
     lead = rows[degs[at, piv], at, piv]
     scale = np.array([pow(int(c), -1, p) if c else 1 for c in lead], dtype=np.int64)
@@ -107,7 +98,7 @@ def _adjugates(blocks: np.ndarray, field) -> np.ndarray:
     expansion along the columns of one pair, each with the other pair's minors.
     """
     p, (length, count, s, _) = field.p, blocks.shape
-    m = _as_4x4(blocks)
+    m = _padded(blocks, 4)
     # per block and column pair c: M_c and M_{c+1} as (L, B, pair, row)
     even, odd = (m[..., k::2].transpose(0, 1, 3, 2) for k in (0, 1))
     tables = _pair_cofactors(even.reshape(length, 2 * count, 4),
@@ -123,7 +114,7 @@ def _adjugates(blocks: np.ndarray, field) -> np.ndarray:
 def _first_adjugate_row(block: np.ndarray, field) -> np.ndarray:
     """Row 0 of _adjugates for one (L, s, s) block, as an (L', 1, s) array: M_1^T
     times the {2, 3} column pair's cofactors, which is all that row reads."""
-    m = _as_4x4(block[:, None])
+    m = _padded(block[:, None], 4)
     row = _mul_stacked(m[..., None, :, 1], _pair_cofactors(m[..., 2], m[..., 3], field), field)
     return _monic_rows(row[:, :, 0, :block.shape[1]], field)
 
@@ -169,8 +160,8 @@ def generic_inverse(a: PolyMatrix, seed=None) -> InverseRepresentation:
     """
     _require_square(a)
     n, field, d = a.rows, a.field, int_degree(a)
-    blocks = _padded(a)[:, None]
-    size = blocks.shape[2]
+    size = 1 << max(n - 1, 0).bit_length()  # a power of two, 1 for n = 0
+    blocks = _padded(a.coeffs[:, None], size)
     transform = np.eye(size, dtype=np.int64)[None]
     while blocks.shape[2] > 1:
         s = blocks.shape[2]
@@ -208,21 +199,21 @@ def generic_det(a: PolyMatrix, seed=None) -> Polynomial:
         x0, det_x0 = regular_value(a, rng)
     except SingularInput:
         return Polynomial.zero(a.field)
-    block = _padded(a)
-    n, size, d = a.rows, block.shape[1], int_degree(a)
+    n, d, size = a.rows, int_degree(a), 1 << max(a.rows - 1, 0).bit_length()
+    block = _padded(a.coeffs, size)
     while block.shape[1] > 4:
         s = block.shape[1]
         kernel, [kron] = _kernel_bases(block[:, None, :, s // 2:], [s // 2], size // s * d,
                                        a.field)
         # at the top, the half is diag(A's last n - s/2 columns, I): bound those columns' minors
-        degs = entry_degrees(PolyMatrix._canonical(a.field, block[:, :n, s // 2:n]))
+        degs = entry_degrees(block[:, :n, s // 2:n])
         bound = min(degs.max(axis=0).sum(), np.sort(degs.max(axis=1))[-degs.shape[1]:].sum())
         if sum(kron) != bound:
             raise GenericityFailure(f"at size {s} the right half's kernel degrees "
                                     f"{kron} sum below their bound {bound}")
         block = _mul_stacked(kernel, block[:, None, :, :s // 2], a.field)[:, 0]
-    row0 = PolyMatrix._canonical(a.field, _first_adjugate_row(block, a.field))
-    b11 = pm_mul(row0, PolyMatrix._canonical(a.field, block[:, :, :1])).entry(0, 0)
+    row0 = _first_adjugate_row(block, a.field)[:, None]
+    b11 = Polynomial(a.field, _mul_stacked(row0, block[:, None, :, :1], a.field)[:, 0, 0, 0])
     b11_x0, x1 = int(b11(x0)), (x0 + 1 + int(rng.integers(0, p - 1))) % p
     det = b11 * (det_x0 * pow(b11_x0, -1, p) % p) if b11_x0 else b11
     if not b11_x0 or int(det(x1)) != const_det(pm_eval(a, x1), p):
@@ -245,11 +236,11 @@ def _certify(a: PolyMatrix, r: PolyMatrix, x0: int, a_s: PolyMatrix, r_s: PolyMa
         da, dr = row_degrees(a), row_degrees(r)
         k_t = max(max(dr) + sum(da) - min(da) - sum(dr) + 1, 1)
         k_w = max(max(da) - min(dr) + 1, 1)
-        t = pm_truncate(pm_mul(r_s, truncated_inverse(a_s, k_t).to_polymat()), k_t)
-        w = pm_truncate(pm_mul(a_s, truncated_inverse(r_s, k_w).to_polymat()), k_w)
+        t = _mul(r_s.coeffs, truncated_inverse(a_s, k_t).coeffs, a.field)[:k_t]
+        w = _mul(a_s.coeffs, truncated_inverse(r_s, k_w).coeffs, a.field)[:k_w]
     except (ZeroRow, SingularAtZero) as exc:  # A(x0) is non-singular, so only a wrong R
         raise CertificateFailure("R has a zero row or is singular at x0") from exc
-    t, w = pm_shift_var(t, -x0), pm_shift_var(w, -x0)
+    t, w = (pm_shift_var(PolyMatrix._canonical(a.field, m), -x0) for m in (t, w))
     if pm_mul(t, a) != r:
         raise CertificateFailure("T A = R check failed")
     if pm_mul(w, r) != a:
@@ -316,10 +307,10 @@ def left_factorization(b: PolyMatrix, a: PolyMatrix, seed=None) -> LeftFactoriza
         raise ReconstructionFailure(
             f"nullspace of the stacked matrix has {rows.shape[2]} rows, expected {m}"
         )
+    if _mul_stacked(rows, stacked.coeffs[:, None], a.field).any():  # [U | V] [-A; B] = 0
+        raise CertificateFailure("U A = V B product check failed")
     numer = PolyMatrix._canonical(a.field, rows[:, 0, :, :n])
     denom = PolyMatrix._canonical(a.field, rows[:, 0, :, n:])
-    if pm_mul(numer, a) != pm_mul(denom, b):
-        raise CertificateFailure("U A = V B product check failed")
     if rank(denom, seed) < m:
         raise ReconstructionFailure("V is singular")
     return LeftFactorization(numer, denom)

@@ -13,7 +13,7 @@ from polymatkit.approxbasis import (
     series_product,
     shifted_row_degrees,
 )
-from polymatkit.errors import OrderExceedsData
+from polymatkit.errors import InvalidArgument, OrderExceedsData, PolymatError
 from polymatkit.field import DEFAULT_PRIME
 from polymatkit.linalg import rank as const_rank
 from polymatkit.oracle import det_by_interpolation, left_kernel, minimal_basis_bruteforce
@@ -82,6 +82,54 @@ def test_negative_order_rejected(fd, algo):
         algo(f, -1)
     with pytest.raises(ValueError, match="shift length must equal the row count"):
         algo(f, 2, [0])
+
+
+F = SeriesMatrix.zero(pk.default_field(), 4, 2, 1)
+A = PolyMatrix.from_lists(pk.default_field(), [[[1], [0, 1]], [[0, 1], [1]]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pk.expansion_slice(A, A, -1, 2),
+    lambda: pk.expansion_slice(A, A, 3, -1),
+    lambda: pk.proper_tail(A, -1, 2),
+    lambda: pk.proper_tail(A, 2, -1),
+    lambda: pk.proper_tail(A, 1, 2),  # h <= (n - 1) deg A
+    lambda: pk.truncated_inverse(A, -1),
+    lambda: pk.pm_truncate(A, -1),
+    lambda: pk.matfrac_rec(SeriesMatrix.zero(pk.default_field(), 4, 1, 1), -1, 1),
+    lambda: SeriesMatrix(pk.default_field(), 3, np.zeros((2, 2, 1))),
+    lambda: F.slice(2, 5),
+    lambda: F.slice(3, 2),
+    lambda: mbasis(F, -1),
+    lambda: pmbasis(F, -1),
+    lambda: pmbasis(F, 2, [0]),
+    lambda: mbasis(F, 2, [0, 0, 0]),
+    lambda: pmbasis(F, 2, [0.5, 0]),
+    lambda: mbasis(F, 2, [np.float64(1), 0]),
+    lambda: pmbasis(F, 2, [True, 0]),
+    lambda: pmbasis(F, 2, ["1", 0]),
+    lambda: pmbasis(F, 2, [2**61, 0]),
+    lambda: mbasis(F, 2, [0, -2**61]),
+    lambda: pmbasis(F, 2, [2**62 - 1, 1 - 2**62]),
+    lambda: pmbasis(F, 2, [2**63, 0]),
+], ids=lambda call: None)
+def test_bad_arguments_raise_a_typed_error(call):
+    # a PolymatError for the CLI, still a ValueError for older callers
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert isinstance(info.value, PolymatError) and isinstance(info.value, ValueError)
+
+
+def test_shifts_just_below_the_bound_run_exactly(fd):
+    # a basis depends on the shift only up to a constant, which moves its indices
+    f = pk.rand_instance(3, 1, 3, 1, field=fd).to_series(6)
+    big = 2**61 - 1
+    for algo in (mbasis, pmbasis):
+        small = algo(f, 6, [3, 0, 1])
+        for c in (big - 3, 1 - big):
+            got = algo(f, 6, [np.int64(3 + c), c, 1 + c])
+            assert got.basis == small.basis
+            assert got.minimal_indices == [i + c for i in small.minimal_indices]
 
 
 def test_pmbasis_base_case_equals_mbasis(f97, rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import polymatkit as pk
-from polymatkit import fraction, ntt
+from polymatkit import fraction, ntt, polymat
 from polymatkit.errors import DimensionMismatch, NotSquare, PrimeMismatch, SingularAtZero
 from polymatkit.field import DEFAULT_PRIME
 from polymatkit.fraction import (
@@ -353,7 +353,9 @@ def test_lifting_doubling_makes_three_kernel_calls(fd, monkeypatch):
         calls[-1] += 1
         return products(*args)
 
+    # the engine's stacked products, and its single-pair ones through polymat._mul
     monkeypatch.setattr(fraction, "_mul_stacked", counting)
+    monkeypatch.setattr(polymat, "_mul_stacked", counting)
     monkeypatch.setattr(fraction, "_newton_wins", lambda *_: False)
     for h in hs:
         calls.append(0)

@@ -413,6 +413,26 @@ def test_cli_rand_planted_rank(tmp_path):
     assert true_rank(pmio.load(out)) == 1
 
 
+@pytest.mark.parametrize("shift, code", [("1", 3), ("99999999999999999999,0", 3),
+                                         ("1,x", 4), ("0.5,0", 4), ("1,,2", 4)])
+def test_cli_mbasis_bad_shift_exits_by_the_contract(tmp_path, f97, capsys, shift, code):
+    # a token that is no integer is a usage error; a wrong length or a shift too large
+    # for the engine's counters is one the library refuses (InvalidArgument)
+    p = tmp_path / "f.pm"
+    pmio.save(p, pk.rand_instance(2, 1, 2, 13, field=f97))
+    argv = ["--seed", "1", "mbasis", str(p), "--order", "3", "--shift", shift]
+    if code == 4:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+        assert "argument --shift: invalid" in capsys.readouterr().err
+    else:
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert main(["--seed", "1", "mbasis", str(p), "--order", "3", "--shift", "2,0"]) == 0
+
+
 def test_cli_mbasis_with_oracle(tmp_path, f97):
     f = pk.rand_instance(2, 1, 2, 13, field=f97)
     p = tmp_path / "f.pm"

@@ -43,6 +43,9 @@ def test_sweep_callers_import_no_series_or_list_products():
     for name in ("nullspace.py", "solvers.py"):
         imported = _imported_modules(ast.parse((SRC / name).read_text()))
         assert imported.isdisjoint({"SeriesMatrix", "pm_mul_batch", "pmbasis"}), name
+    # reconstruction calls the same order-basis engine on a residue array
+    imported = _imported_modules(ast.parse((SRC / "reconstruct.py").read_text()))
+    assert imported.isdisjoint({"pm_mul_batch", "pmbasis"})
 
 
 def test_expansion_engine_imports_no_matrix_products():

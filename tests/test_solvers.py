@@ -398,6 +398,35 @@ def test_inverse_builds_as_many_matrices_at_every_size(fd, monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_warmed_calls_wrap_little_more_than_their_results(fd, monkeypatch):
+    # reconstruction, b_11 and the factorization check run on residue arrays: matrices are
+    # built for what a verb returns, and in row_reduce for its shifts and T and W
+    a = pk.rand_instance(8, 8, 8, 3, field=fd)
+    sq = pk.rand_instance(8, 8, 4, 5, field=fd)
+    series = pk.proper_tail(a, 57, 17).tail
+    b = pk.rand_instance(4, 8, 4, 6, field=fd)
+    calls = {  # name: (call, most PolyMatrix, most SeriesMatrix)
+        "row_reduce": (lambda: row_reduce(a, 1), 11, 4),
+        "matfrac_rec": (lambda: matfrac_rec(series, 8, 8), 2, 0),
+        "generic_det": (lambda: generic_det(sq, 1), 0, 0),
+        "left_factorization": (lambda: left_factorization(b, sq, 1), 6, 0),
+    }
+    for call, _, _ in calls.values():
+        call()  # warm: the NTT tables are built once per length
+    built = []
+    for cls in (PolyMatrix, pk.SeriesMatrix):
+        def counted(self, *args, real=cls._adopt, cls=cls):
+            built.append(cls)
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, "_adopt", counted)
+    for name, (call, most_poly, most_series) in calls.items():
+        built.clear()
+        call()
+        assert built.count(PolyMatrix) <= most_poly, (name, built)
+        assert built.count(pk.SeriesMatrix) <= most_series, (name, built)
+
+
 # -- generic determinant -----------------------------------------------------
 
 def test_det_constant(fd):
@@ -420,15 +449,20 @@ def test_det_random_matches_oracle(fd, rng):
 def test_det_point_check_rejects_a_wrong_b11(fd, rng, monkeypatch):
     # b_11 + x^(deg + 1) is no constant times det A, and a 4 x 4 input takes no kernel, so no
     # degree check sees it: only the check at x1 != x0, after the rescaling at x0, does
+    # b_11 is the one 1 x 1 product, of row 0 of the adjugate by the block's first column
     a = nonsingular_at_zero(fd, 4, 2, rng)
-    mul = solvers.pm_mul
+    mul = solvers._mul_stacked
 
-    def corrupt(x, y):
-        out = mul(x, y)
-        return out + PolyMatrix.identity(fd, 1).shift(out.degree + 1) if out.rows == 1 else out
+    def corrupt(x, y, field):
+        out = mul(x, y, field)
+        if out.shape[-2:] != (1, 1):
+            return out
+        wrong = np.zeros((len(out) + 1, *out.shape[1:]), dtype=np.int64)
+        wrong[:-1], wrong[-1] = out, 1
+        return wrong
 
     assert generic_det(a, 0) == det_by_interpolation(a)
-    monkeypatch.setattr(solvers, "pm_mul", corrupt)
+    monkeypatch.setattr(solvers, "_mul_stacked", corrupt)
     with pytest.raises(SelfCheckFailure, match="det check"):
         generic_det(a, 0)
 
